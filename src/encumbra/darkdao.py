@@ -168,9 +168,7 @@ class DarkDao:
             domain_hash=domain_hash,
         )
         program_name = f"darkdao:{wallet_id}"
-        tree = self.manager.tree_of(wallet_id)
-        tree.programs[program_name] = DaoVoteProgram(self, enrollment)
-        root_expiry = tree.node("root").expiry
+        root_expiry = self.manager.tree_of(wallet_id).node("root").expiry
         self.manager.spawn_node(
             actor=wallet.access_manager,
             wallet_id=wallet_id,
@@ -186,6 +184,11 @@ class DarkDao:
                     expiry=root_expiry,
                 )
             ],
+        )
+        # Registered only once the spawn has committed, so a refused
+        # enroll leaves no program behind.
+        self.manager.tree_of(wallet_id).programs[program_name] = DaoVoteProgram(
+            self, enrollment
         )
         self.enrollments[wallet_id] = enrollment
         return enrollment

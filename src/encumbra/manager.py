@@ -36,7 +36,8 @@ from .errors import (
 )
 from .messages import SignableMessage, encode_message, signing_digest
 from .policy.registry import (
-    AllowAllPolicy,
+    REGISTRY_POLICIES,
+    UPDATE_RULES,
     DenyAllPolicy,
     TreeWalletPolicy,
     WalletPolicy,
@@ -180,7 +181,7 @@ class WalletManager:
                 raise UnknownPlayer(access_manager)
             if wallet_id in self._wallets:
                 raise UpdateRefused(f"wallet id {wallet_id} already exists")
-            if update_rule not in ("frozen", "any", "tree"):
+            if update_rule not in UPDATE_RULES:
                 raise UnknownPolicy(update_rule)
             # Key material depends only on the wallet's creation index,
             # so equal seeds mint equal wallets regardless of what other
@@ -210,10 +211,6 @@ class WalletManager:
     def _build_policy(
         self, kind: str, access_manager: str, native_capacity: Optional[int]
     ) -> WalletPolicy:
-        if kind == "allow":
-            return AllowAllPolicy()
-        if kind == "deny":
-            return DenyAllPolicy()
         if kind == "tree":
             tree = PolicyTree(
                 root_controller=access_manager,
@@ -221,7 +218,9 @@ class WalletManager:
                 native_capacity=native_capacity,
             )
             return TreeWalletPolicy(tree)
-        raise UnknownPolicy(kind)
+        if kind not in REGISTRY_POLICIES:
+            raise UnknownPolicy(kind)
+        return REGISTRY_POLICIES[kind]()
 
     def wallet(self, wallet_id: str) -> Wallet:
         found = self._wallets.get(wallet_id)
@@ -283,7 +282,7 @@ class WalletManager:
             wallet = self.wallet(wallet_id)
             if not self.auth.known(player):
                 raise UnknownPlayer(player)
-            if new_policy_kind not in ("allow", "deny"):
+            if new_policy_kind not in REGISTRY_POLICIES:
                 raise UnknownPolicy(new_policy_kind)
             if wallet.update_rule != "any":
                 raise UpdateRefused()
@@ -294,7 +293,9 @@ class WalletManager:
                 new_policy_kind, wallet.access_manager, None
             )
             wallet.policy_version += 1
-            increased = old_policy.kind == "deny-all" and new_policy_kind == "allow"
+            increased = (
+                isinstance(old_policy, DenyAllPolicy) and new_policy_kind == "allow"
+            )
 
             def undo():
                 wallet.policy = old_policy

@@ -72,6 +72,9 @@ class TreeWalletPolicy(WalletPolicy):
         return {"kind": self.kind, "tree": self.tree.snapshot()}
 
 
+# The one table of policy and update-rule names.  A wallet is created
+# with ``tree`` or a registry policy; ``lw_update`` swaps between
+# registry policies only, and only under the ``any`` rule.
 REGISTRY_POLICIES = {
     "allow": AllowAllPolicy,
     "deny": DenyAllPolicy,

@@ -11,8 +11,12 @@ exactly once.
 The confirmation oracle maps each height to three confirmation times
 (latest / justified / finalized) drawn deterministically from the run
 seed through per-mode Gaussian delay models, clamped to be monotone
-across modes.  Inclusion proofs are only issued for blocks at or below
-the confirmed height of the chain's configured proof mode.
+across modes.  The times are drawn on first read, in height order:
+producing a block draws nothing, and a reader fills the oracle up to
+the height (or the time) it asks about.  Each height is a pure function
+of the seed, the chain label and the height, so when it is drawn does
+not change what it is.  Inclusion proofs are only issued for blocks at
+or below the confirmed height of the chain's configured proof mode.
 """
 
 from __future__ import annotations
@@ -109,7 +113,8 @@ class SimChain:
         # Raw per-block confirmation times keep the configured delay
         # distribution measurable; the running max alongside them gives
         # the oracle its prefix property (a confirmed height confirms
-        # everything below it) without distorting the marginals.
+        # everything below it) without distorting the marginals.  Both
+        # hold the heights drawn so far, 0 through len - 1.
         self._confirm_times: Dict[str, List[int]] = {m: [0] for m in ORACLE_MODES}
         self._prefix_times: Dict[str, List[int]] = {m: [0] for m in ORACLE_MODES}
 
@@ -163,12 +168,6 @@ class SimChain:
             raise UnknownTx(tx_digest.hex())
         height, index = location
         return self.blocks[height].txs[index]
-
-    def tx_location(self, tx_digest: bytes) -> Tuple[int, int]:
-        location = self._tx_index.get(tx_digest)
-        if location is None:
-            raise UnknownTx(tx_digest.hex())
-        return location
 
     def includes(self, tx_digest: bytes) -> bool:
         return tx_digest in self._tx_index
@@ -240,7 +239,6 @@ class SimChain:
             self._record_balance(signed.tx.to)
         if included:
             self._record_balance(FEE_SINK)
-        self._extend_confirmations(block)
         return block
 
     # ------------------------------------------------------------------
@@ -258,7 +256,9 @@ class SimChain:
             previous = value
         return delays
 
-    def _extend_confirmations(self, block: Block) -> None:
+    def _draw_next(self) -> None:
+        """Draw the confirmation times of the lowest undrawn height."""
+        block = self.blocks[len(self._prefix_times[ORACLE_MODES[0]])]
         delays = self._mode_delays(block.height)
         for mode in ORACLE_MODES:
             confirm_at = block.timestamp + delays[mode]
@@ -269,11 +269,23 @@ class SimChain:
     def confirmed_height(self, mode: str, at_time: Optional[int] = None) -> int:
         """Highest height whose whole prefix is confirmed for the mode."""
         now = self.time if at_time is None else at_time
-        return bisect.bisect_right(self._prefix_times[mode], now) - 1
+        prefix = self._prefix_times[mode]
+        # Prefix times never decrease, so once the last drawn one lies
+        # after ``now`` no later height can be confirmed by then.
+        while prefix[-1] <= now and len(prefix) < len(self.blocks):
+            self._draw_next()
+        return bisect.bisect_right(prefix, now) - 1
 
     def confirm_time(self, mode: str, height: int) -> int:
         """When this block itself confirmed (not its whole prefix)."""
-        return self._confirm_times[mode][height]
+        times = self._confirm_times[mode]
+        tip = len(self.blocks) - 1
+        # Out-of-range heights index the fully drawn list, as if every
+        # block had been drawn when it was produced.
+        last = height if 0 <= height <= tip else tip
+        while len(times) <= last:
+            self._draw_next()
+        return times[height]
 
     # ------------------------------------------------------------------
     # proofs

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from encumbra import crypto
+from encumbra import crypto, simchain
+from encumbra.config import ORACLE_MODES
 from encumbra.errors import BadProof, InvalidSignature, NotYetConfirmed, UnknownTx
 from encumbra.messages import ChainTx, signing_digest
 from encumbra.simchain import FEE_SINK, InclusionProof, SignedTx, SimChain
@@ -230,6 +231,94 @@ def test_seed_and_label_steer_the_delay_draws():
     again = SimChain(SEED, label="a")
     again.advance(120)
     assert times_a == [again.confirm_time("finalized", h) for h in range(1, 11)]
+
+
+def _oracle_call(chain, op, *args):
+    try:
+        return ("ok", getattr(chain, op)(*args))
+    except Exception as error:  # compared, not swallowed
+        return (type(error).__name__, str(error))
+
+
+def _oracle_lists(chain):
+    return (
+        {m: list(chain._confirm_times[m]) for m in ORACLE_MODES},
+        {m: list(chain._prefix_times[m]) for m in ORACLE_MODES},
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_oracle_matches_eager_order(seed):
+    """Drawing on first read gives the answers of drawing every block
+    when it is produced: same values, same exceptions, same lists."""
+    rng = random.Random(seed)
+    lazy = SimChain(SEED, label="diff")
+    eager = SimChain(SEED, label="diff")
+
+    def fill_to_tip(chain):
+        for mode in ORACLE_MODES:
+            chain.confirm_time(mode, chain.tip().height)
+
+    for _ in range(300):
+        roll = rng.random()
+        if roll < 0.25:
+            seconds = rng.choice([0, rng.randrange(1, 40), rng.randrange(40, 2000)])
+            lazy.advance(seconds)
+            eager.advance(seconds)
+            fill_to_tip(eager)
+            continue
+        mode = rng.choice(ORACLE_MODES)
+        tip = lazy.tip().height
+        if roll < 0.65:
+            at_time = rng.choice([
+                None,
+                lazy.time,
+                rng.randrange(0, lazy.time + 1),
+                lazy.time + rng.randrange(1, 5000),
+            ])
+            call = ("confirmed_height", mode, at_time)
+        else:
+            height = rng.choice([
+                tip,
+                tip + rng.randrange(1, 5),
+                rng.randrange(0, tip + 1),
+                -1,
+            ])
+            call = ("confirm_time", mode, height)
+        assert _oracle_call(lazy, *call) == _oracle_call(eager, *call), call
+
+    assert lazy.tip().height > 100
+    drawn, _ = _oracle_lists(lazy)
+    full, _ = _oracle_lists(eager)
+    for mode in ORACLE_MODES:
+        assert drawn[mode] == full[mode][: len(drawn[mode])]
+    fill_to_tip(lazy)
+    assert _oracle_lists(lazy) == _oracle_lists(eager)
+
+
+def test_oracle_draws_only_what_is_read(monkeypatch):
+    draws = []
+    real = simchain.sample_delay
+
+    def counting(seed, label, mode, height, mean, stddev):
+        draws.append((mode, height))
+        return real(seed, label, mode, height, mean, stddev)
+
+    monkeypatch.setattr(simchain, "sample_delay", counting)
+    chain = SimChain(SEED)
+    chain.advance(12 * 500)
+    assert draws == []
+    chain.confirm_time("latest", 5)
+    assert draws == [(m, h) for h in range(1, 6) for m in ORACLE_MODES]
+    confirmed = chain.confirmed_height("finalized", at_time=2000)
+    drawn = len(draws) // len(ORACLE_MODES)
+    assert confirmed < drawn < 500
+    # the last drawn height is the first whose prefix confirms after t
+    assert chain._prefix_times["finalized"][drawn] > 2000
+    assert chain._prefix_times["finalized"][drawn - 1] <= 2000
+    with pytest.raises(IndexError):
+        chain.confirm_time("finalized", 501)
+    assert len(draws) == 500 * len(ORACLE_MODES)
 
 
 def test_conservation_over_random_traffic():
