@@ -13,14 +13,10 @@ are only admitted under the permissive rule used in tests.
 
 Refusals are uniform: a caller learns that the policy said no, and
 nothing else.
-
-All mutating entry points serialize on one lock, so interleaved calls
-from many threads behave as some sequential order of whole commands.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -136,10 +132,8 @@ class WalletManager:
         self,
         seed: bytes,
         ost_provider: Optional[Callable[[str], OracleState]] = None,
-        lock: Optional[threading.RLock] = None,
     ):
         self._seed = seed
-        self._lock = lock or threading.RLock()
         self._wallets: Dict[str, Wallet] = {}
         self._wallet_order: List[str] = []
         self.auth = CommandAuthenticator()
@@ -152,10 +146,9 @@ class WalletManager:
     # registration
 
     def register_player(self, name: str) -> bytes:
-        with self._lock:
-            key = crypto.derive_signing_key(self._seed, "player-auth", name)
-            self.auth.register(name, key.public_key)
-            return key.public_key
+        key = crypto.derive_signing_key(self._seed, "player-auth", name)
+        self.auth.register(name, key.public_key)
+        return key.public_key
 
     def player_auth_key(self, name: str) -> crypto.SigningKey:
         """Deterministic per-player auth key; the player-side half."""
@@ -176,37 +169,36 @@ class WalletManager:
         native_capacity: Optional[int] = None,
         non_ownership_proofs: bool = True,
     ) -> Wallet:
-        with self._lock:
-            if not self.auth.known(access_manager):
-                raise UnknownPlayer(access_manager)
-            if wallet_id in self._wallets:
-                raise UpdateRefused(f"wallet id {wallet_id} already exists")
-            if update_rule not in UPDATE_RULES:
-                raise UnknownPolicy(update_rule)
-            # Key material depends only on the wallet's creation index,
-            # so equal seeds mint equal wallets regardless of what other
-            # commands ran in between.
-            key = crypto.derive_signing_key(
-                self._seed, "wallet-key", len(self._wallet_order)
-            )
-            policy = self._build_policy(policy_kind, access_manager, native_capacity)
-            wallet = Wallet(
-                wallet_id=wallet_id,
-                key=key,
-                access_manager=access_manager,
-                policy=policy,
-                update_rule=update_rule,
-                non_ownership_proofs=non_ownership_proofs,
-            )
-            self._wallets[wallet_id] = wallet
-            self._wallet_order.append(wallet_id)
+        if not self.auth.known(access_manager):
+            raise UnknownPlayer(access_manager)
+        if wallet_id in self._wallets:
+            raise UpdateRefused(f"wallet id {wallet_id} already exists")
+        if update_rule not in UPDATE_RULES:
+            raise UnknownPolicy(update_rule)
+        # Key material depends only on the wallet's creation index,
+        # so equal seeds mint equal wallets regardless of what other
+        # commands ran in between.
+        key = crypto.derive_signing_key(
+            self._seed, "wallet-key", len(self._wallet_order)
+        )
+        policy = self._build_policy(policy_kind, access_manager, native_capacity)
+        wallet = Wallet(
+            wallet_id=wallet_id,
+            key=key,
+            access_manager=access_manager,
+            policy=policy,
+            update_rule=update_rule,
+            non_ownership_proofs=non_ownership_proofs,
+        )
+        self._wallets[wallet_id] = wallet
+        self._wallet_order.append(wallet_id)
 
-            def undo():
-                del self._wallets[wallet_id]
-                self._wallet_order.remove(wallet_id)
+        def undo():
+            del self._wallets[wallet_id]
+            self._wallet_order.remove(wallet_id)
 
-            self._notify(wallet_id, NEW_WALLET, undo)
-            return wallet
+        self._notify(wallet_id, NEW_WALLET, undo)
+        return wallet
 
     def _build_policy(
         self, kind: str, access_manager: str, native_capacity: Optional[int]
@@ -247,65 +239,62 @@ class WalletManager:
     def lw_sign(
         self, player: str, wallet_id: str, message: SignableMessage, extst: bytes = b""
     ) -> crypto.Signature:
-        with self._lock:
-            wallet = self.wallet(wallet_id)
-            if not self.auth.known(player):
-                raise UnknownPlayer(player)
-            st = self._state_triple(wallet, extst)
-            approved, node_id = wallet.policy.approves(
-                player, message, st, st.ost.chain_time
-            )
-            if not approved:
-                raise PolicyRefusal()
-            # Log first: a crash after this line loses a signature, never
-            # the record that one may exist.
-            wallet.intst.append(
-                LogEntry(player=player, message=message, ost=st.ost, node_id=node_id)
-            )
-            return wallet.key.sign(signing_digest(message))
+        wallet = self.wallet(wallet_id)
+        if not self.auth.known(player):
+            raise UnknownPlayer(player)
+        st = self._state_triple(wallet, extst)
+        approved, node_id = wallet.policy.approves(
+            player, message, st, st.ost.chain_time
+        )
+        if not approved:
+            raise PolicyRefusal()
+        # Log first: a crash after this line loses a signature, never
+        # the record that one may exist.
+        wallet.intst.append(
+            LogEntry(player=player, message=message, ost=st.ost, node_id=node_id)
+        )
+        return wallet.key.sign(signing_digest(message))
 
     def replay_signatures(self, wallet_id: str) -> List[Tuple[bytes, crypto.Signature]]:
         """Diagnostic: re-derive every signature the log says was issued."""
-        with self._lock:
-            wallet = self.wallet(wallet_id)
-            return [
-                (signing_digest(e.message), wallet.key.sign(signing_digest(e.message)))
-                for e in wallet.intst
-            ]
+        wallet = self.wallet(wallet_id)
+        return [
+            (signing_digest(e.message), wallet.key.sign(signing_digest(e.message)))
+            for e in wallet.intst
+        ]
 
     # ------------------------------------------------------------------
     # policy transitions
 
     def lw_update(self, player: str, wallet_id: str, new_policy_kind: str) -> None:
         """Registry-swap update, gated by the wallet's update rule."""
-        with self._lock:
-            wallet = self.wallet(wallet_id)
-            if not self.auth.known(player):
-                raise UnknownPlayer(player)
-            if new_policy_kind not in REGISTRY_POLICIES:
-                raise UnknownPolicy(new_policy_kind)
-            if wallet.update_rule != "any":
-                raise UpdateRefused()
-            if player != wallet.access_manager:
-                raise UpdateRefused()
-            old_policy = wallet.policy
-            wallet.policy = self._build_policy(
-                new_policy_kind, wallet.access_manager, None
-            )
-            wallet.policy_version += 1
-            increased = (
-                isinstance(old_policy, DenyAllPolicy) and new_policy_kind == "allow"
-            )
+        wallet = self.wallet(wallet_id)
+        if not self.auth.known(player):
+            raise UnknownPlayer(player)
+        if new_policy_kind not in REGISTRY_POLICIES:
+            raise UnknownPolicy(new_policy_kind)
+        if wallet.update_rule != "any":
+            raise UpdateRefused()
+        if player != wallet.access_manager:
+            raise UpdateRefused()
+        old_policy = wallet.policy
+        wallet.policy = self._build_policy(
+            new_policy_kind, wallet.access_manager, None
+        )
+        wallet.policy_version += 1
+        increased = (
+            isinstance(old_policy, DenyAllPolicy) and new_policy_kind == "allow"
+        )
 
-            def undo():
-                wallet.policy = old_policy
-                wallet.policy_version -= 1
+        def undo():
+            wallet.policy = old_policy
+            wallet.policy_version -= 1
 
-            self._notify(
-                wallet_id,
-                PRIVILEGE_INCREASE if increased else PRIVILEGE_DECREASE,
-                undo,
-            )
+        self._notify(
+            wallet_id,
+            PRIVILEGE_INCREASE if increased else PRIVILEGE_DECREASE,
+            undo,
+        )
 
     def spawn_node(
         self,
@@ -317,90 +306,86 @@ class WalletManager:
         expiry: int,
         grants: Sequence[Grant],
     ) -> None:
-        with self._lock:
-            wallet = self.wallet(wallet_id)
-            old_tree = self.tree_of(wallet_id)
-            policy = wallet.policy
-            st = self._state_triple(wallet, b"")
-            new_tree = tree_update.spawn(
-                old_tree,
-                actor,
-                parent_id,
-                node_id,
-                controller,
-                expiry,
-                grants,
-                st,
-                st.ost.chain_time,
-            )
-            policy.tree = new_tree
-            wallet.policy_version += 1
+        wallet = self.wallet(wallet_id)
+        old_tree = self.tree_of(wallet_id)
+        policy = wallet.policy
+        st = self._state_triple(wallet, b"")
+        new_tree = tree_update.spawn(
+            old_tree,
+            actor,
+            parent_id,
+            node_id,
+            controller,
+            expiry,
+            grants,
+            st,
+            st.ost.chain_time,
+        )
+        policy.tree = new_tree
+        wallet.policy_version += 1
 
-            def undo():
-                policy.tree = old_tree
-                wallet.policy_version -= 1
+        def undo():
+            policy.tree = old_tree
+            wallet.policy_version -= 1
 
-            self._notify(wallet_id, PRIVILEGE_INCREASE, undo)
+        self._notify(wallet_id, PRIVILEGE_INCREASE, undo)
 
     def add_node_grants(
         self, actor: str, wallet_id: str, node_id: str, grants: Sequence[Grant]
     ) -> None:
-        with self._lock:
-            wallet = self.wallet(wallet_id)
-            old_tree = self.tree_of(wallet_id)
-            policy = wallet.policy
-            st = self._state_triple(wallet, b"")
-            policy.tree = tree_update.add_grants(
-                old_tree, actor, node_id, grants, st, st.ost.chain_time
-            )
-            wallet.policy_version += 1
+        wallet = self.wallet(wallet_id)
+        old_tree = self.tree_of(wallet_id)
+        policy = wallet.policy
+        st = self._state_triple(wallet, b"")
+        policy.tree = tree_update.add_grants(
+            old_tree, actor, node_id, grants, st, st.ost.chain_time
+        )
+        wallet.policy_version += 1
 
-            def undo():
-                policy.tree = old_tree
-                wallet.policy_version -= 1
+        def undo():
+            policy.tree = old_tree
+            wallet.policy_version -= 1
 
-            self._notify(wallet_id, PRIVILEGE_INCREASE, undo)
+        self._notify(wallet_id, PRIVILEGE_INCREASE, undo)
 
     def seal_asset(self, actor: str, wallet_id: str, node_id: str, asset: AssetId) -> None:
-        with self._lock:
-            wallet = self.wallet(wallet_id)
-            tree = self.tree_of(wallet_id)
-            node = tree.node(node_id)
-            allowed = actor == wallet.access_manager or (
-                isinstance(node.controller, PlayerController)
-                and node.controller.player == actor
-            )
-            if not allowed:
-                raise UpdateRefused()
-            previous = tree.manual_seals.get(asset.encode())
-            tree.seal(node_id, asset)
-            wallet.policy_version += 1
+        wallet = self.wallet(wallet_id)
+        tree = self.tree_of(wallet_id)
+        node = tree.node(node_id)
+        allowed = actor == wallet.access_manager or (
+            isinstance(node.controller, PlayerController)
+            and node.controller.player == actor
+        )
+        if not allowed:
+            raise UpdateRefused()
+        previous = tree.manual_seals.get(asset.encode())
+        tree.seal(node_id, asset)
+        wallet.policy_version += 1
 
-            def undo():
-                if previous is None:
-                    tree.unseal(asset)
-                else:
-                    tree.manual_seals[asset.encode()] = previous
-                wallet.policy_version -= 1
+        def undo():
+            if previous is None:
+                tree.unseal(asset)
+            else:
+                tree.manual_seals[asset.encode()] = previous
+            wallet.policy_version -= 1
 
-            self._notify(wallet_id, PRIVILEGE_DECREASE, undo)
+        self._notify(wallet_id, PRIVILEGE_DECREASE, undo)
 
     def unseal_asset(self, actor: str, wallet_id: str, asset: AssetId) -> None:
-        with self._lock:
-            wallet = self.wallet(wallet_id)
-            if actor != wallet.access_manager:
-                raise UpdateRefused()
-            tree = self.tree_of(wallet_id)
-            previous = tree.manual_seals.get(asset.encode())
-            tree.unseal(asset)
-            wallet.policy_version += 1
+        wallet = self.wallet(wallet_id)
+        if actor != wallet.access_manager:
+            raise UpdateRefused()
+        tree = self.tree_of(wallet_id)
+        previous = tree.manual_seals.get(asset.encode())
+        tree.unseal(asset)
+        wallet.policy_version += 1
 
-            def undo():
-                if previous is not None:
-                    tree.manual_seals[asset.encode()] = previous
-                wallet.policy_version -= 1
+        def undo():
+            if previous is not None:
+                tree.manual_seals[asset.encode()] = previous
+            wallet.policy_version -= 1
 
-            self._notify(wallet_id, PRIVILEGE_INCREASE, undo)
+        self._notify(wallet_id, PRIVILEGE_INCREASE, undo)
 
     def _notify(
         self,
@@ -439,25 +424,24 @@ class WalletManager:
         attestation binds (subject, message set, predicate, verdict) and
         is deterministic, so re-asking yields the identical signature.
         """
-        with self._lock:
-            wallet = self.wallet(wallet_id)
-            st = self._state_triple(wallet, b"")
-            result = self._eval_predicate(wallet, subject, messages, predicate, st)
-            name = predicate[0]
-            args_blob = ",".join(str(a) for a in predicate[1:])
-            payload = crypto.digest(
-                b"attest-v1"
-                + wallet.wallet_id.encode()
-                + b"\x00"
-                + subject.encode()
-                + b"\x00"
-                + _canonical_messages_digest(messages)
-                + name.encode()
-                + b"\x00"
-                + args_blob.encode()
-                + (b"\x01" if result else b"\x00")
-            )
-            return result, wallet.key.sign(payload)
+        wallet = self.wallet(wallet_id)
+        st = self._state_triple(wallet, b"")
+        result = self._eval_predicate(wallet, subject, messages, predicate, st)
+        name = predicate[0]
+        args_blob = ",".join(str(a) for a in predicate[1:])
+        payload = crypto.digest(
+            b"attest-v1"
+            + wallet.wallet_id.encode()
+            + b"\x00"
+            + subject.encode()
+            + b"\x00"
+            + _canonical_messages_digest(messages)
+            + name.encode()
+            + b"\x00"
+            + args_blob.encode()
+            + (b"\x01" if result else b"\x00")
+        )
+        return result, wallet.key.sign(payload)
 
     def _eval_predicate(
         self,
@@ -494,10 +478,9 @@ class WalletManager:
         raise UnknownPolicy(f"predicate {name}")
 
     def log_prefix_digest(self, wallet_id: str, length: Optional[int] = None) -> bytes:
-        with self._lock:
-            wallet = self.wallet(wallet_id)
-            entries = wallet.intst if length is None else wallet.intst[:length]
-            running = b"\x00" * 32
-            for entry in entries:
-                running = crypto.digest(running + entry.encode())
-            return running
+        wallet = self.wallet(wallet_id)
+        entries = wallet.intst if length is None else wallet.intst[:length]
+        running = b"\x00" * 32
+        for entry in entries:
+            running = crypto.digest(running + entry.encode())
+        return running

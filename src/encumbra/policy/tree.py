@@ -353,7 +353,13 @@ class PolicyTree:
     # structural validation
 
     def validate_structure(self, t: int) -> None:
-        """Check segmentation invariants; raise on the first violation."""
+        """Check segmentation invariants; raise on the first violation.
+
+        Cost is linear in nodes and grants, plus one comparison per pair
+        of sibling unit grants.  Children are gathered in ``self.nodes``
+        order, so checks run, and the first violation is found, in node
+        order.
+        """
         root = self.nodes.get(ROOT_ID)
         if root is None or root.parent is not None:
             raise UpdateRefused("missing root")
@@ -376,8 +382,6 @@ class PolicyTree:
                 if grant.expiry > node.expiry:
                     raise ExpiryExceedsParent(node.node_id)
                 if grant.asset.kind is AssetKind.NATIVE_BALANCE:
-                    if grant.cap < 1:
-                        raise UpdateRefused("empty fungible grant")
                     if native_seen:
                         raise UpdateRefused("one fungible grant per node")
                     native_seen = True
@@ -394,10 +398,26 @@ class PolicyTree:
                     raise ConflictingGrant(
                         f"{node.node_id} grant on {grant.asset.label()} has no source"
                     )
-        # sibling disjointness per carve source
+        # Every parent exists now and only the root has none.  One pass
+        # gathers each node's children and the balance they reserve.
+        kids: Dict[str, List[Node]] = {node_id: [] for node_id in self.nodes}
+        reserved = dict.fromkeys(self.nodes, 0)
         for node in self.nodes.values():
-            kids = self.children(node.node_id)
-            flat = [(k.node_id, g) for k in kids for g in k.grants]
+            if node.parent is None:
+                continue
+            kids[node.parent].append(node)
+            for grant in node.grants:
+                if grant.asset.kind is AssetKind.NATIVE_BALANCE and grant.expiry >= t:
+                    reserved[node.parent] += grant.cap
+        # sibling disjointness per carve source; fungible grants never
+        # conflict, so only unit grants are compared
+        for siblings in kids.values():
+            flat = [
+                (k.node_id, g)
+                for k in siblings
+                for g in k.grants
+                if g.asset.kind is not AssetKind.NATIVE_BALANCE
+            ]
             for i in range(len(flat)):
                 for j in range(i + 1, len(flat)):
                     id_a, a = flat[i]
@@ -408,17 +428,16 @@ class PolicyTree:
                         )
         # fungible conservation, pointwise at t
         if self.native_capacity is not None:
-            if self.reserved_native(ROOT_ID, t) > self.native_capacity:
+            if reserved[ROOT_ID] > self.native_capacity:
                 raise ConflictingGrant("root fungible capacity exceeded")
         for node in self.nodes.values():
             if node.node_id == ROOT_ID:
                 continue
             grant = self.native_grant(node.node_id)
-            reserved = self.reserved_native(node.node_id, t)
             if grant is None:
-                if reserved > 0:
+                if reserved[node.node_id] > 0:
                     raise ConflictingGrant(f"{node.node_id} delegates absent balance")
-            elif reserved > grant.cap:
+            elif reserved[node.node_id] > grant.cap:
                 raise ConflictingGrant(f"{node.node_id} over-delegates balance")
 
     @staticmethod

@@ -57,7 +57,15 @@ def check_update(
     st: StateTriple,
     t: int,
 ) -> None:
-    """Raise unless ``old -> new`` is an admissible transition by ``actor``."""
+    """Raise unless ``old -> new`` is an admissible transition by ``actor``.
+
+    Cost is linear in nodes and grants, plus the sibling unit-grant pairs
+    of ``validate_structure`` and, for each added node, the path up to
+    its nearest old ancestor.  A kept node whose grant list equals the
+    old one adds and revokes nothing, so its grants are not compared;
+    ``PolicyTree.clone`` copies the lists, so that is every node an
+    update leaves untouched.
+    """
     new.validate_structure(t)
 
     old_root = old.nodes[ROOT_ID]
@@ -84,6 +92,8 @@ def check_update(
             or new_node.expiry != old_node.expiry
         ):
             raise UpdateRefused(f"mutation of node {node_id}")
+        if new_node.grants == old_node.grants:
+            continue
         old_grants: Dict[tuple, int] = {}
         for grant in old_node.grants:
             old_grants[_grant_key(grant)] = old_grants.get(_grant_key(grant), 0) + 1

@@ -62,16 +62,18 @@ class Block:
     parent_hash: bytes
     tx_root: bytes
     txs: Tuple[SignedTx, ...]
+    # Derived from the header fields once, at construction; equality,
+    # hashing and repr ignore it.
+    block_hash: bytes = field(init=False, repr=False, compare=False)
 
-    @property
-    def block_hash(self) -> bytes:
-        return crypto.digest(
+    def __post_init__(self):
+        object.__setattr__(self, "block_hash", crypto.digest(
             b"block-v1"
             + self.height.to_bytes(8, "big")
             + self.parent_hash
             + self.tx_root
             + self.timestamp.to_bytes(8, "big")
-        )
+        ))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ only narrows what gets generated, it cannot produce an invalid tree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from encumbra.assets import (
@@ -797,6 +797,40 @@ def adv_root_mutation(rng: random.Random, built: BuiltTree, t: int):
     return "root-mutation", actor, candidate
 
 
+def adv_resize_native(rng: random.Random, built: BuiltTree, t: int):
+    """Resize a live fungible carve in place: past what its source holds,
+    which breaks conservation, or below its cap, which revokes part of it."""
+    tree = built.tree
+    carves = [
+        (nid, i)
+        for nid, node in tree.nodes.items()
+        if nid != ROOT_ID
+        for i, g in enumerate(node.grants)
+        if g.asset.kind.name == "NATIVE_BALANCE" and g.expiry >= t
+    ]
+    if not carves:
+        return None
+    nid, i = rng.choice(carves)
+    parent_id = tree.nodes[nid].parent
+    if parent_id == ROOT_ID:
+        source_cap = tree.native_capacity or 0
+    else:
+        source_cap = sum(
+            g.cap
+            for g in tree.nodes[parent_id].grants
+            if g.asset.kind.name == "NATIVE_BALANCE"
+        )
+    candidate = tree.clone()
+    grants = candidate.nodes[nid].grants
+    if rng.random() < 0.5:
+        cap = source_cap + rng.randint(1, 3)
+    else:
+        cap = max(1, grants[i].cap // 2)
+    grants[i] = replace(grants[i], cap=cap)
+    actor = treeref.controller_player(tree.nodes[ROOT_ID])
+    return "resize-native", actor, candidate
+
+
 BENIGN_MAKERS = [benign_spawn, benign_spawn, benign_extend, benign_gc, benign_identity]
 ADVERSARIAL_MAKERS = [
     adv_mutate_controller,
@@ -809,6 +843,7 @@ ADVERSARIAL_MAKERS = [
     adv_expiry_exceeds,
     adv_sibling_overlap,
     adv_root_mutation,
+    adv_resize_native,
 ]
 
 

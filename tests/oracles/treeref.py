@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from encumbra import errors
+
 NATIVE_ENC = b"\x01"
 ROOT = "root"
 
@@ -338,3 +340,181 @@ def scan_violations(
             elif reserved > native_caps.get(parent, 0):
                 out.append(f"t={t} node={parent} over-delegates")
     return out
+
+
+# ----------------------------------------------------------------------
+# transition checking, full rescan
+#
+# The quadratic form of ``PolicyTree.validate_structure`` and
+# ``check_update`` that the production checker replaced: children and
+# reserved balances are found by scanning every node, every sibling
+# grant is compared pairwise, and every kept node's grants are compared
+# as multisets.  It raises the production error classes with the
+# production messages, so outcomes compare exactly.  Pairwise grant
+# predicates (``Grant.conflicts_with``, ``PolicyTree._covered_by_parent``)
+# are the production ones; tree-wide derivations are the ones above.
+
+
+def validate_structure_ref(tree, t: int) -> None:
+    covered_by_parent = type(tree)._covered_by_parent
+    root = tree.nodes.get(ROOT)
+    if root is None or root.parent is not None:
+        raise errors.UpdateRefused("missing root")
+    for node in tree.nodes.values():
+        if node.node_id == ROOT:
+            if node.grants:
+                raise errors.UpdateRefused("root holds no grants")
+            continue
+        if node.parent not in tree.nodes:
+            raise errors.UpdateRefused(f"dangling parent for {node.node_id}")
+        parent = tree.nodes[node.parent]
+        if node.expiry > parent.expiry:
+            raise errors.ExpiryExceedsParent(node.node_id)
+        native_seen = False
+        for grant in node.grants:
+            if grant.cap < 1:
+                raise errors.UpdateRefused("non-positive grant cap")
+            if grant.start > grant.expiry:
+                raise errors.UpdateRefused("inverted grant window")
+            if grant.expiry > node.expiry:
+                raise errors.ExpiryExceedsParent(node.node_id)
+            if enc(grant.asset) == NATIVE_ENC:
+                if native_seen:
+                    raise errors.UpdateRefused("one fungible grant per node")
+                native_seen = True
+                if grant.platform is not None:
+                    raise errors.UpdateRefused("platform on fungible grant")
+            else:
+                if grant.cap != 1:
+                    raise errors.UpdateRefused("unit grant cap must be 1")
+                is_cap = grant.asset.kind.name == "VOTE_CAPABILITY"
+                if grant.platform is not None and not is_cap:
+                    raise errors.UpdateRefused("platform on non-capability grant")
+                if grant.platform is not None and grant.platform == grant.asset.key:
+                    raise errors.UpdateRefused("grant cannot be its own platform")
+            if node.parent != ROOT and not covered_by_parent(parent, grant):
+                raise errors.ConflictingGrant(
+                    f"{node.node_id} grant on {grant.asset.label()} has no source"
+                )
+    for node in tree.nodes.values():
+        flat = [
+            (k.node_id, g)
+            for k in tree.nodes.values()
+            if k.parent == node.node_id
+            for g in k.grants
+        ]
+        for i in range(len(flat)):
+            for j in range(i + 1, len(flat)):
+                id_a, a = flat[i]
+                id_b, b = flat[j]
+                if id_a != id_b and a.conflicts_with(b):
+                    raise errors.ConflictingGrant(
+                        f"{id_a} and {id_b} overlap on {a.asset.label()}"
+                    )
+    if tree.native_capacity is not None:
+        if reserved_ref(tree, ROOT, t) > tree.native_capacity:
+            raise errors.ConflictingGrant("root fungible capacity exceeded")
+    for node in tree.nodes.values():
+        if node.node_id == ROOT:
+            continue
+        natives = [g for g in node.grants if enc(g.asset) == NATIVE_ENC]
+        reserved = reserved_ref(tree, node.node_id, t)
+        if not natives:
+            if reserved > 0:
+                raise errors.ConflictingGrant(f"{node.node_id} delegates absent balance")
+        elif reserved > natives[0].cap:
+            raise errors.ConflictingGrant(f"{node.node_id} over-delegates balance")
+
+
+def _grant_key_ref(grant) -> tuple:
+    return (enc(grant.asset), grant.cap, grant.start, grant.expiry, grant.platform)
+
+
+def check_update_ref(actor: str, old, new, st, t: int) -> None:
+    validate_structure_ref(new, t)
+
+    old_root = old.nodes[ROOT]
+    new_root = new.nodes.get(ROOT)
+    if (
+        new_root is None
+        or new_root.controller != old_root.controller
+        or new_root.expiry != old_root.expiry
+        or new.native_capacity != old.native_capacity
+    ):
+        raise errors.UpdateRefused("root is immutable")
+
+    added = []
+    for node_id, old_node in old.nodes.items():
+        new_node = new.nodes.get(node_id)
+        if new_node is None:
+            if t <= old_node.expiry:
+                raise errors.UpdateRefused(f"removal of live node {node_id}")
+            continue
+        if (
+            new_node.parent != old_node.parent
+            or new_node.controller != old_node.controller
+            or new_node.expiry != old_node.expiry
+        ):
+            raise errors.UpdateRefused(f"mutation of node {node_id}")
+        old_grants: Dict[tuple, int] = {}
+        for grant in old_node.grants:
+            key = _grant_key_ref(grant)
+            old_grants[key] = old_grants.get(key, 0) + 1
+        for grant in new_node.grants:
+            key = _grant_key_ref(grant)
+            if old_grants.get(key, 0) > 0:
+                old_grants[key] -= 1
+            else:
+                added.append((node_id, grant))
+        for (_, _, _, expiry, _), remaining in list(old_grants.items()):
+            if remaining > 0 and t <= expiry:
+                raise errors.UpdateRefused(f"revocation of live grant on {node_id}")
+
+    anchors = {}
+    for node_id, new_node in new.nodes.items():
+        if node_id in old.nodes:
+            continue
+        cursor = new_node.parent
+        source = None
+        while cursor is not None:
+            if cursor in old.nodes:
+                source = old.nodes[cursor]
+                break
+            cursor = new.nodes[cursor].parent
+        if source is None:
+            raise errors.UpdateRefused("added subtree has no anchored ancestor")
+        if t > source.expiry:
+            raise errors.ExpiredPolicy(source.node_id)
+        anchors[node_id] = source
+        for grant in new_node.grants:
+            added.append((node_id, grant))
+
+    if not added:
+        return
+
+    sealed = sealed_ref(old, st)
+    native_drawn: Dict[str, int] = {}
+    for node_id, grant in added:
+        source = anchors.get(node_id)
+        if source is None:
+            for prior in old.nodes[node_id].grants:
+                if t <= prior.expiry:
+                    raise errors.UpdateRefused(f"regrant of active node {node_id}")
+            source = old.nodes.get(new.nodes[node_id].parent)
+            if source is None:
+                raise errors.UpdateRefused("grant added under a new parent")
+            if t > source.expiry:
+                raise errors.ExpiredPolicy(source.node_id)
+        if controller_player(source) != actor:
+            raise errors.UpdateRefused("actor does not control the capacity source")
+        if enc(grant.asset) != NATIVE_ENC:
+            if enc(grant.asset) in sealed:
+                raise errors.SealedAsset(grant.asset.label())
+        elif grant.expiry >= t and new.nodes[node_id].parent == source.node_id:
+            native_drawn[source.node_id] = (
+                native_drawn.get(source.node_id, 0) + grant.cap
+            )
+
+    for source_id, amount in native_drawn.items():
+        if amount > native_available_ref(old, source_id, t, st):
+            raise errors.ConflictingGrant(f"carve exceeds {source_id} available balance")

@@ -1,5 +1,5 @@
-"""Scenario runs end to end: golden transcripts and scenario-level
-regressions.
+"""Scenario runs end to end: golden transcripts, scenario-level
+regressions and the CLI's exit codes.
 
 The transcripts under tests/fixtures/transcripts/ are the stdout of
 ``encumbra --scenario <name> --report costs --report latency --report
@@ -94,3 +94,35 @@ def test_undocumented_names_are_refused(bad):
     with pytest.raises(StepFailure) as raised:
         _run(f"player am\nwallet w am=am {bad}\n")
     assert isinstance(raised.value.__cause__, UnknownPolicy)
+
+
+EXIT_CASES = {
+    "failing-step": (
+        "player am\naccount shop\nwallet w am=am policy=deny fund=1eth\n"
+        "sign w player=am to=shop value=1wei\n",
+        1,
+    ),
+    "tolerant-step-succeeds": ("player am\n? player bob\n", 1),
+    "unknown-command": ("player am\nfrobnicate x\n", 2),
+    "positional-after-key": ("player am\nwallet w am=am a=1 oops\n", 2),
+    "unknown-config-key": ("config nosuch.key=1\nplayer am\n", 2),
+}
+
+
+def test_cli_exits_zero_on_a_bundled_scenario(capsys):
+    assert cli.main(["--scenario", cli.bundled_scenarios()[0]]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_cli_exit_codes(case, tmp_path, capsys):
+    script, code = EXIT_CASES[case]
+    path = tmp_path / f"{case}.scn"
+    path.write_text(script, encoding="utf-8")
+    assert cli.main(["--scenario", str(path)]) == code
+    assert capsys.readouterr().err
+
+
+def test_cli_exits_two_on_a_missing_scenario_file(tmp_path, capsys):
+    assert cli.main(["--scenario", str(tmp_path / "absent.scn")]) == 2
+    assert "no scenario file" in capsys.readouterr().err

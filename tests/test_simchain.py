@@ -1,5 +1,6 @@
 """Simulated chain: blocks, balances, confirmation oracle, proofs."""
 
+import dataclasses
 import random
 
 import pytest
@@ -46,6 +47,28 @@ def test_blocks_come_due_on_the_interval():
     assert chain.header(4).parent_hash == chain.header(3).block_hash
     with pytest.raises(ValueError):
         chain.advance(-1)
+
+
+def test_block_hash_is_cached_header_digest():
+    chain = SimChain(SEED)
+    alice, bob = _key("alice"), _key("bob")
+    chain.fund(alice.address, 10**18)
+    chain.submit(_signed(alice, 0, bob.address, 1))
+    chain.advance(36)
+    for block in chain.blocks:
+        first = block.block_hash
+        assert block.block_hash is first  # computed once per block
+        assert first == crypto.digest(
+            b"block-v1"
+            + block.height.to_bytes(8, "big")
+            + block.parent_hash
+            + block.tx_root
+            + block.timestamp.to_bytes(8, "big")
+        )
+        twin = dataclasses.replace(block)
+        assert twin == block and twin.block_hash == first
+        assert dataclasses.replace(block, timestamp=block.timestamp + 1).block_hash != first
+    assert len(chain.blocks[1].txs) == 1
 
 
 def test_transfer_accounting_and_fee_sink():
