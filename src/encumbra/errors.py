@@ -126,18 +126,6 @@ class StaleNonce(EngineError):
     """Request or proof nonce does not match the recognized nonce."""
 
 
-class OverSubBalance(EngineError):
-    """Spend request exceeds the sub-policy's attributed balance."""
-
-
-class UncommittedRequest(EngineError):
-    """New sub-policy must commit its request digest before signing."""
-
-
-class NoGrant(EngineError):
-    """Sub-policy holds no active grant covering the request."""
-
-
 class NotEnabled(EngineError):
     """Feature was not enabled at wallet initialization."""
 

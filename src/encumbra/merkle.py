@@ -4,6 +4,12 @@ Leaves are domain-separated from interior nodes (0x00 / 0x01 prefixes)
 so a proof for a leaf can never be replayed as a proof for an interior
 node.  Odd levels duplicate their last element.  Proof siblings carry a
 side bit: True when the sibling sits to the right of the running hash.
+
+``merkle_levels`` is the only function that hashes a tree: it hashes n
+leaves and about n interior nodes once, and returns every level.
+``merkle_root`` and ``merkle_path`` only read those levels, so a holder
+of the levels (a block keeps its own) reads a proof as log2(n) stored
+siblings without hashing anything.
 """
 
 from __future__ import annotations
@@ -15,6 +21,10 @@ from . import crypto
 
 EMPTY_ROOT = crypto.digest(b"merkle-empty-v1")
 
+# Leaf hashes first, the root alone last; odd levels are stored without
+# their duplicated last element.  No values give no levels.
+Levels = Tuple[Tuple[bytes, ...], ...]
+
 
 def _leaf(value: bytes) -> bytes:
     return crypto.digest(b"\x00" + value)
@@ -24,15 +34,21 @@ def _interior(left: bytes, right: bytes) -> bytes:
     return crypto.digest(b"\x01" + left + right)
 
 
-def merkle_root(values: Sequence[bytes]) -> bytes:
+def merkle_levels(values: Sequence[bytes]) -> Levels:
     if not values:
-        return EMPTY_ROOT
+        return ()
     level = [_leaf(v) for v in values]
+    levels = [tuple(level)]
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])
         level = [_interior(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+        levels.append(tuple(level))
+    return tuple(levels)
+
+
+def merkle_root(levels: Levels) -> bytes:
+    return levels[-1][0] if levels else EMPTY_ROOT
 
 
 @dataclass(frozen=True)
@@ -43,18 +59,16 @@ class MerklePath:
     siblings: Tuple[Tuple[bytes, bool], ...]
 
 
-def merkle_path(values: Sequence[bytes], index: int) -> MerklePath:
-    if not 0 <= index < len(values):
+def merkle_path(levels: Levels, index: int) -> MerklePath:
+    if not levels or not 0 <= index < len(levels[0]):
         raise IndexError("leaf index out of range")
-    level = [_leaf(v) for v in values]
     position = index
     siblings: List[Tuple[bytes, bool]] = []
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
+    for level in levels[:-1]:
         mate = position ^ 1
-        siblings.append((level[mate], mate > position))
-        level = [_interior(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        # the mate missing from an odd level is its duplicated last element
+        sibling = level[mate] if mate < len(level) else level[position]
+        siblings.append((sibling, mate > position))
         position //= 2
     return MerklePath(index=index, siblings=tuple(siblings))
 

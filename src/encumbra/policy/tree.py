@@ -430,14 +430,14 @@ class PolicyTree:
         if self.native_capacity is not None:
             if reserved[ROOT_ID] > self.native_capacity:
                 raise ConflictingGrant("root fungible capacity exceeded")
+        # A non-root node reserves balance only for a child's fungible
+        # grant, which the first pass found covered by a fungible grant
+        # on this node; so a node that reserves has a grant to check.
         for node in self.nodes.values():
             if node.node_id == ROOT_ID:
                 continue
             grant = self.native_grant(node.node_id)
-            if grant is None:
-                if reserved[node.node_id] > 0:
-                    raise ConflictingGrant(f"{node.node_id} delegates absent balance")
-            elif reserved[node.node_id] > grant.cap:
+            if grant is not None and reserved[node.node_id] > grant.cap:
                 raise ConflictingGrant(f"{node.node_id} over-delegates balance")
 
     @staticmethod

@@ -17,6 +17,13 @@ the height (or the time) it asks about.  Each height is a pure function
 of the seed, the chain label and the height, so when it is drawn does
 not change what it is.  Inclusion proofs are only issued for blocks at
 or below the confirmed height of the chain's configured proof mode.
+
+Derived values are computed once.  A ``SignedTx`` hashes its tx and
+its public key when it is built, so submission and every sweep of block
+production read a stored digest and sender.  Producing a block of n txs
+makes one Merkle build (about 2n hashes), and the block keeps its
+levels, so an inclusion proof reads log2(n) stored siblings and hashes
+nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .errors import (
     NotYetConfirmed,
     UnknownTx,
 )
-from .merkle import MerklePath, merkle_path, merkle_root, verify_path
+from .merkle import Levels, MerklePath, merkle_levels, merkle_path, merkle_root, verify_path
 from .messages import ChainTx, signing_digest
 
 FEE_SINK = b"\xfe" * 20
@@ -45,14 +52,14 @@ FEE_SINK = b"\xfe" * 20
 class SignedTx:
     tx: ChainTx
     signature: crypto.Signature
+    # Derived once, at construction; equality, hashing and repr ignore
+    # them.
+    digest: bytes = field(init=False, repr=False, compare=False)
+    sender: bytes = field(init=False, repr=False, compare=False)
 
-    @property
-    def sender(self) -> bytes:
-        return crypto.address_of(self.signature.public_key)
-
-    @property
-    def digest(self) -> bytes:
-        return signing_digest(self.tx)
+    def __post_init__(self):
+        object.__setattr__(self, "digest", signing_digest(self.tx))
+        object.__setattr__(self, "sender", crypto.address_of(self.signature.public_key))
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,10 @@ class Block:
     parent_hash: bytes
     tx_root: bytes
     txs: Tuple[SignedTx, ...]
+    # The Merkle levels over the txs' digests, built with ``tx_root``
+    # and kept so that proofs read their siblings; equality, hashing and
+    # repr ignore them.
+    levels: Levels = field(repr=False, compare=False)
     # Derived from the header fields once, at construction; equality,
     # hashing and repr ignore it.
     block_hash: bytes = field(init=False, repr=False, compare=False)
@@ -104,7 +115,7 @@ class SimChain:
             "finalized": (1036.9, 113.8),
         }
         self.time = 0
-        genesis = Block(0, 0, b"\x00" * 32, merkle_root([]), ())
+        genesis = Block(0, 0, b"\x00" * 32, merkle_root(()), (), ())
         self.blocks: List[Block] = [genesis]
         self.pending: List[SignedTx] = []
         self.balances: Dict[bytes, int] = {}
@@ -180,7 +191,7 @@ class SimChain:
     def submit(self, signed: SignedTx) -> bytes:
         if signed.tx.chain_id != self.chain_id:
             raise InvalidSignature("wrong chain id")
-        if not crypto.verify(signed.signature, signing_digest(signed.tx)):
+        if not crypto.verify(signed.signature, signed.digest):
             raise InvalidSignature("bad tx signature")
         self.pending.append(signed)
         return signed.digest
@@ -227,12 +238,14 @@ class SimChain:
                 changed = True
             pool = survivors
         self.pending = survivors
+        levels = merkle_levels([s.digest for s in included])
         block = Block(
             height=height,
             timestamp=height * self.block_interval,
             parent_hash=self.blocks[-1].block_hash,
-            tx_root=merkle_root([s.digest for s in included]),
+            tx_root=merkle_root(levels),
             txs=tuple(included),
+            levels=levels,
         )
         self.blocks.append(block)
         for index, signed in enumerate(included):
@@ -302,8 +315,7 @@ class SimChain:
             raise NotYetConfirmed(
                 f"height {height} above confirmed {self.confirmed_height(gate)}"
             )
-        block = self.blocks[height]
-        path = merkle_path([s.digest for s in block.txs], index)
+        path = merkle_path(self.blocks[height].levels, index)
         return InclusionProof(tx_digest=tx_digest, block_height=height, path=path)
 
     def verify_proof(self, proof: InclusionProof) -> bool:

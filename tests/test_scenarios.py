@@ -4,7 +4,9 @@ regressions and the CLI's exit codes.
 The transcripts under tests/fixtures/transcripts/ are the stdout of
 ``encumbra --scenario <name> --report costs --report latency --report
 ledger`` for each bundled scenario; byte equality is the determinism
-contract of ``engine.py`` written down as a test.
+contract of ``engine.py`` written down as a test.  The files under
+tests/fixtures/reports/<name>/ are the JSON those reports write with
+``--out``; the ledger report's claim and proof digests are pinned there.
 """
 
 import pathlib
@@ -20,6 +22,7 @@ from encumbra.scenario import ScenarioRunner, parse_scenario
 
 HERE = pathlib.Path(__file__).parent
 TRANSCRIPTS = HERE / "fixtures" / "transcripts"
+REPORT_JSON = HERE / "fixtures" / "reports"
 SCENARIO_DOCS = HERE.parent / "docs" / "scenario.md"
 REPORTS = ["--report", "costs", "--report", "latency", "--report", "ledger"]
 
@@ -34,6 +37,16 @@ def test_bundled_transcript_is_byte_identical(name, capsys):
     assert cli.main(["--scenario", name, *REPORTS]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (TRANSCRIPTS / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", cli.bundled_scenarios())
+def test_bundled_report_json_is_byte_identical(name, tmp_path, capsys):
+    assert cli.main(["--scenario", name, *REPORTS, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    stored = sorted(path.name for path in (REPORT_JSON / name).glob("*.json"))
+    assert stored == ["costs.json", "latency.json", "ledger.json"]
+    for report in stored:
+        assert (tmp_path / report).read_bytes() == (REPORT_JSON / name / report).read_bytes()
 
 
 def _run(script):

@@ -8,6 +8,7 @@ import pytest
 from encumbra import crypto, simchain
 from encumbra.config import ORACLE_MODES
 from encumbra.errors import BadProof, InvalidSignature, NotYetConfirmed, UnknownTx
+from encumbra.merkle import merkle_levels, merkle_path, merkle_root
 from encumbra.messages import ChainTx, signing_digest
 from encumbra.simchain import FEE_SINK, InclusionProof, SignedTx, SimChain
 
@@ -67,8 +68,34 @@ def test_block_hash_is_cached_header_digest():
         )
         twin = dataclasses.replace(block)
         assert twin == block and twin.block_hash == first
+        # the stored Merkle levels are outside equality, hashing and repr
+        assert block.levels == merkle_levels([s.digest for s in block.txs])
+        bare = dataclasses.replace(block, levels=())
+        assert bare == block and hash(bare) == hash(block) and repr(bare) == repr(block)
+        assert bare.block_hash == first
         assert dataclasses.replace(block, timestamp=block.timestamp + 1).block_hash != first
     assert len(chain.blocks[1].txs) == 1
+
+
+def test_signed_tx_derives_digest_and_sender_once():
+    alice, bob = _key("alice"), _key("bob")
+    signed = _signed(alice, 3, bob.address, 7, fee=2, gas=5)
+    assert signed.digest == signing_digest(signed.tx)
+    assert signed.sender == crypto.address_of(signed.signature.public_key) == alice.address
+    assert signed.digest is signed.digest and signed.sender is signed.sender
+    # equality, hashing and repr see only the tx and its signature
+    twin = SignedTx(tx=signed.tx, signature=signed.signature)
+    object.__setattr__(twin, "digest", b"\x00" * 32)
+    object.__setattr__(twin, "sender", b"\x00" * 20)
+    assert twin == signed and hash(twin) == hash(signed)
+    assert repr(twin) == repr(signed)
+    assert "digest" not in repr(signed) and "sender" not in repr(signed)
+    # replace derives both again from the new fields
+    other = dataclasses.replace(signed, tx=dataclasses.replace(signed.tx, nonce=4))
+    assert other.digest == signing_digest(other.tx) != signed.digest
+    assert other.sender == alice.address
+    resigned = dataclasses.replace(signed, signature=bob.sign(signed.digest))
+    assert resigned.sender == bob.address and resigned.digest == signed.digest
 
 
 def test_transfer_accounting_and_fee_sink():
@@ -99,6 +126,38 @@ def test_submit_rejects_bad_material():
     bad = SignedTx(tx=good.tx, signature=_key("mallory").sign(b"forged"))
     with pytest.raises(InvalidSignature):
         chain.submit(bad)
+    # the sender's own signature, made over a different tx
+    other = _signed(alice, 0, b"\x01" * 20, 2)
+    swapped = SignedTx(tx=good.tx, signature=other.signature)
+    assert swapped.sender == alice.address
+    with pytest.raises(InvalidSignature):
+        chain.submit(swapped)
+    assert chain.pending == []
+
+
+def test_proofs_read_the_blocks_stored_levels():
+    chain = SimChain(SEED)
+    keys = [_key(f"payer{i}") for i in range(3)]
+    sent = []
+    for key in keys:
+        chain.fund(key.address, 10**18)
+    for nonce in range(3):
+        for index, key in enumerate(keys):
+            signed = _signed(key, nonce, bytes([index + 1]) * 20, nonce + 1)
+            chain.submit(signed)
+            sent.append(signed)
+    chain.advance(12)
+    block = chain.tip()
+    assert set(block.txs) == set(sent) and len(block.txs) == 9
+    digests = [signed.digest for signed in block.txs]
+    levels = merkle_levels(digests)
+    assert block.levels == levels and block.tx_root == merkle_root(levels)
+    chain.advance(2000)
+    for index, signed in enumerate(block.txs):
+        proof = chain.prove_inclusion(signed.digest)
+        assert proof.block_height == block.height
+        assert proof.path == merkle_path(levels, index)
+        assert chain.check_proof(proof) is signed
 
 
 def test_nonce_gap_fills_within_one_block():
