@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Collection, Container, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import crypto
-from ..assets import AssetId, AssetKind, Demands, UnitDemand, demands_of
+from ..assets import AssetId, AssetKind, Demands, UnitDemand, capability, demands_of
 from ..errors import (
     ConflictingGrant,
     ExpiredPolicy,
@@ -353,92 +353,163 @@ class PolicyTree:
     # structural validation
 
     def validate_structure(self, t: int) -> None:
-        """Check segmentation invariants; raise on the first violation.
+        """Check the segmentation invariants of the whole tree at ``t``.
 
+        Raises on the first violation.  Rules run in pass order: each
+        node's own rules in ``self.nodes`` order, then sibling
+        disjointness under each parent in that order, then fungible
+        conservation (the root's capacity, then each node in order).
         Cost is linear in nodes and grants, plus one comparison per pair
-        of sibling unit grants.  Children are gathered in ``self.nodes``
-        order, so checks run, and the first violation is found, in node
-        order.
+        of sibling unit grants that share a conflict bucket.  This is
+        ``validate_parts`` with every node touched.
+        """
+        self.validate_parts(self.nodes, (), t)
+
+    def validate_parts(
+        self, touched: Collection[str], vacated: Container[str], t: int
+    ) -> None:
+        """Check the invariants that a change to ``touched`` can break.
+
+        ``touched`` names the nodes a change added, or whose parent,
+        controller, expiry or grants it changed (and the root when it
+        changed the capacity); ``vacated`` names the ids it removed.
+        The rules run on those parts only:
+
+        * each node's own rules on touched nodes and on the children of
+          touched and vacated ids;
+        * sibling disjointness under the parents of touched nodes, for
+          pairs that include a touched node;
+        * conservation on touched nodes and their parents, and the
+          root's capacity when the root is one of them.
+
+        Cost is linear in nodes for gathering children, plus the rules
+        on those parts.  Precondition: before the change the tree was
+        valid at an instant not after ``t``.  A fungible carve reserves
+        balance only until it expires, so reservations only shrink as
+        ``t`` grows, and nothing the change did not touch can break.
+        The rules run in the order of ``validate_structure``, so under
+        the precondition the first violation raised is the one the full
+        check would raise.
         """
         root = self.nodes.get(ROOT_ID)
         if root is None or root.parent is not None:
             raise UpdateRefused("missing root")
+        parents = {self.nodes[node_id].parent for node_id in touched}
+        parents.discard(None)
+        # Children are gathered, with the balance they reserve, under
+        # touched nodes and their parents, whose balances are checked.
+        gathered = parents.union(touched)
+        kids: Dict[str, List[Node]] = {}
+        reserved: Dict[str, int] = {}
+        order: List[str] = []
         for node in self.nodes.values():
-            if node.node_id == ROOT_ID:
-                if node.grants:
-                    raise UpdateRefused("root holds no grants")
-                continue
-            if node.parent not in self.nodes:
-                raise UpdateRefused(f"dangling parent for {node.node_id}")
-            parent = self.nodes[node.parent]
-            if node.expiry > parent.expiry:
-                raise ExpiryExceedsParent(node.node_id)
-            native_seen = False
-            for grant in node.grants:
-                if grant.cap < 1:
-                    raise UpdateRefused("non-positive grant cap")
-                if grant.start > grant.expiry:
-                    raise UpdateRefused("inverted grant window")
-                if grant.expiry > node.expiry:
-                    raise ExpiryExceedsParent(node.node_id)
-                if grant.asset.kind is AssetKind.NATIVE_BALANCE:
-                    if native_seen:
-                        raise UpdateRefused("one fungible grant per node")
-                    native_seen = True
-                    if grant.platform is not None:
-                        raise UpdateRefused("platform on fungible grant")
-                else:
-                    if grant.cap != 1:
-                        raise UpdateRefused("unit grant cap must be 1")
-                    if grant.platform is not None and grant.asset.kind is not AssetKind.VOTE_CAPABILITY:
-                        raise UpdateRefused("platform on non-capability grant")
-                    if grant.platform is not None and grant.platform == grant.asset.key:
-                        raise UpdateRefused("grant cannot be its own platform")
-                if node.parent != ROOT_ID and not self._covered_by_parent(parent, grant):
-                    raise ConflictingGrant(
-                        f"{node.node_id} grant on {grant.asset.label()} has no source"
-                    )
-        # Every parent exists now and only the root has none.  One pass
-        # gathers each node's children and the balance they reserve.
-        kids: Dict[str, List[Node]] = {node_id: [] for node_id in self.nodes}
-        reserved = dict.fromkeys(self.nodes, 0)
-        for node in self.nodes.values():
-            if node.parent is None:
-                continue
-            kids[node.parent].append(node)
-            for grant in node.grants:
-                if grant.asset.kind is AssetKind.NATIVE_BALANCE and grant.expiry >= t:
-                    reserved[node.parent] += grant.cap
-        # sibling disjointness per carve source; fungible grants never
-        # conflict, so only unit grants are compared
-        for siblings in kids.values():
-            flat = [
-                (k.node_id, g)
-                for k in siblings
-                for g in k.grants
-                if g.asset.kind is not AssetKind.NATIVE_BALANCE
-            ]
-            for i in range(len(flat)):
-                for j in range(i + 1, len(flat)):
-                    id_a, a = flat[i]
-                    id_b, b = flat[j]
-                    if id_a != id_b and a.conflicts_with(b):
-                        raise ConflictingGrant(
-                            f"{id_a} and {id_b} overlap on {a.asset.label()}"
-                        )
-        # fungible conservation, pointwise at t
-        if self.native_capacity is not None:
-            if reserved[ROOT_ID] > self.native_capacity:
+            node_id, parent = node.node_id, node.parent
+            if node_id in touched or parent in touched or parent in vacated:
+                self._check_node(node)
+            if node_id in gathered:
+                order.append(node_id)
+            if parent in gathered:
+                kids.setdefault(parent, []).append(node)
+                for grant in node.grants:
+                    if grant.asset.kind is AssetKind.NATIVE_BALANCE and grant.expiry >= t:
+                        reserved[parent] = reserved.get(parent, 0) + grant.cap
+        for node_id in order:
+            if node_id in parents:
+                self._check_siblings(kids[node_id], touched)
+        if ROOT_ID in gathered and self.native_capacity is not None:
+            if reserved.get(ROOT_ID, 0) > self.native_capacity:
                 raise ConflictingGrant("root fungible capacity exceeded")
-        # A non-root node reserves balance only for a child's fungible
-        # grant, which the first pass found covered by a fungible grant
-        # on this node; so a node that reserves has a grant to check.
-        for node in self.nodes.values():
-            if node.node_id == ROOT_ID:
+        for node_id in order:
+            if node_id != ROOT_ID:
+                self._check_balance(node_id, reserved.get(node_id, 0))
+
+    def _check_node(self, node: Node) -> None:
+        """A node's own rules: its window, its grants and their source."""
+        if node.node_id == ROOT_ID:
+            if node.grants:
+                raise UpdateRefused("root holds no grants")
+            return
+        if node.parent not in self.nodes:
+            raise UpdateRefused(f"dangling parent for {node.node_id}")
+        parent = self.nodes[node.parent]
+        if node.expiry > parent.expiry:
+            raise ExpiryExceedsParent(node.node_id)
+        native_seen = False
+        for grant in node.grants:
+            if grant.cap < 1:
+                raise UpdateRefused("non-positive grant cap")
+            if grant.start > grant.expiry:
+                raise UpdateRefused("inverted grant window")
+            if grant.expiry > node.expiry:
+                raise ExpiryExceedsParent(node.node_id)
+            if grant.asset.kind is AssetKind.NATIVE_BALANCE:
+                if native_seen:
+                    raise UpdateRefused("one fungible grant per node")
+                native_seen = True
+                if grant.platform is not None:
+                    raise UpdateRefused("platform on fungible grant")
+            else:
+                if grant.cap != 1:
+                    raise UpdateRefused("unit grant cap must be 1")
+                if grant.platform is not None and grant.asset.kind is not AssetKind.VOTE_CAPABILITY:
+                    raise UpdateRefused("platform on non-capability grant")
+                if grant.platform is not None and grant.platform == grant.asset.key:
+                    raise UpdateRefused("grant cannot be its own platform")
+            if node.parent != ROOT_ID and not self._covered_by_parent(parent, grant):
+                raise ConflictingGrant(
+                    f"{node.node_id} grant on {grant.asset.label()} has no source"
+                )
+
+    @staticmethod
+    def _check_siblings(siblings: Sequence[Node], touched: Container[str]) -> None:
+        """Sibling disjointness, on pairs of unit grants with a touched node.
+
+        Fungible grants never conflict, so only unit grants are
+        compared.  Two unit grants can conflict only on one asset, or on
+        a platform key and a key declared under it, so each touched grant
+        is compared only with the grants on its asset, on its platform,
+        and declaring it as their platform.  Candidate pairs are tried in
+        the order of a pairwise scan over the siblings' unit grants, so
+        the conflict raised is the one that scan would find first.
+        """
+        flat = [
+            (k.node_id, g)
+            for k in siblings
+            for g in k.grants
+            if g.asset.kind is not AssetKind.NATIVE_BALANCE
+        ]
+        if len(flat) < 2:
+            return
+        on_asset: Dict[bytes, List[int]] = {}
+        under_platform: Dict[bytes, List[int]] = {}
+        for pos, (_, grant) in enumerate(flat):
+            on_asset.setdefault(grant.asset.encode(), []).append(pos)
+            if grant.platform is not None:
+                under_platform.setdefault(grant.platform, []).append(pos)
+        pairs = set()
+        for pos, (node_id, grant) in enumerate(flat):
+            if node_id not in touched:
                 continue
-            grant = self.native_grant(node.node_id)
-            if grant is not None and reserved[node.node_id] > grant.cap:
-                raise ConflictingGrant(f"{node.node_id} over-delegates balance")
+            near = on_asset[grant.asset.encode()] + under_platform.get(grant.asset.key, [])
+            if grant.platform is not None:
+                near += on_asset.get(capability(grant.platform).encode(), [])
+            pairs.update((min(pos, other), max(pos, other)) for other in near if other != pos)
+        for i, j in sorted(pairs):
+            id_a, a = flat[i]
+            id_b, b = flat[j]
+            if id_a != id_b and a.conflicts_with(b):
+                raise ConflictingGrant(f"{id_a} and {id_b} overlap on {a.asset.label()}")
+
+    def _check_balance(self, node_id: str, reserved: int) -> None:
+        """Fungible conservation at one non-root node, pointwise at t.
+
+        A non-root node reserves balance only for a child's fungible
+        grant, which ``_check_node`` found covered by a fungible grant on
+        this node; so a node that reserves has a grant to check.
+        """
+        grant = self.native_grant(node_id)
+        if grant is not None and reserved > grant.cap:
+            raise ConflictingGrant(f"{node_id} over-delegates balance")
 
     @staticmethod
     def _covered_by_parent(parent: Node, grant: Grant) -> bool:

@@ -5,7 +5,11 @@ refuses anything that is not a clean spawn of new capacity out of the
 actor's own holdings, a re-grant of a node whose every holding has
 expired, or garbage collection of expired parts:
 
-* the new tree must itself be asset-time segmented;
+* the new tree must itself be asset-time segmented; since the old tree
+  already is, only the parts the update touched are checked (the added
+  or changed nodes, their children, their sibling groups and their
+  parents' balance), which holds as long as the old tree is valid at
+  ``t`` and ``t`` never goes back;
 * nothing another player currently holds may shrink or vanish;
 * every added node, even an empty one, must hang under a live anchored
   ancestor (the nearest ancestor already in the old tree);
@@ -13,6 +17,11 @@ expired, or garbage collection of expired parts:
   root's residual capacity counts as the root controller's);
 * carved capacity must be unsealed — no outstanding signature may be
   able to spend what is being handed over.
+
+Its cost is one linear diff of the two trees, plus the rules on the
+touched parts; a spawn into a large tree checks no more nodes and
+compares no more grants than one into a small tree of the same shape
+near the spawn.
 
 The checker is deliberately structural and at least as strict as those
 bullets: it refuses some semantically harmless edits (such as revoking
@@ -59,14 +68,37 @@ def check_update(
 ) -> None:
     """Raise unless ``old -> new`` is an admissible transition by ``actor``.
 
-    Cost is linear in nodes and grants, plus the sibling unit-grant pairs
-    of ``validate_structure`` and, for each added node, the path up to
-    its nearest old ancestor.  A kept node whose grant list equals the
-    old one adds and revokes nothing, so its grants are not compared;
-    ``PolicyTree.clone`` copies the lists, so that is every node an
-    update leaves untouched.
+    Precondition: ``old`` is valid at ``t`` (it passed this check when
+    it was admitted, and ``t`` never goes back since).  One linear diff
+    of ``old`` against ``new`` finds the removed nodes and the touched
+    ones: added nodes, and kept nodes whose parent, controller, expiry
+    or grant list changed.  ``PolicyTree.validate_parts`` then checks
+    only those parts: the touched nodes, their children, their sibling
+    groups and their parents' balance; under the precondition it raises
+    what a full ``validate_structure`` would.  The transition rules
+    follow, on the removed and touched nodes only, plus for each added
+    node the path up to its nearest old ancestor.  ``PolicyTree.clone``
+    copies the grant lists, so a node an update leaves alone compares
+    equal and costs one comparison.
     """
-    new.validate_structure(t)
+    edits: List[Tuple[str, Node, Optional[Node]]] = []
+    for node_id, old_node in old.nodes.items():
+        new_node = new.nodes.get(node_id)
+        if (
+            new_node is None
+            or new_node.parent != old_node.parent
+            or new_node.controller != old_node.controller
+            or new_node.expiry != old_node.expiry
+            or new_node.grants != old_node.grants
+        ):
+            edits.append((node_id, old_node, new_node))
+    fresh = [node_id for node_id in new.nodes if node_id not in old.nodes]
+    touched = {node_id for node_id, _, new_node in edits if new_node is not None}
+    touched.update(fresh)
+    if new.native_capacity != old.native_capacity:
+        touched.add(ROOT_ID)  # the capacity bounds what the root's children reserve
+    vacated = {node_id for node_id, _, new_node in edits if new_node is None}
+    new.validate_parts(touched, vacated, t)
 
     old_root = old.nodes[ROOT_ID]
     new_root = new.nodes.get(ROOT_ID)
@@ -80,8 +112,7 @@ def check_update(
 
     added: List[Tuple[str, Grant]] = []
 
-    for node_id, old_node in old.nodes.items():
-        new_node = new.nodes.get(node_id)
+    for node_id, old_node, new_node in edits:
         if new_node is None:
             if t <= old_node.expiry:
                 raise UpdateRefused(f"removal of live node {node_id}")
@@ -108,9 +139,8 @@ def check_update(
                 raise UpdateRefused(f"revocation of live grant on {node_id}")
 
     anchors: Dict[str, Node] = {}
-    for node_id, new_node in new.nodes.items():
-        if node_id in old.nodes:
-            continue
+    for node_id in fresh:
+        new_node = new.nodes[node_id]
         source = _controlling_ancestor(old, new, node_id)
         if source is None:
             raise UpdateRefused("added subtree has no anchored ancestor")

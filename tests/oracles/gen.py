@@ -831,6 +831,113 @@ def adv_resize_native(rng: random.Random, built: BuiltTree, t: int):
     return "resize-native", actor, candidate
 
 
+def adv_lower_capacity(rng: random.Random, built: BuiltTree, t: int):
+    """Lower the root's capacity below what its children reserve at t;
+    no node changes, so only a recheck of the root's balance sees it."""
+    tree = built.tree
+    reserved = treeref.reserved_ref(tree, ROOT_ID, t)
+    if tree.native_capacity is None or reserved < 1:
+        return None
+    candidate = tree.clone()
+    candidate.native_capacity = rng.randint(0, reserved - 1)
+    actor = treeref.controller_player(tree.nodes[ROOT_ID])
+    return "lower-capacity", actor, candidate
+
+
+def adv_orphan_children(rng: random.Random, built: BuiltTree, t: int):
+    """Remove one node but keep its children, which now dangle; the
+    children themselves do not change."""
+    tree = built.tree
+    parents = sorted(
+        {node.parent for node in tree.nodes.values()} - {None, ROOT_ID}
+    )
+    if not parents:
+        return None
+    candidate = tree.clone()
+    del candidate.nodes[rng.choice(parents)]
+    actor = treeref.controller_player(tree.nodes[ROOT_ID])
+    return "orphan-children", actor, candidate
+
+
+def adv_early_sibling_overlap(rng: random.Random, built: BuiltTree, t: int):
+    """Add to an earlier sibling a unit grant overlapping a later
+    sibling's, so the conflicting pair's later node is untouched."""
+    tree = built.tree
+    order = list(tree.nodes.values())
+    picks = [
+        (earlier.node_id, grant)
+        for j, later in enumerate(order)
+        for earlier in order[:j]
+        if earlier.node_id != ROOT_ID and earlier.parent == later.parent
+        for grant in later.grants
+        if grant.asset.kind.name != "NATIVE_BALANCE"
+    ]
+    if not picks:
+        return None
+    earlier_id, grant = rng.choice(picks)
+    earlier = tree.nodes[earlier_id]
+    hi = min(grant.expiry, earlier.expiry)
+    if hi < grant.start:
+        return None
+    candidate = tree.clone()
+    candidate.nodes[earlier_id].grants.append(replace(grant, expiry=hi))
+    actor = treeref.controller_player(tree.nodes[earlier.parent])
+    return "early-sibling-overlap", actor, candidate
+
+
+def adv_wide_siblings(rng: random.Random, built: BuiltTree, t: int):
+    """Add several siblings beside existing capability holders, each on
+    the platform of a sibling's key grant, a key under a sibling's
+    platform grant, or the same key, on windows that overlap it or not."""
+    tree = built.tree
+    holders: Dict[str, List[Grant]] = {}
+    for node in tree.nodes.values():
+        if node.parent is None or t > tree.nodes[node.parent].expiry:
+            continue
+        for grant in node.grants:
+            if grant.asset.kind.name == "VOTE_CAPABILITY":
+                holders.setdefault(node.parent, []).append(grant)
+    if not holders:
+        return None
+    parent_id = rng.choice(sorted(holders))
+    parent = tree.nodes[parent_id]
+    actor = treeref.controller_player(parent)
+    if actor is None:
+        return None
+    proposals = [key for listed in built.universe.proposals.values() for key in listed]
+    candidate = tree.clone()
+    for _ in range(rng.randint(2, 8)):
+        target = rng.choice(holders[parent_id])
+        roll = rng.random()
+        if target.platform is not None and roll < 0.4:
+            asset, platform = capability(target.platform), None
+        elif target.platform is None and roll < 0.7:
+            if proposals and rng.random() < 0.5:
+                key = rng.choice(proposals)
+            else:
+                key = rng.randbytes(32)
+            asset, platform = capability(key), target.asset.key
+        else:
+            asset, platform = target.asset, target.platform
+        if rng.random() < 0.6:
+            start = rng.randint(target.start, target.expiry)
+            expiry = rng.randint(start, target.expiry)
+        else:
+            start = target.expiry + rng.randint(1, 4)
+            expiry = start + rng.randint(0, 4)
+        expiry = min(expiry, parent.expiry)
+        child_id = built.fresh_id()
+        candidate.nodes[child_id] = Node(
+            node_id=child_id,
+            parent=parent_id,
+            controller=PlayerController(rng.choice(built.players)),
+            expiry=max(expiry, t),
+            created_at=t,
+            grants=[Grant(asset, 1, min(start, expiry), expiry, platform=platform)],
+        )
+    return "wide-siblings", actor, candidate
+
+
 BENIGN_MAKERS = [benign_spawn, benign_spawn, benign_extend, benign_gc, benign_identity]
 ADVERSARIAL_MAKERS = [
     adv_mutate_controller,
@@ -844,6 +951,10 @@ ADVERSARIAL_MAKERS = [
     adv_sibling_overlap,
     adv_root_mutation,
     adv_resize_native,
+    adv_lower_capacity,
+    adv_orphan_children,
+    adv_early_sibling_overlap,
+    adv_wide_siblings,
 ]
 
 

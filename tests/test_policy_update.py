@@ -342,6 +342,10 @@ def test_check_update_agrees_with_full_rescan_reference(monkeypatch):
                     treeref.check_update_ref, actor, built.tree, candidate, st, t
                 )
                 assert got == want, (trial, t, label)
+                # the full check runs the same rules on every node
+                assert _outcome(candidate.validate_structure, t) == _outcome(
+                    treeref.validate_structure_ref, candidate, t
+                ), (trial, t, label)
                 seen[got[0].__name__ if got else "admitted"] += 1
                 if got is None and benign:
                     built.tree = candidate
@@ -363,3 +367,67 @@ def test_sibling_unit_overlap_is_found_among_fungible_grants():
         with pytest.raises(ConflictingGrant) as raised:
             check(0)
         assert str(raised.value) == f"a and b overlap on dest:{D1.hex()}"
+
+
+def _wide_tree(size):
+    """The root and ``size - 1`` children, each with a slice and a
+    destination of its own."""
+    tree = PolicyTree("am", native_capacity=size * ETH)
+    for i in range(size - 1):
+        tree.nodes[f"c{i}"] = Node(
+            f"c{i}", ROOT_ID, _pc("ann"), 100, 0,
+            [Grant(NATIVE, ETH, 0, 100), Grant(destination(i.to_bytes(20, "big")), 1, 0, 100)],
+        )
+    return tree
+
+
+def _deep_tree(size):
+    """A chain of ``size - 2`` nodes below the root, each with a slice
+    and D1, ending in a tip that holds D1 on an early window."""
+    tree = PolicyTree("am", native_capacity=10 * ETH)
+    parent = ROOT_ID
+    for i in range(size - 2):
+        tree.nodes[f"c{i}"] = Node(
+            f"c{i}", parent, _pc("ann"), 1000, 0,
+            [Grant(NATIVE, ETH, 0, 1000), Grant(destination(D1), 1, 0, 1000)],
+        )
+        parent = f"c{i}"
+    tree.nodes["tip"] = Node("tip", parent, _pc("ann"), 100, 0, [Grant(destination(D1), 1, 0, 100)])
+    return tree
+
+
+def test_spawn_checks_do_not_grow_with_the_tree(monkeypatch):
+    # A leaf spawn checks its own node and compares its grant with the
+    # sibling grant in its bucket, however large the tree around it.
+    counts = collections.Counter()
+    check_node, conflicts_with = PolicyTree._check_node, Grant.conflicts_with
+
+    def counted_check_node(self, node):
+        counts["node checks"] += 1
+        return check_node(self, node)
+
+    def counted_conflicts_with(self, other):
+        counts["conflicts_with"] += 1
+        return conflicts_with(self, other)
+
+    monkeypatch.setattr(PolicyTree, "_check_node", counted_check_node)
+    monkeypatch.setattr(Grant, "conflicts_with", counted_conflicts_with)
+
+    def leaf_spawn_costs(tree, parent, grants):
+        tree.validate_structure(0)
+        counts.clear()
+        spawn(tree, "am" if parent == ROOT_ID else "ann", parent, "leaf",
+              _pc("lee"), 200, grants, _st(), 0)
+        return dict(counts)
+
+    # beside c0's destination, on a later window: one comparison
+    wide = [Grant(NATIVE, ETH, 0, 200), Grant(destination((0).to_bytes(20, "big")), 1, 101, 200)]
+    costs = {size: leaf_spawn_costs(_wide_tree(size), ROOT_ID, wide) for size in (50, 300)}
+    assert costs[50] == costs[300] == {"node checks": 1, "conflicts_with": 1}, costs
+
+    # beside the tip, on a later window: one comparison
+    costs = {
+        size: leaf_spawn_costs(_deep_tree(size), f"c{size - 3}", [Grant(destination(D1), 1, 101, 200)])
+        for size in (50, 300)
+    }
+    assert costs[50] == costs[300] == {"node checks": 1, "conflicts_with": 1}, costs

@@ -9,8 +9,11 @@ tests/fixtures/reports/<name>/ are the JSON those reports write with
 ``--out``; the ledger report's claim and proof digests are pinned there.
 """
 
+import collections
 import pathlib
+import random
 import re
+from importlib import resources
 
 import pytest
 
@@ -18,7 +21,9 @@ from encumbra import cli
 from encumbra.engine import dao_domain
 from encumbra.errors import EngineError, StepFailure, UnknownPolicy
 from encumbra.policy.registry import REGISTRY_POLICIES, UPDATE_RULES
-from encumbra.scenario import ScenarioRunner, parse_scenario
+from encumbra.policy.tree import INFINITE_EXPIRY
+from encumbra.policy.update import check_update
+from encumbra.scenario import COMMANDS, ScenarioRunner, parse_scenario
 
 HERE = pathlib.Path(__file__).parent
 TRANSCRIPTS = HERE / "fixtures" / "transcripts"
@@ -76,6 +81,137 @@ def test_enroll_registers_its_program():
     )
     programs = runner.engine.manager.tree_of("gov").programs
     assert list(programs) == ["darkdao:gov"]
+
+
+def _run_checking_trees(runner, after_step=None):
+    """Run each step, then check every wallet's whole tree.
+
+    ``check_update`` checks only what an update touches, relying on the
+    old tree being valid at the engine's time; this checks that
+    precondition after every step.  Returns each step's outcome.
+    """
+    outcomes = []
+    for step in runner.scenario.steps:
+        try:
+            COMMANDS[step.command](runner, step.positional, step.kwargs)
+            outcomes.append((step, "ok"))
+        except EngineError:
+            outcomes.append((step, "refused"))
+        if after_step is not None:
+            after_step(step)
+        for wallet in runner.engine.manager.wallets():
+            tree = getattr(wallet.policy, "tree", None)
+            if tree is not None:
+                tree.validate_structure(runner.engine.time)
+    return outcomes
+
+
+@pytest.mark.parametrize("name", cli.bundled_scenarios())
+def test_bundled_scenarios_keep_every_tree_valid(name):
+    text = resources.files("encumbra.scenarios").joinpath(f"{name}.scn").read_text()
+    outcomes = _run_checking_trees(ScenarioRunner(parse_scenario(text, name=name)))
+    assert [o == "refused" for _, o in outcomes] == [s.tolerant for s, _ in outcomes]
+
+
+def _nested_spawn_script(seed):
+    """Nested spawns on one tree wallet, with windows that run out, and
+    re-grants of live nodes whose grants have all expired.
+
+    Children of the root hold a platform of their own, their children a
+    key under it; a re-grant hands a node a new platform or key, since
+    a node holds at most one fungible grant.
+    """
+    rng = random.Random(seed)
+    users = ["u0", "u1", "u2", "u3"]
+    lines = [
+        f"config engine.seed={seed} chain.block_interval_s=600 "
+        "reliable_chain.block_interval_s=600",
+        "player am",
+        *(f"player {u}" for u in users),
+        f"wallet w am=am policy=tree update=tree capacity={10**24}",
+    ]
+    now = 0
+    # node -> [parent, controller, expiry, grants' end, free wei, platform]
+    nodes = {"root": [None, "am", INFINITE_EXPIRY, INFINITE_EXPIRY, 10**24, ""]}
+    for n in range(160):
+        roll = rng.random()
+        if roll < 0.15:
+            step = rng.randint(100, 900)
+            now += step
+            lines.append(f"advance {step}")
+            continue
+        lapsed = [
+            node for node, (parent, _, expiry, end, _, _) in nodes.items()
+            if parent is not None and end < now <= expiry and now <= nodes[parent][3]
+            and (parent == "root" or nodes[parent][5])
+        ]
+        if roll < 0.35 and lapsed:
+            node = rng.choice(lapsed)
+            parent = nodes[node][0]
+            end = min(nodes[node][2], nodes[parent][3], now + rng.randint(100, 1500))
+            if parent == "root":
+                nodes[node][5] = f"dao:{node}.{n}"
+                grant = f"cap={nodes[node][5]}"
+            else:
+                grant = f"cap=proposal:{node}.{n} platform={nodes[parent][5]}"
+            nodes[node][3:5] = [end, 0]
+            lines.append(
+                f"grant w actor={nodes[parent][1]} node={node} {grant} start={now} until={end}"
+            )
+            continue
+        parent = rng.choice([node for node, row in nodes.items() if now <= row[3] and row[4] > 3])
+        _, actor, expiry, end, free, platform = nodes[parent]
+        node, controller = f"n{n}", rng.choice(users)
+        expiry = min(expiry, now + rng.randint(200, 3000))
+        end = min(expiry, end, now + rng.randint(100, 2000))
+        native = free // rng.randint(2, 5)
+        nodes[parent][4] -= native
+        mine = f"dao:{node}" if parent == "root" else ""
+        grant = f"native={native} start={now} until={end}"
+        if mine:
+            grant += f" cap={mine}"
+        elif platform:
+            grant += f" cap=proposal:{node} platform={platform}"
+        lines.append(
+            f"spawn w actor={actor} parent={parent} node={node} "
+            f"controller={controller} expiry={expiry} {grant}"
+        )
+        nodes[node] = [parent, controller, expiry, end, native, mine]
+    return "\n".join(lines) + "\n"
+
+
+def _collect_expired(engine, wallet_id):
+    """Garbage-collect a wallet's expired nodes through ``check_update``,
+    as the access manager; no scenario command does this."""
+    wallet = engine.manager.wallet(wallet_id)
+    tree = wallet.policy.tree
+    st = engine.manager._state_triple(wallet, b"")
+    t = st.ost.chain_time
+    candidate = tree.clone()
+    for node_id, node in tree.nodes.items():
+        if t > node.expiry:
+            del candidate.nodes[node_id]
+    check_update("am", tree, candidate, st, t)
+    wallet.policy.tree = candidate
+    return len(tree.nodes) - len(candidate.nodes)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nested_spawns_regrants_and_gc_keep_the_tree_valid(seed):
+    runner = ScenarioRunner(parse_scenario(_nested_spawn_script(seed), name="nested"))
+    collected = []
+
+    def collect_after_advance(step):
+        if step.command == "advance":
+            collected.append(_collect_expired(runner.engine, "w"))
+
+    outcomes = _run_checking_trees(runner, collect_after_advance)
+    tally = collections.Counter((step.command, o) for step, o in outcomes)
+    # the run is not vacuous: spawns and re-grants were admitted, and
+    # garbage collection removed nodes
+    assert tally["spawn", "ok"] > 40, tally
+    assert tally["grant", "ok"] > 0, tally
+    assert sum(collected) > 0, collected
 
 
 def _documented_choices(key):
