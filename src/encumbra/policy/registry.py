@@ -10,6 +10,7 @@ of foreign code.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Tuple
 
 from ..state import StateTriple
@@ -63,8 +64,17 @@ class TreeWalletPolicy(WalletPolicy):
         self.tree = tree
 
     def approves(self, player, message, st, t):
+        """The first vouching node decides.
+
+        The seal map is derived when the first node reaches the seal
+        check and shared by every node tried after it: one log scan per
+        decision, not one per node tried, and none when every node is
+        refused before the seal check.  That scan covers the whole log,
+        so a sign still grows linearly with the log.
+        """
+        seals = cache(lambda: self.tree.sealed_assets(st))
         for node in self.tree.nodes_for_player(player):
-            if self.tree.evaluate(node.node_id, player, message, st, t):
+            if self.tree.evaluate(node.node_id, player, message, st, t, seals):
                 return True, node.node_id
         return False, None
 

@@ -19,7 +19,11 @@ the wallet's signing log (every logged signature is presumed
 realizable), and a unit asset is sealed while the log holds a
 signature touching it whose nonce has not yet been passed by the
 recognized account nonce.  Sealed assets cannot be carved away; this
-is what blocks the pre-sign-then-transfer double spend.
+is what blocks the pre-sign-then-transfer double spend.  Deriving the
+seals costs one scan of the log per approval decision, not one per
+node tried, and none when no node gets past the checks that come
+before the seal check; a sign therefore still grows linearly with the
+log, until the seals are indexed by nonce beside the log.
 """
 
 from __future__ import annotations
@@ -101,8 +105,6 @@ class Grant:
                 return True
             if other.platform is not None and other.platform == a.key:
                 return True
-            if self.platform is not None and self.platform == other.platform:
-                return a.key == b.key  # already covered by equality; explicit
         return False
 
 
@@ -254,7 +256,11 @@ class PolicyTree:
         A chain-transaction signature is outstanding while its nonce is
         not below the recognized nonce; it seals its destination for the
         node that produced it.  Manual seals (application semantics) are
-        merged in.
+        merged in.  This is the only derivation of seals from the log.
+        Each call scans the whole log; an approval decision makes one
+        call however many nodes it tries, and none when no node reaches
+        the seal check, so a sign grows linearly with the log until the
+        seals are indexed by nonce beside it.
         """
         sealed: Dict[bytes, str] = dict(self.manual_seals)
         for entry in st.intst:
@@ -315,11 +321,27 @@ class PolicyTree:
             return True
         return False
 
-    def evaluate(self, node_id: str, player: str, message, st: StateTriple, t: int) -> bool:
+    def evaluate(
+        self,
+        node_id: str,
+        player: str,
+        message,
+        st: StateTriple,
+        t: int,
+        seals: Optional[Callable[[], Dict[bytes, str]]] = None,
+    ) -> bool:
         """Decide whether ``player`` may sign ``message`` through the node.
 
         Total over well-formed inputs: every reason to say no returns
         False rather than raising, except an unknown node id.
+
+        ``seals`` returns ``sealed_assets(st)``; a decision that tries
+        several nodes passes one memoized function to all of them, so
+        the log is scanned for seals once per decision, not once per
+        node tried, and not at all when every node is refused before the
+        seal check.  Without it the node derives its own map.  Either
+        way a decision that reaches the seal check scans the whole log
+        once, so its cost grows linearly with the log.
         """
         node = self.node(node_id)
         if node_id == ROOT_ID:
@@ -337,7 +359,7 @@ class PolicyTree:
         demands = demands_of(message, st.extst)
         if demands is None:
             return False
-        sealed = self.sealed_assets(st)
+        sealed = self.sealed_assets(st) if seals is None else seals()
         for unit in demands.units:
             if not self._unit_satisfied(node_id, unit, t, sealed):
                 return False

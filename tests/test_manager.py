@@ -15,7 +15,7 @@ from encumbra.errors import (
 )
 from encumbra.manager import Command, CommandAuthenticator, WalletManager
 from encumbra.messages import ChainTx, PersonalSign, signing_digest
-from encumbra.policy.tree import Grant, PlayerController, ROOT_ID
+from encumbra.policy.tree import Grant, PlayerController, PolicyTree, ROOT_ID
 from encumbra.state import OracleState
 
 SEED = crypto.digest(b"manager-tests")
@@ -115,6 +115,41 @@ def test_tree_wallet_logs_the_vouching_node():
     with pytest.raises(PolicyRefusal):
         manager.lw_sign("bob", "w", tx)
     assert len(wallet.intst) == 1  # refusals never touch the log
+
+
+def test_a_sign_derives_seals_at_most_once(monkeypatch):
+    """Cost guard: a sign scans the log for seals once however many of
+    the player's nodes it tries, and not at all when every node is
+    refused before the seal check."""
+    manager = _manager()
+    manager.lw_gen(
+        access_manager="am", wallet_id="w", policy_kind="tree",
+        update_rule="tree", native_capacity=10 * ETH,
+    )
+    for node_id, to in (("n1", b"\x72" * 20), ("n2", b"\x73" * 20), ("n3", D1)):
+        manager.spawn_node(
+            "am", "w", ROOT_ID, node_id, PlayerController("alice"), 1000,
+            [Grant(destination(to), 1, 0, 1000)],
+        )
+    calls = []
+    sealed_assets = PolicyTree.sealed_assets
+
+    def counted(self, st):
+        calls.append(len(st.intst))
+        return sealed_assets(self, st)
+
+    monkeypatch.setattr(PolicyTree, "sealed_assets", counted)
+    manager.lw_sign("alice", "w", ChainTx(1, 0, 0, 0, D1, 0))
+    assert manager.wallet("w").intst[-1].node_id == "n3"  # the last one tried
+    assert calls == [0]
+
+    calls.clear()
+    manager.set_ost_provider(
+        lambda wallet_id: OracleState(chain_time=1001, block_hashes=(), recognized_nonce=0)
+    )
+    with pytest.raises(PolicyRefusal):
+        manager.lw_sign("alice", "w", ChainTx(1, 1, 0, 0, D1, 0))  # all expired
+    assert calls == []
 
 
 def test_refusals_are_uniform():

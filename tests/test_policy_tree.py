@@ -20,6 +20,7 @@ from encumbra.errors import (
     UpdateRefused,
 )
 from encumbra.messages import ChainTx, PersonalSign, vote_extst, vote_message
+from encumbra.policy.registry import TreeWalletPolicy
 from encumbra.policy.tree import (
     INFINITE_EXPIRY,
     ROOT_ID,
@@ -353,6 +354,28 @@ def test_validate_coverage_and_conflicts():
         bad.validate_structure(0)
 
 
+def test_capability_grant_conflicts():
+    platform, key, other = b"\x30" * 32, b"\x31" * 32, b"\x32" * 32
+
+    def cap(k, start=0, expiry=10, under=None):
+        return Grant(capability(k), 1, start, expiry, under)
+
+    table = [
+        ("same key", cap(key), cap(key), True),
+        ("same key, both declared", cap(key, under=platform), cap(key, under=platform), True),
+        ("platform against a key under it", cap(platform), cap(key, under=platform), True),
+        ("key under a platform against it", cap(key, under=platform), cap(platform), True),
+        ("platform against an undeclared key", cap(platform), cap(key), False),
+        ("two keys under one platform", cap(key, under=platform), cap(other, under=platform), False),
+        ("same key, disjoint windows", cap(key, 0, 10), cap(key, 11, 20), False),
+        ("platform and its key, disjoint windows",
+         cap(platform, 0, 10), cap(key, 11, 20, under=platform), False),
+    ]
+    for label, a, b, want in table:
+        assert a.conflicts_with(b) is want, label
+        assert b.conflicts_with(a) is want, label
+
+
 def test_clone_isolation():
     tree = _shared_wallet()
     twin = tree.clone()
@@ -390,10 +413,14 @@ def test_snapshot_digest_ignores_insertion_order():
 
 
 def test_evaluate_agrees_with_reference_interpreter():
+    """Each node alone, and the wallet policy that tries a player's nodes
+    in order with one shared seal map, agree with the reference; the
+    policy's vouching node is the first one a lone evaluate approves."""
     mismatches = 0
     for trial in range(60):
         built = gen.build_tree(random.Random(4100 + trial))
         below = treeref.descendant_map(built.tree)
+        policy = TreeWalletPolicy(built.tree)
         times = sorted({0, built.horizon // 3, built.horizon, built.horizon + 7})
         for t in times:
             st = built.state(t)
@@ -408,7 +435,16 @@ def test_evaluate_agrees_with_reference_interpreter():
                     want = treeref.approved_ref(
                         built.tree, player, message, stx, t, below
                     )
-                    if got != want:
+                    first = next(
+                        (
+                            node.node_id
+                            for node in built.tree.nodes_for_player(player)
+                            if built.tree.evaluate(node.node_id, player, message, stx, t)
+                        ),
+                        None,
+                    )
+                    approved, vouched = policy.approves(player, message, stx, t)
+                    if got != want or approved != want or vouched != first:
                         mismatches += 1
         assert treeref.scan_violations(
             built.tree, built.unit_assets, range(built.horizon + 1), built.platform_map
