@@ -62,10 +62,16 @@ class PolicyRefusal(EngineError):
 
 
 class UpdateRefused(EngineError):
-    """The update predicate declined a policy transition."""
+    """The update predicate declined a policy transition.
+
+    The reason is kept in ``detail`` for the operator; ``str(exc)`` and
+    ``code`` stay the bare class name, so callers and transcripts see
+    one refusal whatever its reason.
+    """
 
     def __init__(self, detail: str = ""):
         super().__init__("")
+        self.detail = detail
 
 
 # --- policy engine ---

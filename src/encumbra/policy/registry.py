@@ -11,7 +11,7 @@ of foreign code.
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from ..state import StateTriple
 from .tree import PolicyTree
@@ -25,6 +25,12 @@ class WalletPolicy:
     ) -> Tuple[bool, Optional[str]]:
         """Return (approved, node id that vouched or None)."""
         raise NotImplementedError
+
+    def approves_each(
+        self, player: str, messages: Iterable, st: StateTriple, t: int
+    ) -> Iterator[bool]:
+        """The approval of each message in turn, under one state, lazily."""
+        return (self.approves(player, m, st, t)[0] for m in messages)
 
     def snapshot(self) -> dict:
         raise NotImplementedError
@@ -63,20 +69,28 @@ class TreeWalletPolicy(WalletPolicy):
     def __init__(self, tree: PolicyTree):
         self.tree = tree
 
-    def approves(self, player, message, st, t):
+    def approves(self, player, message, st, t, seals=None):
         """The first vouching node decides.
 
         The seal map is derived when the first node reaches the seal
         check and shared by every node tried after it: one log scan per
         decision, not one per node tried, and none when every node is
         refused before the seal check.  That scan covers the whole log,
-        so a sign still grows linearly with the log.
+        so a sign still grows linearly with the log.  ``seals`` passes
+        in a map shared with other decisions under the same state.
         """
-        seals = cache(lambda: self.tree.sealed_assets(st))
+        if seals is None:
+            seals = cache(lambda: self.tree.sealed_assets(st))
         for node in self.tree.nodes_for_player(player):
             if self.tree.evaluate(node.node_id, player, message, st, t, seals):
                 return True, node.node_id
         return False, None
+
+    def approves_each(self, player, messages, st, t):
+        """As ``approves`` per message, with one seal map for them all:
+        the log is scanned for seals at most once per call."""
+        seals = cache(lambda: self.tree.sealed_assets(st))
+        return (self.approves(player, m, st, t, seals)[0] for m in messages)
 
     def snapshot(self):
         return {"kind": self.kind, "tree": self.tree.snapshot()}

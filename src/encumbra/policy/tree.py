@@ -14,6 +14,13 @@ the child's window; a fungible carve reserves the parent's capacity
 from the moment it exists until the child window ends, so conservation
 holds at every instant even for windows that start in the future.
 
+Nodes are values (frozen, with their grants in a tuple); only a tree's
+node table and manual seals change.  An update clones the tree, which
+copies the table and shares every node, and installs new nodes in the
+twin: a spawn builds one node, a re-grant replaces one.  Since no node
+changes in place, the update check treats a node that is the same
+object in both trees as untouched, without comparing its fields.
+
 Spending is likewise derived: a node's spent amount is computed from
 the wallet's signing log (every logged signature is presumed
 realizable), and a unit asset is sealed while the log holds a
@@ -29,7 +36,7 @@ log, until the seals are indexed by nonce beside the log.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Collection, Container, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import crypto
@@ -108,14 +115,25 @@ class Grant:
         return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
+    """One sub-policy of a tree: a value, never edited in place.
+
+    ``grants`` may be given as any sequence and is stored as a tuple.
+    An update builds a new node (``dataclasses.replace``) and installs
+    it in a cloned tree's node table, so trees share every node that an
+    update leaves alone.
+    """
+
     node_id: str
     parent: Optional[str]
     controller: Controller
     expiry: int
     created_at: int
-    grants: List[Grant] = field(default_factory=list)
+    grants: Tuple[Grant, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "grants", tuple(self.grants))
 
     def active_at(self, t: int) -> bool:
         return t <= self.expiry
@@ -141,7 +159,7 @@ class LedgerHook:
 
 
 class PolicyTree:
-    """Mutable delegation tree for one wallet."""
+    """Delegation tree for one wallet: a mutable table of immutable nodes."""
 
     def __init__(
         self,
@@ -197,18 +215,14 @@ class PolicyTree:
         return out
 
     def clone(self) -> "PolicyTree":
+        """A twin whose node table and manual seals can change freely.
+
+        Nodes are values, so the twin shares every one of them: the
+        cost is one copy of the node table, not a copy of each node.
+        The program table and the ledger hook are shared by design.
+        """
         twin = PolicyTree.__new__(PolicyTree)
-        twin.nodes = {
-            nid: Node(
-                node_id=n.node_id,
-                parent=n.parent,
-                controller=n.controller,
-                expiry=n.expiry,
-                created_at=n.created_at,
-                grants=list(n.grants),
-            )
-            for nid, n in self.nodes.items()
-        }
+        twin.nodes = dict(self.nodes)
         twin.native_capacity = self.native_capacity
         twin.programs = self.programs
         twin.ledger = self.ledger

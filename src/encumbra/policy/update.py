@@ -18,10 +18,11 @@ expired, or garbage collection of expired parts:
 * carved capacity must be unsealed — no outstanding signature may be
   able to spend what is being handed over.
 
-Its cost is one linear diff of the two trees, plus the rules on the
-touched parts; a spawn into a large tree checks no more nodes and
-compares no more grants than one into a small tree of the same shape
-near the spawn.
+Its cost is one linear diff of the two trees, at one identity test
+for each node the update left alone, plus the rules on the touched
+parts; a spawn into a large tree checks no more nodes and compares no
+more grants than one into a small tree of the same shape near the
+spawn.
 
 The checker is deliberately structural and at least as strict as those
 bullets: it refuses some semantically harmless edits (such as revoking
@@ -31,6 +32,7 @@ harmful one.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..assets import AssetKind
@@ -78,12 +80,15 @@ def check_update(
     what a full ``validate_structure`` would.  The transition rules
     follow, on the removed and touched nodes only, plus for each added
     node the path up to its nearest old ancestor.  ``PolicyTree.clone``
-    copies the grant lists, so a node an update leaves alone compares
-    equal and costs one comparison.
+    shares the nodes, which are immutable, so a node an update leaves
+    alone is the same object in both trees and costs one identity test;
+    a node that is a different object is compared field by field.
     """
     edits: List[Tuple[str, Node, Optional[Node]]] = []
     for node_id, old_node in old.nodes.items():
         new_node = new.nodes.get(node_id)
+        if new_node is old_node:
+            continue
         if (
             new_node is None
             or new_node.parent != old_node.parent
@@ -216,7 +221,7 @@ def spawn(
         controller=controller,
         expiry=expiry,
         created_at=t,
-        grants=list(grants),
+        grants=grants,
     )
     check_update(actor, tree, candidate, st, t)
     return candidate
@@ -235,6 +240,6 @@ def add_grants(
     if t > node.expiry:
         raise ExpiredPolicy(node_id)
     candidate = tree.clone()
-    candidate.nodes[node_id].grants.extend(grants)
+    candidate.nodes[node_id] = replace(node, grants=node.grants + tuple(grants))
     check_update(actor, tree, candidate, st, t)
     return candidate

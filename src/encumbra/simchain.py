@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from . import crypto
@@ -147,12 +148,12 @@ class SimChain:
         return self.nonces.get(address, 0)
 
     def balance_at(self, address: bytes, height: int) -> int:
-        """Balance as of the end of ``height`` (0 before first touch)."""
-        history = self._balance_history.get(address)
-        if not history:
-            return 0
-        heights = [h for h, _ in history]
-        idx = bisect.bisect_right(heights, height) - 1
+        """Balance as of the end of ``height`` (0 before first touch).
+
+        One bisection of the address's history, by height.
+        """
+        history = self._balance_history.get(address, ())
+        idx = bisect.bisect_right(history, height, key=itemgetter(0)) - 1
         return history[idx][1] if idx >= 0 else 0
 
     def _record_balance(self, address: bytes) -> None:

@@ -438,7 +438,20 @@ def build_tree(
 # Each maker returns (label, actor, candidate) or None when its
 # precondition is unavailable; benign makers update the capacity
 # bookkeeping optimistically, which is safe because a refused benign
-# candidate only strands capacity, never corrupts it.
+# candidate only strands capacity, never corrupts it.  Nodes are
+# values, so a maker edits a candidate by replacing whole nodes.
+
+
+def edit_node(tree: PolicyTree, node_id: str, **changes) -> None:
+    """Install in ``tree`` a copy of one of its nodes with ``changes``."""
+    tree.nodes[node_id] = replace(tree.nodes[node_id], **changes)
+
+
+def _without(grants: Sequence[Grant], grant: Grant) -> List[Grant]:
+    """``grants`` less the first one equal to ``grant``."""
+    kept = list(grants)
+    kept.remove(grant)
+    return kept
 
 
 def benign_spawn(rng: random.Random, built: BuiltTree, t: int):
@@ -508,7 +521,7 @@ def benign_extend(rng: random.Random, built: BuiltTree, t: int):
             if grant.asset.kind.name == "NATIVE_BALANCE":
                 continue
             candidate = built.tree.clone()
-            candidate.nodes[nid].grants.append(grant)
+            edit_node(candidate, nid, grants=node.grants + (grant,))
             built.slots.append(child_slot)
             if grant.asset.kind.name == "DESTINATION_ADDRESS":
                 built.dest_holdings.append((nid, grant.asset.address))
@@ -553,7 +566,7 @@ def benign_gc(rng: random.Random, built: BuiltTree, t: int):
                 for child in candidate.nodes.values()
             )
             if not still_covered:
-                candidate.nodes[nid].grants.remove(grant)
+                edit_node(candidate, nid, grants=_without(candidate.nodes[nid].grants, grant))
                 pruned_grant = (nid, grant)
     if doomed:
         built.slots = [s for s in built.slots if s.node_id not in doomed]
@@ -593,7 +606,7 @@ def adv_mutate_controller(rng: random.Random, built: BuiltTree, t: int):
     if not others:
         return None
     candidate = built.tree.clone()
-    candidate.nodes[nid].controller = PlayerController(rng.choice(others))
+    edit_node(candidate, nid, controller=PlayerController(rng.choice(others)))
     # acted by a third party, so the old controller's losses count
     return "mutate-controller", rng.choice(others), candidate
 
@@ -604,8 +617,7 @@ def adv_mutate_expiry(rng: random.Random, built: BuiltTree, t: int):
         return None
     nid = rng.choice(victims)
     candidate = built.tree.clone()
-    node = candidate.nodes[nid]
-    node.expiry = node.expiry + rng.choice([-3, -1, 1, 5])
+    edit_node(candidate, nid, expiry=candidate.nodes[nid].expiry + rng.choice([-3, -1, 1, 5]))
     actor = treeref.controller_player(built.tree.nodes[ROOT_ID])
     return "mutate-expiry", actor, candidate
 
@@ -638,7 +650,7 @@ def adv_revoke_live(rng: random.Random, built: BuiltTree, t: int):
         return None
     nid, grant = rng.choice(picks)
     candidate = built.tree.clone()
-    candidate.nodes[nid].grants.remove(grant)
+    edit_node(candidate, nid, grants=_without(candidate.nodes[nid].grants, grant))
     actor = treeref.controller_player(built.tree.nodes[ROOT_ID])
     return "revoke-live", actor, candidate
 
@@ -792,7 +804,7 @@ def adv_root_mutation(rng: random.Random, built: BuiltTree, t: int):
     if rng.random() < 0.5 and candidate.native_capacity is not None:
         candidate.native_capacity += rng.randint(1, 5) * ETH
     else:
-        candidate.nodes[ROOT_ID].expiry = built.horizon + rng.randint(1, 99)
+        edit_node(candidate, ROOT_ID, expiry=built.horizon + rng.randint(1, 99))
     actor = treeref.controller_player(built.tree.nodes[ROOT_ID])
     return "root-mutation", actor, candidate
 
@@ -821,12 +833,13 @@ def adv_resize_native(rng: random.Random, built: BuiltTree, t: int):
             if g.asset.kind.name == "NATIVE_BALANCE"
         )
     candidate = tree.clone()
-    grants = candidate.nodes[nid].grants
+    grants = list(candidate.nodes[nid].grants)
     if rng.random() < 0.5:
         cap = source_cap + rng.randint(1, 3)
     else:
         cap = max(1, grants[i].cap // 2)
     grants[i] = replace(grants[i], cap=cap)
+    edit_node(candidate, nid, grants=grants)
     actor = treeref.controller_player(tree.nodes[ROOT_ID])
     return "resize-native", actor, candidate
 
@@ -880,7 +893,7 @@ def adv_early_sibling_overlap(rng: random.Random, built: BuiltTree, t: int):
     if hi < grant.start:
         return None
     candidate = tree.clone()
-    candidate.nodes[earlier_id].grants.append(replace(grant, expiry=hi))
+    edit_node(candidate, earlier_id, grants=earlier.grants + (replace(grant, expiry=hi),))
     actor = treeref.controller_player(tree.nodes[earlier.parent])
     return "early-sibling-overlap", actor, candidate
 

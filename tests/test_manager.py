@@ -152,6 +152,30 @@ def test_a_sign_derives_seals_at_most_once(monkeypatch):
     assert calls == []
 
 
+def test_a_verify_derives_seals_at_most_once(monkeypatch):
+    """Cost guard: approves-all and approves-none share one seal map
+    across the messages of a call, however many there are."""
+    manager = _manager()
+    _tree_wallet(manager)
+    calls = []
+    sealed_assets = PolicyTree.sealed_assets
+
+    def counted(self, st):
+        calls.append(len(st.intst))
+        return sealed_assets(self, st)
+
+    monkeypatch.setattr(PolicyTree, "sealed_assets", counted)
+    # within the cap: each message passes the seal check and is approved
+    inside = [ChainTx(1, n, 0, 0, D1, 1) for n in range(32)]
+    assert manager.lw_verify("w", "alice", inside, ("approves-all",))[0]
+    assert calls == [0]
+    # over the cap: each message passes the seal check and is refused
+    calls.clear()
+    over = [ChainTx(1, n, 0, 0, D1, 2 * ETH) for n in range(32)]
+    assert manager.lw_verify("w", "alice", over, ("approves-none",))[0]
+    assert calls == [0]
+
+
 def test_refusals_are_uniform():
     manager = _manager()
     _tree_wallet(manager)

@@ -2,6 +2,7 @@
 reference interpreter in tests/oracles/treeref.py."""
 
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -254,7 +255,7 @@ def test_validate_structure_error_catalogue():
 
     # root never carries grants of its own
     bad = fresh()
-    bad.nodes[ROOT_ID].grants.append(Grant(NATIVE, ETH, 0, 10))
+    gen.edit_node(bad, ROOT_ID, grants=[Grant(NATIVE, ETH, 0, 10)])
     with pytest.raises(UpdateRefused):
         bad.validate_structure(0)
 
@@ -274,14 +275,14 @@ def test_validate_structure_error_catalogue():
     # child outliving its parent
     good = _spawn(fresh(), "am", ROOT_ID, "a", "ann", 50, [Grant(NATIVE, ETH, 0, 50)])
     bad = good.clone()
-    bad.nodes["a"].grants.clear()
+    gen.edit_node(bad, "a", grants=[])
     bad.nodes["b"] = Node("b", "a", PlayerController("b"), 60, 0, [])
     with pytest.raises(ExpiryExceedsParent):
         bad.validate_structure(0)
 
     # grant window outliving its node
     bad = good.clone()
-    bad.nodes["a"].grants[0] = Grant(NATIVE, ETH, 0, 51)
+    gen.edit_node(bad, "a", grants=[Grant(NATIVE, ETH, 0, 51)])
     with pytest.raises(ExpiryExceedsParent):
         bad.validate_structure(0)
 
@@ -293,20 +294,20 @@ def test_validate_structure_error_catalogue():
         Grant(NATIVE, ETH, 0, 10, platform=b"\x00" * 32),
     ]:
         bad = good.clone()
-        bad.nodes["a"].grants = [grant]
+        gen.edit_node(bad, "a", grants=[grant])
         with pytest.raises(UpdateRefused):
             bad.validate_structure(0)
 
     # two fungible grants on one node
     bad = good.clone()
-    bad.nodes["a"].grants = [Grant(NATIVE, ETH, 0, 10), Grant(NATIVE, ETH, 11, 20)]
+    gen.edit_node(bad, "a", grants=[Grant(NATIVE, ETH, 0, 10), Grant(NATIVE, ETH, 11, 20)])
     with pytest.raises(UpdateRefused):
         bad.validate_structure(0)
 
     # a capability key declaring itself as its own platform
     key = crypto.digest(b"self")
     bad = good.clone()
-    bad.nodes["a"].grants = [Grant(capability(key), 1, 0, 10, platform=key)]
+    gen.edit_node(bad, "a", grants=[Grant(capability(key), 1, 0, 10, platform=key)])
     with pytest.raises(UpdateRefused):
         bad.validate_structure(0)
 
@@ -342,7 +343,7 @@ def test_validate_coverage_and_conflicts():
     bad = base.clone()
     bad.nodes["k"] = Node("k", "a", PlayerController("kim"), 50, 0,
                           [Grant(NATIVE, ETH, 0, 50)])
-    bad.nodes["a"].grants = [Grant(destination(D1), 1, 0, 100)]
+    gen.edit_node(bad, "a", grants=[Grant(destination(D1), 1, 0, 100)])
     with pytest.raises(ConflictingGrant):
         bad.validate_structure(0)
 
@@ -379,11 +380,33 @@ def test_capability_grant_conflicts():
 def test_clone_isolation():
     tree = _shared_wallet()
     twin = tree.clone()
-    twin.nodes["alice"].grants.clear()
+    gen.edit_node(twin, "alice", grants=[])
     twin.seal("x", destination(D1))
     assert len(tree.nodes["alice"].grants) == 2
     assert destination(D1).encode() not in tree.manual_seals
     assert twin.programs is tree.programs  # program table is shared by design
+
+
+def test_nodes_are_values():
+    tree = _shared_wallet()
+    node = tree.nodes["alice"]
+    assert isinstance(node.grants, tuple)  # spawned from a list
+    for name, value in [
+        ("grants", ()),
+        ("expiry", 0),
+        ("parent", None),
+        ("controller", PlayerController("eve")),
+    ]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, value)
+    listed = [Grant(NATIVE, ETH, 0, 10), Grant(destination(D1), 1, 0, 10)]
+    built = Node("x", ROOT_ID, PlayerController("x"), 10, 0, listed)
+    assert built.grants == tuple(listed)
+    assert replace(built, grants=listed[:1]).grants == (listed[0],)
+    # a clone copies the node table and shares the nodes
+    twin = tree.clone()
+    assert twin.nodes == tree.nodes and twin.nodes is not tree.nodes
+    assert all(twin.nodes[node_id] is n for node_id, n in tree.nodes.items())
 
 
 def test_nodes_for_player_ordering():

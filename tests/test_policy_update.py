@@ -100,10 +100,10 @@ def test_node_attributes_are_immutable():
         [Grant(NATIVE, ETH, 0, 100)], _st(), 0,
     )
     for mutate in [
-        lambda c: setattr(c.nodes["a"], "controller", _pc("eve")),
-        lambda c: setattr(c.nodes["a"], "expiry", 101),
-        lambda c: setattr(c.nodes["a"], "expiry", 99),
-        lambda c: setattr(c.nodes["kid"], "parent", ROOT_ID),
+        lambda c: gen.edit_node(c, "a", controller=_pc("eve")),
+        lambda c: gen.edit_node(c, "a", expiry=101),
+        lambda c: gen.edit_node(c, "a", expiry=99),
+        lambda c: gen.edit_node(c, "kid", parent=ROOT_ID),
     ]:
         candidate = tree.clone()
         mutate(candidate)
@@ -114,8 +114,8 @@ def test_node_attributes_are_immutable():
 def test_root_is_immutable():
     tree = _base()
     for mutate in [
-        lambda c: setattr(c.nodes[ROOT_ID], "controller", _pc("eve")),
-        lambda c: setattr(c.nodes[ROOT_ID], "expiry", 10**9),
+        lambda c: gen.edit_node(c, ROOT_ID, controller=_pc("eve")),
+        lambda c: gen.edit_node(c, ROOT_ID, expiry=10**9),
         lambda c: setattr(c, "native_capacity", 50 * ETH),
     ]:
         candidate = tree.clone()
@@ -127,9 +127,12 @@ def test_root_is_immutable():
 def test_live_grants_cannot_be_revoked():
     tree = _base()
     candidate = tree.clone()
-    candidate.nodes["a"].grants = candidate.nodes["a"].grants[:1]
-    with pytest.raises(UpdateRefused):
+    gen.edit_node(candidate, "a", grants=candidate.nodes["a"].grants[:1])
+    with pytest.raises(UpdateRefused) as refused:
         check_update("am", tree, candidate, _st(), 50)
+    # the reason is kept for the operator, the caller sees the class only
+    assert refused.value.detail == "revocation of live grant on a"
+    assert str(refused.value) == refused.value.code == "UpdateRefused"
     # monotone non-revocation ends where the window does
     check_update("am", tree, candidate, _st(101), 101)
 
@@ -285,7 +288,7 @@ def test_refused_transitions_do_violate_something():
 
     # stealing ann's node breaks bullet (b) for her
     stolen = tree.clone()
-    stolen.nodes["a"].controller = _pc("eve")
+    gen.edit_node(stolen, "a", controller=_pc("eve"))
     with pytest.raises(UpdateRefused):
         check_update("eve", tree, stolen, _st(), 0)
     assert betaref.bullet_violations(
@@ -307,18 +310,14 @@ def _outcome(check, *args):
     try:
         check(*args)
     except Exception as error:  # compared, not handled
-        return type(error), str(error), getattr(error, "reason", None)
+        return type(error), str(error), getattr(error, "detail", None)
     return None
 
 
-def test_check_update_agrees_with_full_rescan_reference(monkeypatch):
-    # UpdateRefused hides its detail from callers; keep it here so that
-    # two different refusals of that class do not compare equal.
-    def keep_reason(self, detail=""):
-        EngineError.__init__(self, "")
-        self.reason = detail
-
-    monkeypatch.setattr(UpdateRefused, "__init__", keep_reason)
+def test_check_update_agrees_with_full_rescan_reference():
+    # UpdateRefused hides its reason from str() but keeps it in detail,
+    # so two different refusals of that class do not compare equal, and
+    # a refusal names the same node as the reference.
     seen = collections.Counter()
     for trial in range(40):
         rng = random.Random(6100 + trial)
@@ -431,3 +430,40 @@ def test_spawn_checks_do_not_grow_with_the_tree(monkeypatch):
         for size in (50, 300)
     }
     assert costs[50] == costs[300] == {"node checks": 1, "conflicts_with": 1}, costs
+
+
+def test_spawn_and_regrant_share_every_kept_node(monkeypatch):
+    # Cost guard: an update builds exactly one node and hands every node
+    # it leaves alone to the successor as the same object, however large
+    # the tree; check_update then skips those by identity.
+    made = []
+    post_init = Node.__post_init__
+
+    def counted_post_init(self):
+        made.append(self.node_id)
+        post_init(self)
+
+    monkeypatch.setattr(Node, "__post_init__", counted_post_init)
+
+    def one_node_built(update, tree, *args):
+        made.clear()
+        grown = update(tree, *args)
+        assert made == ["leaf"]
+        assert all(grown.nodes[nid] is node for nid, node in tree.nodes.items() if nid != "leaf")
+        assert set(grown.nodes) == set(tree.nodes) | {"leaf"}
+        return grown
+
+    for size in (50, 300):
+        for tree, actor, parent, dest in [
+            (_wide_tree(size), "am", ROOT_ID, b"\xee" * 20),
+            (_deep_tree(size), "ann", f"c{size - 3}", D1),
+        ]:
+            grown = one_node_built(
+                spawn, tree, actor, parent, "leaf", _pc("lee"), 500,
+                [Grant(destination(dest), 1, 101, 200)], _st(), 0,
+            )
+            regranted = one_node_built(
+                add_grants, grown, actor, "leaf",
+                [Grant(destination(dest), 1, 300, 500)], _st(201), 201,
+            )
+            assert len(regranted.nodes["leaf"].grants) == 2

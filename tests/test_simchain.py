@@ -1,5 +1,6 @@
 """Simulated chain: blocks, balances, confirmation oracle, proofs."""
 
+import bisect
 import dataclasses
 import random
 
@@ -229,6 +230,27 @@ def test_balance_history():
     assert chain.balance_at(bob.address, 3) == 0
     assert chain.balance_at(bob.address, 4) == 400
     assert chain.balance_at(_key("carol").address, 4) == 0
+
+
+def test_balance_at_bisects_the_history():
+    """``balance_at`` agrees with a lookup over the list of heights, on
+    random histories and at heights before the first entry."""
+
+    def by_height_list(history, height):
+        heights = [h for h, _ in history]
+        idx = bisect.bisect_right(heights, height) - 1
+        return history[idx][1] if idx >= 0 else 0
+
+    rng = random.Random(219)
+    chain = SimChain(SEED)
+    for trial in range(200):
+        address = trial.to_bytes(20, "big")
+        heights = sorted(rng.sample(range(1, 60), rng.randint(0, 12)))
+        history = [(h, rng.randint(0, 10**6)) for h in heights]
+        if history:
+            chain._balance_history[address] = history
+        for height in range(-2, 63):
+            assert chain.balance_at(address, height) == by_height_list(history, height)
 
 
 def test_confirmation_modes_are_ordered_and_monotone():
