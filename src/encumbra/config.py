@@ -14,12 +14,8 @@ import yaml
 
 DEFAULTS: Dict[str, Any] = {
     "engine.seed": 0,
-    # Echoes of the primitives fixed for the deployment.
-    "crypto.hash": "sha256",
-    "crypto.signature_scheme": "ed25519",
     "chain.chain_id": 1,
     "chain.block_interval_s": 12,
-    "chain.initial_fund_wei": 10**21,
     # Confirmation oracle: per-mode delay model (seconds).
     "oracle.mode": "finalized",
     "oracle.latest.mean_s": 49.0,
@@ -34,7 +30,6 @@ DEFAULTS: Dict[str, Any] = {
     "host.token_usd": 0.06919,
     "host.reimburse_gas": 50_000,
     "txpolicy.commit_required": True,
-    "txpolicy.non_ownership_proofs": True,
     # Key-recovery fallback.
     "fallback.window_s": 604_800,
     "fallback.bounty_wei": 10**18,
@@ -88,16 +83,10 @@ class Config:
     def __getitem__(self, key: str) -> Any:
         return self._values[key]
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._values.get(key, default)
-
     def delay_model(self, mode: str) -> tuple[float, float]:
         if mode not in _MODES:
             raise KeyError(f"unknown oracle mode: {mode}")
         return (self[f"oracle.{mode}.mean_s"], self[f"oracle.{mode}.stddev_s"])
-
-    def as_dict(self) -> Dict[str, Any]:
-        return dict(self._values)
 
     @classmethod
     def from_yaml(cls, path: str) -> "Config":

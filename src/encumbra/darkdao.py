@@ -19,7 +19,7 @@ height, so moving funds after accepting changes nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from .assets import capability
 from .crypto import Signature
@@ -83,8 +83,8 @@ class DaoVoteProgram(ControllerProgram):
     """Controller for a member's vote node.
 
     Undelegated proposals: the enrolled owner votes freely while the
-    proposal is open.  Delegated proposals: only the delegatee may
-    sign, and a bribe delegation additionally pins the choice.
+    proposal is open.  Delegated proposals: only the offer's briber may
+    sign, and only for the offer's choice.
     """
 
     def __init__(self, dao: "DarkDao", enrollment: Enrollment):
@@ -111,13 +111,10 @@ class DaoVoteProgram(ControllerProgram):
             return False
         if not proposal.open_at(t):
             return False
-        delegation = self.dao.delegations.get((self.enrollment.wallet_id, proposal_id))
-        if delegation is None:
+        offer_id = self.dao.delegations.get((self.enrollment.wallet_id, proposal_id))
+        if offer_id is None:
             return player == self.enrollment.owner
-        kind, target = delegation
-        if kind == "player":
-            return player == target
-        offer = self.dao.offers[target]
+        offer = self.dao.offers[offer_id]
         return player == offer.briber and choice == offer.choice
 
 
@@ -130,8 +127,8 @@ class DarkDao:
         self.proposals: Dict[bytes, Proposal] = {}
         self.enrollments: Dict[str, Enrollment] = {}
         self.offers: Dict[str, BribeOffer] = {}
-        # (wallet id, proposal id) -> ("player", name) | ("offer", offer id)
-        self.delegations: Dict[Tuple[str, bytes], Tuple[str, str]] = {}
+        # (wallet id, proposal id) -> offer id
+        self.delegations: Dict[Tuple[str, bytes], str] = {}
         # (proposal id, wallet id) -> (choice, weight)
         self.cast: Dict[Tuple[bytes, str], Tuple[int, int]] = {}
 
@@ -234,19 +231,6 @@ class DarkDao:
         )
         return signature
 
-    def delegate_vote(
-        self, owner: str, wallet_id: str, proposal_id: bytes, delegatee: str
-    ) -> None:
-        """Voluntary set-once delegation of one proposal's vote."""
-        enrollment = self._enrollment(wallet_id)
-        self._proposal(proposal_id)
-        if owner != enrollment.owner:
-            raise NotDelegatee(owner)
-        key = (wallet_id, proposal_id)
-        if key in self.delegations:
-            raise AlreadyDelegated(wallet_id)
-        self.delegations[key] = ("player", delegatee)
-
     # ------------------------------------------------------------------
     # bribe market
 
@@ -298,15 +282,14 @@ class DarkDao:
         # Atomic from here: both ledger entries or neither.
         offer.reserved += payment
         offer.reservations[wallet_id] = payment
-        self.delegations[key] = ("offer", offer_id)
+        self.delegations[key] = offer_id
         return payment
 
     def cast_bought_vote(self, player: str, wallet_id: str, offer_id: str) -> Signature:
         offer = self._offer(offer_id)
         if player != offer.briber:
             raise NotDelegatee(player)
-        delegation = self.delegations.get((wallet_id, offer.proposal_id))
-        if delegation != ("offer", offer_id):
+        if self.delegations.get((wallet_id, offer.proposal_id)) != offer_id:
             raise NotDelegatee(f"{wallet_id} not delegated to {offer_id}")
         enrollment = self._enrollment(wallet_id)
         message = vote_message(enrollment.domain_hash, offer.proposal_id, offer.choice)

@@ -23,10 +23,10 @@ from .errors import StepFailure, UnknownAccount, UnknownWallet
 from .fallback.system import FallbackSystem, verify_released_key
 from .fallback.trigger import TriggerContract, TriggerState, ping_message
 from .manager import Wallet, WalletManager
-from .messages import ChainTx, PersonalSign, SignableMessage, signing_digest
+from .messages import ChainTx, signing_digest
 from .policy.tree import Grant, PlayerController, ProgramController
 from .assets import AssetKind
-from .simchain import InclusionProof, SignedTx, SimChain
+from .simchain import SignedTx, SimChain
 from .state import OracleState
 from .txpolicy import TxLedger
 
@@ -152,9 +152,6 @@ class Engine:
     # ------------------------------------------------------------------
     # players, wallets, accounts
 
-    def register_player(self, name: str) -> bytes:
-        return self.manager.register_player(name)
-
     def create_wallet(
         self,
         wallet_id: str,
@@ -171,7 +168,6 @@ class Engine:
             policy_kind=policy_kind,
             update_rule=update_rule,
             native_capacity=native_capacity,
-            non_ownership_proofs=self.config["txpolicy.non_ownership_proofs"],
         )
         if fund_wei:
             self.chain.fund(wallet.address, fund_wei)
@@ -211,12 +207,6 @@ class Engine:
             self._account_keys[name] = key
         if fund_wei:
             self.chain.fund(key.address, fund_wei)
-        return key.address
-
-    def account_address(self, name: str) -> bytes:
-        key = self._account_keys.get(name)
-        if key is None:
-            raise UnknownAccount(name)
         return key.address
 
     def resolve_address(self, name: str) -> bytes:
@@ -271,11 +261,6 @@ class Engine:
             nonce = self._oracle_state(wallet_id).recognized_nonce
         return self.build_tx(to, value, nonce, gas_limit, fee_gwei)
 
-    def sign_with_wallet(
-        self, player: str, wallet_id: str, message: SignableMessage, extst: bytes = b""
-    ) -> crypto.Signature:
-        return self.manager.lw_sign(player, wallet_id, message, extst)
-
     def signed_wallet_tx(
         self, player: str, wallet_id: str, tx: ChainTx, extst: bytes = b""
     ) -> SignedTx:
@@ -299,12 +284,6 @@ class Engine:
         )
         return SignedTx(tx=tx, signature=key.sign(signing_digest(tx)))
 
-    def submit(self, signed: SignedTx) -> bytes:
-        return self.chain.submit(signed)
-
-    def prove(self, tx_digest: bytes) -> InclusionProof:
-        return self.chain.prove_inclusion(tx_digest)
-
     # ------------------------------------------------------------------
     # policy-tree helpers
 
@@ -319,6 +298,8 @@ class Engine:
         grants: Sequence[Grant],
         program_name: Optional[str] = None,
     ) -> None:
+        if (controller_player is None) == (program_name is None):
+            raise StepFailure("spawn needs exactly one of controller= and program=")
         if program_name is not None:
             controller = ProgramController(program_name)
         else:
@@ -347,20 +328,11 @@ class Engine:
     # ------------------------------------------------------------------
     # liveness and recovery
 
-    def set_sentinel(self, up: bool) -> None:
-        self.sentinel_up = up
-
-    def open_challenge(self, challenger: str, deposit: int) -> None:
-        self.trigger.challenge(challenger, deposit, self.time)
-
     def respond_challenge(self, responder: str) -> None:
         """Produce a fresh sentinel ping and defeat the open challenge."""
         ping = ping_message(self.time)
         signature = self.manager.lw_sign(SENTINEL_OPERATOR, SENTINEL_WALLET, ping)
         self.trigger.respond(responder, ping, signature, self.time)
-
-    def fire_trigger(self) -> None:
-        self.trigger.fire(self.time)
 
     def recover(self, share_count: Optional[int] = None) -> Dict[str, List[Tuple[str, bytes]]]:
         """Run the fallback release with the first ``share_count`` shares."""

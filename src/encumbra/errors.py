@@ -48,10 +48,6 @@ class UnknownPolicy(EngineError):
     tree operation on a wallet that has no delegation tree."""
 
 
-class AuthFailure(EngineError):
-    """Bad command signature or replay counter mismatch."""
-
-
 class PolicyRefusal(EngineError):
     """The wallet's policy declined to sign.  Intentionally opaque."""
 
@@ -130,10 +126,6 @@ class UnknownDeposit(EngineError):
 
 class StaleNonce(EngineError):
     """Request or proof nonce does not match the recognized nonce."""
-
-
-class NotEnabled(EngineError):
-    """Feature was not enabled at wallet initialization."""
 
 
 # --- fallback ---

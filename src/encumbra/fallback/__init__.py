@@ -1,15 +1,1 @@
 """Key-recovery fallback: escrowed state, liveness trigger, release."""
-
-from .secretshare import PRIME, Share, reconstruct, split
-from .trigger import TriggerContract, TriggerState
-from .system import FallbackSystem
-
-__all__ = [
-    "PRIME",
-    "Share",
-    "split",
-    "reconstruct",
-    "TriggerContract",
-    "TriggerState",
-    "FallbackSystem",
-]

@@ -15,7 +15,7 @@ host lives, so a valid fresh ping is proof of life.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .. import crypto

@@ -18,12 +18,11 @@ nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import crypto
 from .assets import AssetId
 from .errors import (
-    AuthFailure,
     PolicyRefusal,
     UnknownPlayer,
     UnknownPolicy,
@@ -62,7 +61,6 @@ class Wallet:
     update_rule: str
     intst: List[LogEntry] = field(default_factory=list)
     policy_version: int = 0
-    non_ownership_proofs: bool = True
 
     @property
     def address(self) -> bytes:
@@ -71,55 +69,6 @@ class Wallet:
     @property
     def public_key(self) -> bytes:
         return self.key.public_key
-
-
-@dataclass(frozen=True)
-class Command:
-    """Authenticated command envelope for the serialized queue."""
-
-    call: str
-    player: str
-    wallet: str
-    args_digest: bytes
-    counter: int
-    signature: crypto.Signature
-
-    def payload(self) -> bytes:
-        return crypto.digest(
-            self.call.encode()
-            + b"\x00"
-            + self.wallet.encode()
-            + b"\x00"
-            + self.args_digest
-            + self.counter.to_bytes(8, "big")
-        )
-
-
-class CommandAuthenticator:
-    """Per-player signature and replay-counter verification."""
-
-    def __init__(self):
-        self._players: Dict[str, bytes] = {}
-        self._counters: Dict[str, int] = {}
-
-    def register(self, player: str, auth_public_key: bytes) -> None:
-        self._players[player] = auth_public_key
-        self._counters.setdefault(player, 0)
-
-    def known(self, player: str) -> bool:
-        return player in self._players
-
-    def verify(self, command: Command) -> None:
-        key = self._players.get(command.player)
-        if key is None:
-            raise AuthFailure(f"unknown player {command.player}")
-        if command.signature.public_key != key:
-            raise AuthFailure("wrong auth key")
-        if command.counter != self._counters[command.player]:
-            raise AuthFailure("replay counter mismatch")
-        if not crypto.verify(command.signature, command.payload()):
-            raise AuthFailure("bad command signature")
-        self._counters[command.player] += 1
 
 
 def _canonical_messages_digest(messages: Sequence[SignableMessage]) -> bytes:
@@ -136,7 +85,7 @@ class WalletManager:
         self._seed = seed
         self._wallets: Dict[str, Wallet] = {}
         self._wallet_order: List[str] = []
-        self.auth = CommandAuthenticator()
+        self._players: Set[str] = set()
         self._ost_provider = ost_provider or (lambda wallet_id: GENESIS_ORACLE)
         # Observer for the recovery subsystem; receives
         # (wallet_id, change_class) after each committed change.
@@ -146,13 +95,9 @@ class WalletManager:
     # registration
 
     def register_player(self, name: str) -> bytes:
-        key = crypto.derive_signing_key(self._seed, "player-auth", name)
-        self.auth.register(name, key.public_key)
-        return key.public_key
-
-    def player_auth_key(self, name: str) -> crypto.SigningKey:
-        """Deterministic per-player auth key; the player-side half."""
-        return crypto.derive_signing_key(self._seed, "player-auth", name)
+        """Admit a player; returns the public half of its derived auth key."""
+        self._players.add(name)
+        return crypto.derive_signing_key(self._seed, "player-auth", name).public_key
 
     def set_ost_provider(self, provider: Callable[[str], OracleState]) -> None:
         self._ost_provider = provider
@@ -167,9 +112,8 @@ class WalletManager:
         policy_kind: str = "deny",
         update_rule: str = "any",
         native_capacity: Optional[int] = None,
-        non_ownership_proofs: bool = True,
     ) -> Wallet:
-        if not self.auth.known(access_manager):
+        if access_manager not in self._players:
             raise UnknownPlayer(access_manager)
         if wallet_id in self._wallets:
             raise UpdateRefused(f"wallet id {wallet_id} already exists")
@@ -188,7 +132,6 @@ class WalletManager:
             access_manager=access_manager,
             policy=policy,
             update_rule=update_rule,
-            non_ownership_proofs=non_ownership_proofs,
         )
         self._wallets[wallet_id] = wallet
         self._wallet_order.append(wallet_id)
@@ -240,7 +183,7 @@ class WalletManager:
         self, player: str, wallet_id: str, message: SignableMessage, extst: bytes = b""
     ) -> crypto.Signature:
         wallet = self.wallet(wallet_id)
-        if not self.auth.known(player):
+        if player not in self._players:
             raise UnknownPlayer(player)
         st = self._state_triple(wallet, extst)
         approved, node_id = wallet.policy.approves(
@@ -255,21 +198,13 @@ class WalletManager:
         )
         return wallet.key.sign(signing_digest(message))
 
-    def replay_signatures(self, wallet_id: str) -> List[Tuple[bytes, crypto.Signature]]:
-        """Diagnostic: re-derive every signature the log says was issued."""
-        wallet = self.wallet(wallet_id)
-        return [
-            (signing_digest(e.message), wallet.key.sign(signing_digest(e.message)))
-            for e in wallet.intst
-        ]
-
     # ------------------------------------------------------------------
     # policy transitions
 
     def lw_update(self, player: str, wallet_id: str, new_policy_kind: str) -> None:
         """Registry-swap update, gated by the wallet's update rule."""
         wallet = self.wallet(wallet_id)
-        if not self.auth.known(player):
+        if player not in self._players:
             raise UnknownPlayer(player)
         if new_policy_kind not in REGISTRY_POLICIES:
             raise UnknownPolicy(new_policy_kind)

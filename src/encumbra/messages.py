@@ -17,7 +17,7 @@ fixture vectors under tests/fixtures/.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from . import crypto

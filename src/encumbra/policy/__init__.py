@@ -1,31 +1,1 @@
 """Access-control policies: delegation trees, update checking, registry."""
-
-from .tree import (
-    INFINITE_EXPIRY,
-    Grant,
-    Node,
-    PlayerController,
-    PolicyTree,
-    ProgramController,
-)
-from .update import check_update
-from .registry import (
-    AllowAllPolicy,
-    DenyAllPolicy,
-    TreeWalletPolicy,
-    WalletPolicy,
-)
-
-__all__ = [
-    "INFINITE_EXPIRY",
-    "Grant",
-    "Node",
-    "PlayerController",
-    "PolicyTree",
-    "ProgramController",
-    "check_update",
-    "AllowAllPolicy",
-    "DenyAllPolicy",
-    "TreeWalletPolicy",
-    "WalletPolicy",
-]

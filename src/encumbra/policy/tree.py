@@ -40,12 +40,10 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Container, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import crypto
-from ..assets import AssetId, AssetKind, Demands, UnitDemand, capability, demands_of
+from ..assets import AssetId, AssetKind, UnitDemand, capability, demands_of
 from ..errors import (
     ConflictingGrant,
-    ExpiredPolicy,
     ExpiryExceedsParent,
-    SealedAsset,
     UnknownNode,
     UpdateRefused,
 )
@@ -192,9 +190,6 @@ class PolicyTree:
 
     def children(self, node_id: str) -> List[Node]:
         return [n for n in self.nodes.values() if n.parent == node_id]
-
-    def controller_of(self, node_id: str) -> Controller:
-        return self.node(node_id).controller
 
     def nodes_for_player(self, player: str) -> List[Node]:
         """Nodes the player might sign through, in creation order.

@@ -40,7 +40,6 @@ from ..errors import (
     ConflictingGrant,
     ExpiredPolicy,
     SealedAsset,
-    UnknownNode,
     UpdateRefused,
 )
 from ..state import StateTriple

@@ -9,8 +9,10 @@ the run continues; if the step unexpectedly succeeds the run aborts.
 Values accept underscores and the suffixes ``eth``, ``gwei``, ``wei``.
 Times accept ``+N`` (relative to the current engine clock at execution
 time) and ``inf``.  ``as=<name>`` binds a produced transaction to a
-symbol that later steps reference.  The full grammar lives in
-docs/scenario.md.
+symbol that later steps reference.  Each handler's ``@command``
+decorator declares the command's positional arguments and keys, and
+the parser rejects a step that breaks its declaration.  The full
+grammar lives in docs/scenario.md.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .simchain import SignedTx
 class Request:
     """An unsigned transaction bound to a symbol before signing."""
 
-    tx: "ChainTx"
+    tx: ChainTx
 
     @property
     def digest(self) -> bytes:
@@ -48,6 +50,15 @@ class Step:
     kwargs: Dict[str, str]
 
 
+@dataclass(frozen=True)
+class Syntax:
+    """What a command takes: positional names, required and optional keys."""
+
+    positional: Tuple[str, ...]
+    required: Tuple[str, ...]
+    optional: Tuple[str, ...]
+
+
 @dataclass
 class Scenario:
     name: str
@@ -55,7 +66,7 @@ class Scenario:
     steps: List[Step] = field(default_factory=list)
 
 
-def _split_tokens(line: str, lineno: int) -> List[Tuple[int, str]]:
+def _split_tokens(line: str) -> List[Tuple[int, str]]:
     """Tokens with their 1-based starting column."""
     out = []
     col = 0
@@ -63,7 +74,6 @@ def _split_tokens(line: str, lineno: int) -> List[Tuple[int, str]]:
         if raw:
             out.append((col + 1, raw))
         col += len(raw) + 1
-    _ = lineno
     return out
 
 
@@ -74,7 +84,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        tokens = _split_tokens(line, lineno)
+        tokens = _split_tokens(line)
         col0, head = tokens[0]
         tolerant = False
         if head == "?":
@@ -92,7 +102,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 key, value = token.split("=", 1)
                 scenario.config_overrides[key] = value
             continue
-        if head not in COMMANDS:
+        syntax = SYNTAX.get(head)
+        if syntax is None:
             raise ParseError(lineno, col0, f"unknown command {head!r}")
         seen_command = True
         positional: List[str] = []
@@ -104,13 +115,23 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                     raise ParseError(lineno, col, "empty key")
                 if key in kwargs:
                     raise ParseError(lineno, col, f"duplicate key {key!r}")
+                if key not in syntax.required and key not in syntax.optional:
+                    raise ParseError(lineno, col, f"{head} takes no key {key!r}")
                 kwargs[key] = value
             else:
                 if kwargs:
                     raise ParseError(
                         lineno, col, "positional argument after key=value"
                     )
+                if len(positional) == len(syntax.positional):
+                    raise ParseError(lineno, col, f"extra positional argument {token!r}")
                 positional.append(token)
+        if len(positional) < len(syntax.positional):
+            missing = syntax.positional[len(positional)]
+            raise ParseError(lineno, col0, f"{head} needs <{missing}>")
+        for key in syntax.required:
+            if key not in kwargs:
+                raise ParseError(lineno, col0, f"{head} needs {key}=")
         scenario.steps.append(
             Step(lineno, tolerant, head, tuple(positional), kwargs)
         )
@@ -160,7 +181,6 @@ class ScenarioRunner:
         self.engine = Engine(merged)
         # symbol -> SignedTx or unsigned Request
         self.symbols: Dict[str, object] = {}
-        self.proposals: Dict[str, bytes] = {}
         self.transcript: List[str] = []
 
     # -- helpers --------------------------------------------------------
@@ -247,25 +267,41 @@ class ScenarioRunner:
         return self.transcript
 
 
-def run_file(path: str, config: Optional[Config] = None) -> ScenarioRunner:
-    runner = ScenarioRunner(load_scenario(path), config)
-    runner.run()
-    return runner
-
-
 # ----------------------------------------------------------------------
 # command handlers: (runner, positional, kwargs) -> transcript summary
 
+Handler = Callable[[ScenarioRunner, Tuple[str, ...], Dict[str, str]], str]
+COMMANDS: Dict[str, Handler] = {}
+SYNTAX: Dict[str, Syntax] = {}
+
+# Keys ``_grants_from`` reads; ``expiry=`` stands in for ``until=``.
+GRANT_KEYS = "native dest cap platform start until expiry"
+
+
+def command(name: str, positional: str = "", required: str = "", optional: str = ""):
+    """Register a handler as command ``name``, declaring its positional
+    arguments and its required and optional keys (space-separated)."""
+
+    def register(handler: Handler) -> Handler:
+        COMMANDS[name] = handler
+        SYNTAX[name] = Syntax(
+            tuple(positional.split()), tuple(required.split()), tuple(optional.split())
+        )
+        return handler
+
+    return register
+
+
+@command("player", "name")
 def _cmd_player(r: ScenarioRunner, pos, kw) -> str:
-    (name,) = pos
-    key = r.engine.register_player(name)
-    return f"{name} {key.hex()[:8]}"
+    key = r.engine.manager.register_player(pos[0])
+    return f"{pos[0]} {key.hex()[:8]}"
 
 
+@command("wallet", "id", "am", "policy update capacity fund ledger")
 def _cmd_wallet(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     wallet = r.engine.create_wallet(
-        wallet_id,
+        pos[0],
         access_manager=kw["am"],
         policy_kind=kw.get("policy", "tree"),
         update_rule=kw.get("update", "tree"),
@@ -275,34 +311,33 @@ def _cmd_wallet(r: ScenarioRunner, pos, kw) -> str:
         fund_wei=parse_amount(kw.get("fund", "0")),
         with_ledger=kw.get("ledger", "off") == "on",
     )
-    return f"{wallet_id} addr={wallet.address.hex()[:12]}"
+    return f"{pos[0]} addr={wallet.address.hex()[:12]}"
 
 
+@command("account", "name", optional="fund")
 def _cmd_account(r: ScenarioRunner, pos, kw) -> str:
-    (name,) = pos
-    address = r.engine.external_account(name, parse_amount(kw.get("fund", "0")))
-    return f"{name} addr={address.hex()[:12]}"
+    address = r.engine.external_account(pos[0], parse_amount(kw.get("fund", "0")))
+    return f"{pos[0]} addr={address.hex()[:12]}"
 
 
+@command("fund", "target amount")
 def _cmd_fund(r: ScenarioRunner, pos, kw) -> str:
-    (target, amount) = pos
-    address = r.engine.resolve_address(target)
-    r.engine.chain.fund(address, parse_amount(amount))
-    return f"{target} +{amount}"
+    r.engine.chain.fund(r.engine.resolve_address(pos[0]), parse_amount(pos[1]))
+    return f"{pos[0]} +{pos[1]}"
 
 
+@command("advance", "seconds")
 def _cmd_advance(r: ScenarioRunner, pos, kw) -> str:
-    (seconds,) = pos
-    r.engine.advance(parse_amount(seconds))
+    r.engine.advance(parse_amount(pos[0]))
     return f"t={r.engine.time} height={r.engine.chain.tip().height}"
 
 
+@command("spawn", "wallet", "actor node", f"parent controller program {GRANT_KEYS}")
 def _cmd_spawn(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     grants = r._grants_from(kw)
     r.engine.spawn_node(
         actor=kw["actor"],
-        wallet_id=wallet_id,
+        wallet_id=pos[0],
         parent_id=kw.get("parent", "root"),
         node_id=kw["node"],
         controller_player=kw.get("controller"),
@@ -310,37 +345,37 @@ def _cmd_spawn(r: ScenarioRunner, pos, kw) -> str:
         grants=grants,
         program_name=kw.get("program"),
     )
-    return f"{wallet_id}/{kw['node']} grants={len(grants)}"
+    return f"{pos[0]}/{kw['node']} grants={len(grants)}"
 
 
+@command("grant", "wallet", "actor node", GRANT_KEYS)
 def _cmd_grant(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     grants = r._grants_from(kw)
-    r.engine.add_grants(kw["actor"], wallet_id, kw["node"], grants)
-    return f"{wallet_id}/{kw['node']} +{len(grants)}"
+    r.engine.add_grants(kw["actor"], pos[0], kw["node"], grants)
+    return f"{pos[0]}/{kw['node']} +{len(grants)}"
 
 
+@command("seal", "wallet", "actor node dest")
 def _cmd_seal(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     asset = destination(r.engine.resolve_address(kw["dest"]))
-    r.engine.manager.seal_asset(kw["actor"], wallet_id, kw["node"], asset)
-    return f"{wallet_id} {asset.label()}"
+    r.engine.manager.seal_asset(kw["actor"], pos[0], kw["node"], asset)
+    return f"{pos[0]} {asset.label()}"
 
 
+@command("unseal", "wallet", "actor dest")
 def _cmd_unseal(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     asset = destination(r.engine.resolve_address(kw["dest"]))
-    r.engine.manager.unseal_asset(kw["actor"], wallet_id, asset)
-    return f"{wallet_id} {asset.label()}"
+    r.engine.manager.unseal_asset(kw["actor"], pos[0], asset)
+    return f"{pos[0]} {asset.label()}"
 
 
+@command("update", "wallet", "player policy")
 def _cmd_update(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
-    r.engine.manager.lw_update(kw["player"], wallet_id, kw["policy"])
-    return f"{wallet_id} -> {kw['policy']}"
+    r.engine.manager.lw_update(kw["player"], pos[0], kw["policy"])
+    return f"{pos[0]} -> {kw['policy']}"
 
 
-def _build_request(r: ScenarioRunner, wallet_id: str, kw) -> "ChainTx":
+def _build_request(r: ScenarioRunner, wallet_id: str, kw) -> ChainTx:
     return r.engine.wallet_tx(
         wallet_id,
         to=r.engine.resolve_address(kw["to"]),
@@ -351,185 +386,186 @@ def _build_request(r: ScenarioRunner, wallet_id: str, kw) -> "ChainTx":
     )
 
 
+@command("build", "wallet", "to value as", "nonce gas fee")
 def _cmd_build(r: ScenarioRunner, pos, kw) -> str:
     """Prepare an unsigned request so its digest can be committed."""
-    (wallet_id,) = pos
-    tx = _build_request(r, wallet_id, kw)
-    symbol = kw.get("as")
-    if symbol is None:
-        raise StepFailure("build requires as=<symbol>")
-    if symbol in r.symbols:
-        raise StepFailure(f"tx symbol {symbol!r} already bound")
-    r.symbols[symbol] = Request(tx)
-    return f"{wallet_id} nonce={tx.nonce} {signing_digest(tx).hex()[:12]}"
+    tx = _build_request(r, pos[0], kw)
+    if kw["as"] in r.symbols:
+        raise StepFailure(f"tx symbol {kw['as']!r} already bound")
+    r.symbols[kw["as"]] = Request(tx)
+    return f"{pos[0]} nonce={tx.nonce} {signing_digest(tx).hex()[:12]}"
 
 
+@command("sign", "wallet", "player", "tx to value nonce gas fee as")
 def _cmd_sign(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     if "tx" in kw:
         tx = r._symbol(kw["tx"]).tx
+    elif "to" in kw and "value" in kw:
+        tx = _build_request(r, pos[0], kw)
     else:
-        tx = _build_request(r, wallet_id, kw)
-    signed = r.engine.signed_wallet_tx(kw["player"], wallet_id, tx)
-    return f"{wallet_id} nonce={tx.nonce} {r._bind(kw, signed)}"
+        raise StepFailure("sign needs tx= or both to= and value=")
+    signed = r.engine.signed_wallet_tx(kw["player"], pos[0], tx)
+    return f"{pos[0]} nonce={tx.nonce} {r._bind(kw, signed)}"
 
 
+@command("sign-personal", "wallet", "player payload")
 def _cmd_sign_personal(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     message = PersonalSign(kw["payload"].encode())
-    signature = r.engine.sign_with_wallet(kw["player"], wallet_id, message)
-    return f"{wallet_id} {signature.to_hex()[:12]}"
+    signature = r.engine.manager.lw_sign(kw["player"], pos[0], message)
+    return f"{pos[0]} {signature.to_hex()[:12]}"
 
 
+@command("submit", "symbol")
 def _cmd_submit(r: ScenarioRunner, pos, kw) -> str:
-    (symbol,) = pos
-    signed = r._symbol(symbol)
+    signed = r._symbol(pos[0])
     if isinstance(signed, Request):
-        raise StepFailure(f"{symbol!r} is an unsigned request")
-    digest = r.engine.submit(signed)
-    return f"{symbol} {digest.hex()[:12]}"
+        raise StepFailure(f"{pos[0]!r} is an unsigned request")
+    digest = r.engine.chain.submit(signed)
+    return f"{pos[0]} {digest.hex()[:12]}"
 
 
+@command("xfer", "account", "to value", "as submit")
 def _cmd_xfer(r: ScenarioRunner, pos, kw) -> str:
-    (account,) = pos
     signed = r.engine.account_tx(
-        account,
+        pos[0],
         to=r.engine.resolve_address(kw["to"]),
         value=parse_amount(kw["value"]),
     )
     summary = r._bind(kw, signed)
     if kw.get("submit", "on") == "on":
-        r.engine.submit(signed)
-    return f"{account} {summary}"
+        r.engine.chain.submit(signed)
+    return f"{pos[0]} {summary}"
 
 
+@command("claim", "wallet", "node tx")
 def _cmd_claim(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     signed = r._symbol(kw["tx"])
-    r.engine.ledger_of(wallet_id).claim_deposit(kw["node"], signed.digest)
-    return f"{wallet_id}/{kw['node']} {kw['tx']}"
+    r.engine.ledger_of(pos[0]).claim_deposit(kw["node"], signed.digest)
+    return f"{pos[0]}/{kw['node']} {kw['tx']}"
 
 
+@command("prove-deposit", "wallet", "node tx")
 def _cmd_prove_deposit(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     signed = r._symbol(kw["tx"])
-    proof = r.engine.prove(signed.digest)
-    credited = r.engine.ledger_of(wallet_id).prove_deposit(kw["node"], proof)
-    return f"{wallet_id}/{kw['node']} +{credited}"
+    proof = r.engine.chain.prove_inclusion(signed.digest)
+    credited = r.engine.ledger_of(pos[0]).prove_deposit(kw["node"], proof)
+    return f"{pos[0]}/{kw['node']} +{credited}"
 
 
+@command("commit", "wallet", "node tx")
 def _cmd_commit(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     signed = r._symbol(kw["tx"])
-    r.engine.ledger_of(wallet_id).commit_request(kw["node"], signed.digest)
-    return f"{wallet_id}/{kw['node']} {kw['tx']}"
+    r.engine.ledger_of(pos[0]).commit_request(kw["node"], signed.digest)
+    return f"{pos[0]}/{kw['node']} {kw['tx']}"
 
 
+@command("host-fees", "wallet", "node amount")
 def _cmd_host_fees(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     amount = parse_amount(kw["amount"])
-    r.engine.ledger_of(wallet_id).fund_host_fees(kw["node"], amount)
-    return f"{wallet_id}/{kw['node']} +{amount}"
+    r.engine.ledger_of(pos[0]).fund_host_fees(kw["node"], amount)
+    return f"{pos[0]}/{kw['node']} +{amount}"
 
 
+@command("prove-tx", "wallet", "tx submitter")
 def _cmd_prove_tx(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     signed = r._symbol(kw["tx"])
-    proof = r.engine.prove(signed.digest)
-    node = r.engine.ledger_of(wallet_id).prove_tx_inclusion(kw["submitter"], proof)
-    return f"{wallet_id} -> {node or 'unattributed'}"
+    proof = r.engine.chain.prove_inclusion(signed.digest)
+    node = r.engine.ledger_of(pos[0]).prove_tx_inclusion(kw["submitter"], proof)
+    return f"{pos[0]} -> {node or 'unattributed'}"
 
 
+@command("proposal", "name", "dao close", "snapshot")
 def _cmd_proposal(r: ScenarioRunner, pos, kw) -> str:
-    (name,) = pos
-    pid = proposal_id_of(name)
     snapshot = kw.get("snapshot", "tip")
     height = (
         r.engine.chain.tip().height if snapshot == "tip" else int(snapshot)
     )
     r.engine.dao.add_proposal(
-        pid, dao_domain(kw["dao"]), height, r.parse_time(kw["close"])
+        proposal_id_of(pos[0]), dao_domain(kw["dao"]), height, r.parse_time(kw["close"])
     )
-    r.proposals[name] = pid
-    return f"{name} snapshot={height}"
+    return f"{pos[0]} snapshot={height}"
 
 
+@command("enroll", "wallet", "dao")
 def _cmd_enroll(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
-    enrollment = r.engine.dao.enroll(wallet_id, dao_domain(kw["dao"]))
-    return f"{wallet_id}/{enrollment.node_id}"
+    enrollment = r.engine.dao.enroll(pos[0], dao_domain(kw["dao"]))
+    return f"{pos[0]}/{enrollment.node_id}"
 
 
+@command("vote", "wallet", "player proposal choice")
 def _cmd_vote(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
-    pid = r.proposals[kw["proposal"]]
-    r.engine.dao.cast_vote(kw["player"], wallet_id, pid, int(kw["choice"]))
-    return f"{wallet_id} choice={kw['choice']}"
+    pid = proposal_id_of(kw["proposal"])
+    r.engine.dao.cast_vote(kw["player"], pos[0], pid, int(kw["choice"]))
+    return f"{pos[0]} choice={kw['choice']}"
 
 
+@command("offer", "name", "briber proposal choice price escrow")
 def _cmd_offer(r: ScenarioRunner, pos, kw) -> str:
-    (name,) = pos
     r.engine.dao.post_offer(
-        name,
+        pos[0],
         briber=kw["briber"],
-        proposal_id=r.proposals[kw["proposal"]],
+        proposal_id=proposal_id_of(kw["proposal"]),
         choice=int(kw["choice"]),
         price_per_token=parse_amount(kw["price"]),
         escrow=parse_amount(kw["escrow"]),
     )
-    return name
+    return pos[0]
 
 
+@command("accept", "wallet", "owner offer")
 def _cmd_accept(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
     payment = r.engine.dao.accept_bribe(
-        kw["owner"], wallet_id, kw["offer"], r.engine.time
+        kw["owner"], pos[0], kw["offer"], r.engine.time
     )
-    return f"{wallet_id} reserved={payment}"
+    return f"{pos[0]} reserved={payment}"
 
 
+@command("buy-vote", "offer", "player wallet")
 def _cmd_buy_vote(r: ScenarioRunner, pos, kw) -> str:
-    (offer_id,) = pos
-    r.engine.dao.cast_bought_vote(kw["player"], kw["wallet"], offer_id)
-    return f"{offer_id} via {kw['wallet']}"
+    r.engine.dao.cast_bought_vote(kw["player"], kw["wallet"], pos[0])
+    return f"{pos[0]} via {kw['wallet']}"
 
 
+@command("claim-payment", "wallet", "offer")
 def _cmd_claim_payment(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
-    paid = r.engine.dao.claim_payment(wallet_id, kw["offer"], r.engine.time)
-    return f"{wallet_id} +{paid}"
+    paid = r.engine.dao.claim_payment(pos[0], kw["offer"], r.engine.time)
+    return f"{pos[0]} +{paid}"
 
 
+@command("tally", "proposal")
 def _cmd_tally(r: ScenarioRunner, pos, kw) -> str:
-    (name,) = pos
-    tally = r.engine.dao.tally(r.proposals[name])
+    tally = r.engine.dao.tally(proposal_id_of(pos[0]))
     inner = " ".join(f"{c}:{w}" for c, w in sorted(tally.items()))
-    return f"{name} {{{inner}}}"
+    return f"{pos[0]} {{{inner}}}"
 
 
+@command("sentinel", "mode")
 def _cmd_sentinel(r: ScenarioRunner, pos, kw) -> str:
-    (mode,) = pos
-    if mode not in ("up", "down"):
-        raise StepFailure(f"sentinel mode {mode!r}")
-    r.engine.set_sentinel(mode == "up")
-    return mode
+    if pos[0] not in ("up", "down"):
+        raise StepFailure(f"sentinel mode {pos[0]!r}")
+    r.engine.sentinel_up = pos[0] == "up"
+    return pos[0]
 
 
+@command("challenge", required="challenger deposit")
 def _cmd_challenge(r: ScenarioRunner, pos, kw) -> str:
-    r.engine.open_challenge(kw["challenger"], parse_amount(kw["deposit"]))
+    r.engine.trigger.challenge(kw["challenger"], parse_amount(kw["deposit"]), r.engine.time)
     return f"by {kw['challenger']} t={r.engine.time}"
 
 
+@command("respond", optional="responder")
 def _cmd_respond(r: ScenarioRunner, pos, kw) -> str:
     r.engine.respond_challenge(kw.get("responder", "sentinel-op"))
     return f"t={r.engine.time}"
 
 
+@command("fire")
 def _cmd_fire(r: ScenarioRunner, pos, kw) -> str:
-    r.engine.fire_trigger()
+    r.engine.trigger.fire(r.engine.time)
     return f"t={r.engine.time}"
 
 
+@command("recover", optional="shares")
 def _cmd_recover(r: ScenarioRunner, pos, kw) -> str:
     count = int(kw["shares"]) if "shares" in kw else None
     released = r.engine.recover(count)
@@ -537,8 +573,9 @@ def _cmd_recover(r: ScenarioRunner, pos, kw) -> str:
     return f"wallets={total} managers={len(released)}"
 
 
+@command("assert-balance", "target", optional="eq min max")
 def _cmd_assert_balance(r: ScenarioRunner, pos, kw) -> str:
-    (target,) = pos
+    target = pos[0]
     balance = r.engine.chain.balance(r.engine.resolve_address(target))
     if "eq" in kw and balance != parse_amount(kw["eq"]):
         raise StepFailure(f"{target} balance {balance} != {kw['eq']}")
@@ -549,57 +586,17 @@ def _cmd_assert_balance(r: ScenarioRunner, pos, kw) -> str:
     return f"{target}={balance}"
 
 
+@command("assert-nonce", "wallet", "eq")
 def _cmd_assert_nonce(r: ScenarioRunner, pos, kw) -> str:
-    (wallet_id,) = pos
-    nonce = r.engine.ledger_of(wallet_id).recognized_nonce
+    nonce = r.engine.ledger_of(pos[0]).recognized_nonce
     if nonce != int(kw["eq"]):
-        raise StepFailure(f"{wallet_id} nonce {nonce} != {kw['eq']}")
-    return f"{wallet_id}={nonce}"
+        raise StepFailure(f"{pos[0]} nonce {nonce} != {kw['eq']}")
+    return f"{pos[0]}={nonce}"
 
 
+@command("assert-trigger", "state")
 def _cmd_assert_trigger(r: ScenarioRunner, pos, kw) -> str:
-    (state,) = pos
     actual = r.engine.trigger.state
-    if actual is not TriggerState(state):
-        raise StepFailure(f"trigger {actual.value} != {state}")
-    return state
-
-
-COMMANDS: Dict[str, Callable[[ScenarioRunner, Tuple[str, ...], Dict[str, str]], str]] = {
-    "player": _cmd_player,
-    "wallet": _cmd_wallet,
-    "account": _cmd_account,
-    "fund": _cmd_fund,
-    "advance": _cmd_advance,
-    "spawn": _cmd_spawn,
-    "grant": _cmd_grant,
-    "seal": _cmd_seal,
-    "unseal": _cmd_unseal,
-    "update": _cmd_update,
-    "build": _cmd_build,
-    "sign": _cmd_sign,
-    "sign-personal": _cmd_sign_personal,
-    "submit": _cmd_submit,
-    "xfer": _cmd_xfer,
-    "claim": _cmd_claim,
-    "prove-deposit": _cmd_prove_deposit,
-    "commit": _cmd_commit,
-    "host-fees": _cmd_host_fees,
-    "prove-tx": _cmd_prove_tx,
-    "proposal": _cmd_proposal,
-    "enroll": _cmd_enroll,
-    "vote": _cmd_vote,
-    "offer": _cmd_offer,
-    "accept": _cmd_accept,
-    "buy-vote": _cmd_buy_vote,
-    "claim-payment": _cmd_claim_payment,
-    "tally": _cmd_tally,
-    "sentinel": _cmd_sentinel,
-    "challenge": _cmd_challenge,
-    "respond": _cmd_respond,
-    "fire": _cmd_fire,
-    "recover": _cmd_recover,
-    "assert-balance": _cmd_assert_balance,
-    "assert-nonce": _cmd_assert_nonce,
-    "assert-trigger": _cmd_assert_trigger,
-}
+    if actual is not TriggerState(pos[0]):
+        raise StepFailure(f"trigger {actual.value} != {pos[0]}")
+    return pos[0]

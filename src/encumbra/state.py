@@ -8,7 +8,7 @@ the caller attached (``extst``, untrusted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .messages import SignableMessage, encode_message

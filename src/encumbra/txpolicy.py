@@ -26,7 +26,7 @@ this gas model, not measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import crypto
@@ -34,7 +34,6 @@ from .assets import AssetKind
 from .errors import (
     AlreadyClaimed,
     BadProof,
-    NotEnabled,
     StaleNonce,
     UnknownDeposit,
 )
@@ -335,15 +334,13 @@ class TxLedger(LedgerHook):
 
 
 def prove_non_ownership(
-    ledger: TxLedger, wallet_key_sign, target_digest: bytes, enabled: bool
+    ledger: TxLedger, wallet_key_sign, target_digest: bytes
 ) -> NonOwnershipStatement:
     """Attest that a deposit visible on chain was never claimed here.
 
     ``wallet_key_sign`` is the wallet manager's attestation signer so
     ledger code never touches the private key.
     """
-    if not enabled:
-        raise NotEnabled("non-ownership proofs disabled at wallet creation")
     signed = ledger.chain.tx(target_digest)  # UnknownTx if absent
     if signed.tx.to != ledger.wallet_address:
         raise UnknownDeposit("transaction does not pay this wallet")

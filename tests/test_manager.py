@@ -5,7 +5,6 @@ import pytest
 from encumbra import crypto
 from encumbra.assets import NATIVE, destination
 from encumbra.errors import (
-    AuthFailure,
     PolicyRefusal,
     ReplicationTimeout,
     UnknownPlayer,
@@ -13,7 +12,7 @@ from encumbra.errors import (
     UnknownWallet,
     UpdateRefused,
 )
-from encumbra.manager import Command, CommandAuthenticator, WalletManager
+from encumbra.manager import WalletManager
 from encumbra.messages import ChainTx, PersonalSign, signing_digest
 from encumbra.policy.tree import Grant, PlayerController, PolicyTree, ROOT_ID
 from encumbra.state import OracleState
@@ -345,57 +344,3 @@ def test_log_prefix_digest_chains():
     manager.lw_sign("alice", "w", PersonalSign(b"two"))
     assert manager.log_prefix_digest("w", 1) == first
     assert manager.log_prefix_digest("w") != first
-
-
-def test_replay_signatures_match_the_log():
-    manager = _manager()
-    manager.lw_gen(access_manager="am", wallet_id="w", policy_kind="allow")
-    manager.lw_sign("alice", "w", PersonalSign(b"one"))
-    manager.lw_sign("bob", "w", PersonalSign(b"two"))
-    pairs = manager.replay_signatures("w")
-    assert len(pairs) == 2
-    for digest_bytes, signature in pairs:
-        assert crypto.verify(signature, digest_bytes)
-
-
-def test_command_authenticator():
-    manager = _manager()
-    auth = CommandAuthenticator()
-    alice_key = manager.player_auth_key("alice")
-    auth.register("alice", alice_key.public_key)
-    assert auth.known("alice")
-    assert not auth.known("bob")
-
-    def command(counter, call="lw-sign", args=b"args", signer=alice_key):
-        unsigned = Command(
-            call=call, player="alice", wallet="w", args_digest=crypto.digest(args),
-            counter=counter, signature=None,
-        )
-        return Command(
-            call=call, player="alice", wallet="w", args_digest=crypto.digest(args),
-            counter=counter, signature=signer.sign(unsigned.payload()),
-        )
-
-    auth.verify(command(0))
-    with pytest.raises(AuthFailure):
-        auth.verify(command(0))  # replay of a consumed counter
-    auth.verify(command(1))
-    with pytest.raises(AuthFailure):
-        auth.verify(command(5))  # counters advance one at a time
-    with pytest.raises(AuthFailure):
-        auth.verify(command(2, signer=manager.player_auth_key("bob")))
-    with pytest.raises(AuthFailure):
-        bad = command(2)
-        tampered = Command(
-            call=bad.call, player=bad.player, wallet=bad.wallet,
-            args_digest=crypto.digest(b"other args"), counter=2,
-            signature=bad.signature,
-        )
-        auth.verify(tampered)
-    unknown = Command(
-        call="lw-sign", player="mallory", wallet="w",
-        args_digest=crypto.digest(b""), counter=0,
-        signature=alice_key.sign(b"whatever"),
-    )
-    with pytest.raises(AuthFailure):
-        auth.verify(unknown)

@@ -19,11 +19,11 @@ import pytest
 
 from encumbra import cli
 from encumbra.engine import dao_domain
-from encumbra.errors import EngineError, StepFailure, UnknownPolicy
+from encumbra.errors import EngineError, ParseError, StepFailure, UnknownPolicy
 from encumbra.policy.registry import REGISTRY_POLICIES, UPDATE_RULES
 from encumbra.policy.tree import INFINITE_EXPIRY
 from encumbra.policy.update import check_update
-from encumbra.scenario import COMMANDS, ScenarioRunner, parse_scenario
+from encumbra.scenario import COMMANDS, SYNTAX, ScenarioRunner, parse_scenario
 
 HERE = pathlib.Path(__file__).parent
 TRANSCRIPTS = HERE / "fixtures" / "transcripts"
@@ -245,6 +245,70 @@ def test_undocumented_names_are_refused(bad):
     assert isinstance(raised.value.__cause__, UnknownPolicy)
 
 
+def _documented_syntax():
+    """Command -> (positional count, required keys, optional keys), as
+    the command lines of the doc's Commands section state them."""
+    text = SCENARIO_DOCS.read_text(encoding="utf-8").split("## Commands", 1)[1]
+    text = text.split("\n## ", 1)[0]
+    grant_kwargs = re.search(r"`<grant kwargs>` stands for\s+`([^`]+)`", text).group(1)
+    lines = []
+    for block in re.findall(r"```\n(.*?)```", text, flags=re.S):
+        for line in block.splitlines():
+            if line.startswith(" "):
+                lines[-1] += line
+            else:
+                lines.append(line)
+    out = {}
+    for line in lines:
+        line = line.replace("<grant kwargs>", grant_kwargs)
+        name, *args = line.split()
+        count = 0
+        while count < len(args) and "=" not in args[count] and args[count][0] not in "[(":
+            count += 1
+        keys = {True: set(), False: set()}
+        for match in re.finditer(r"([a-z][\w-]*)=", line):
+            head = line[: match.start()]
+            depth = sum(head.count(c) for c in "[(") - sum(head.count(c) for c in "])")
+            keys[depth == 0].add(match.group(1))
+        out[name] = (count, keys[True], keys[False])
+    return out
+
+
+def test_documented_commands_match_their_declarations():
+    declared = {
+        name: (len(syntax.positional), set(syntax.required), set(syntax.optional))
+        for name, syntax in SYNTAX.items()
+    }
+    assert _documented_syntax() == declared
+
+
+@pytest.mark.parametrize(
+    "script, line, col, reason",
+    [
+        ("player am\nplayer am bob\n", 2, 11, "extra positional argument 'bob'"),
+        ("player am\n? fund am\n", 2, 3, "fund needs <amount>"),
+        ("spawn w actor=am\n", 1, 1, "spawn needs node="),
+        ("wallet w am=am colour=red\n", 1, 16, "wallet takes no key 'colour'"),
+    ],
+)
+def test_a_step_that_breaks_its_declaration_is_a_parse_error(script, line, col, reason):
+    with pytest.raises(ParseError) as raised:
+        parse_scenario(script)
+    assert (raised.value.line, raised.value.col, raised.value.reason) == (line, col, reason)
+
+
+@pytest.mark.parametrize("controls", ["", "controller=alice program=p"])
+def test_spawn_needs_exactly_one_controller(controls):
+    runner = _run(
+        "player am\nplayer alice\naccount shop\nwallet w am=am capacity=10eth\n"
+        f"? spawn w actor=am node=n native=1eth dest=shop {controls}\n"
+        "spawn w actor=am node=m native=1eth dest=shop controller=alice\n"
+        "sign w player=alice to=shop value=1wei\n"
+    )
+    assert runner.transcript[4] == "refused L5 spawn StepFailure"
+    assert list(runner.engine.manager.tree_of("w").nodes) == ["root", "m"]
+
+
 EXIT_CASES = {
     "failing-step": (
         "player am\naccount shop\nwallet w am=am policy=deny fund=1eth\n"
@@ -253,8 +317,11 @@ EXIT_CASES = {
     ),
     "tolerant-step-succeeds": ("player am\n? player bob\n", 1),
     "unknown-command": ("player am\nfrobnicate x\n", 2),
-    "positional-after-key": ("player am\nwallet w am=am a=1 oops\n", 2),
+    "positional-after-key": ("player am\nwallet w am=am fund=1 oops\n", 2),
     "unknown-config-key": ("config nosuch.key=1\nplayer am\n", 2),
+    "missing-key": ("spawn w actor=am\n", 2),
+    "extra-positional": ("player am bob\n", 2),
+    "unknown-key": ("wallet w am=am colour=red\n", 2),
 }
 
 

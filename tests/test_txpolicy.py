@@ -7,7 +7,6 @@ from encumbra.assets import destination
 from encumbra.errors import (
     AlreadyClaimed,
     BadProof,
-    NotEnabled,
     NotYetConfirmed,
     StaleNonce,
     UnknownDeposit,
@@ -451,20 +450,14 @@ def _dusted_ledger():
 
 def test_non_ownership_happy_path():
     chain, wallet, ledger, dust = _dusted_ledger()
-    stmt = prove_non_ownership(ledger, wallet.sign, dust.digest, enabled=True)
+    stmt = prove_non_ownership(ledger, wallet.sign, dust.digest)
     assert verify_non_ownership(stmt, wallet.public_key, ledger.ledger_digest())
-
-
-def test_non_ownership_requires_the_feature_flag():
-    chain, wallet, ledger, dust = _dusted_ledger()
-    with pytest.raises(NotEnabled):
-        prove_non_ownership(ledger, wallet.sign, dust.digest, enabled=False)
 
 
 def test_non_ownership_refuses_bad_targets():
     chain, wallet, ledger, dust = _dusted_ledger()
     with pytest.raises(UnknownTx):
-        prove_non_ownership(ledger, wallet.sign, crypto.digest(b"ghost"), enabled=True)
+        prove_non_ownership(ledger, wallet.sign, crypto.digest(b"ghost"))
 
     whale = crypto.derive_signing_key(SEED, "whale")
     stranger = crypto.derive_signing_key(SEED, "stranger")
@@ -472,19 +465,19 @@ def test_non_ownership_refuses_bad_targets():
     chain.submit(sideways)
     chain.advance(24)
     with pytest.raises(UnknownDeposit):
-        prove_non_ownership(ledger, wallet.sign, sideways.digest, enabled=True)
+        prove_non_ownership(ledger, wallet.sign, sideways.digest)
 
     claimed = _deposit(chain, whale, ledger.wallet_address, 2, ETH)
     ledger.claim_deposit("n1", claimed.digest)
     chain.submit(claimed)
     chain.advance(24)
     with pytest.raises(AlreadyClaimed):
-        prove_non_ownership(ledger, wallet.sign, claimed.digest, enabled=True)
+        prove_non_ownership(ledger, wallet.sign, claimed.digest)
 
 
 def test_non_ownership_verification_binds_everything():
     chain, wallet, ledger, dust = _dusted_ledger()
-    stmt = prove_non_ownership(ledger, wallet.sign, dust.digest, enabled=True)
+    stmt = prove_non_ownership(ledger, wallet.sign, dust.digest)
 
     other = crypto.derive_signing_key(SEED, "other")
     assert not verify_non_ownership(stmt, other.public_key, ledger.ledger_digest())
