@@ -97,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         try:
             runner = ScenarioRunner(scenario, config)
-        except KeyError as error:
+        except (KeyError, ValueError) as error:
             print(f"config error: {error}", file=sys.stderr)
             return 2
         try:

@@ -2,15 +2,14 @@
 
 A config is a flat mapping from dotted keys to scalars.  YAML files may
 use nesting or dotted keys; both flatten to the same mapping.  Unknown
-keys are rejected so a typo in a scenario header fails loudly instead
-of silently running with defaults.
+keys and values that do not parse as the key's type are rejected, so a
+typo in a scenario header fails loudly instead of silently running with
+defaults.  PyYAML is imported only when a YAML file is read.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
-
-import yaml
 
 DEFAULTS: Dict[str, Any] = {
     "engine.seed": 0,
@@ -44,6 +43,10 @@ DEFAULTS: Dict[str, Any] = {
 }
 
 _MODES = ("latest", "justified", "finalized")
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
 
 
 def _flatten(prefix: str, node: Any, out: Dict[str, Any]) -> None:
@@ -55,6 +58,25 @@ def _flatten(prefix: str, node: Any, out: Dict[str, Any]) -> None:
         out[prefix] = node
 
 
+def _coerce(key: str, current: Any, value: Any) -> Any:
+    """``value`` as the type of the key's ``current`` value."""
+    try:
+        if isinstance(current, bool):
+            if isinstance(value, str):
+                return _BOOLEANS[value.lower()]
+            if value in (0, 1):
+                return bool(value)
+        elif isinstance(current, int) and not isinstance(value, bool):
+            return int(value)
+        elif isinstance(current, float):
+            return float(value)
+        else:
+            return value
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ValueError(f"bad value for config key {key}: {value!r}")
+
+
 class Config:
     """Immutable-by-convention dotted-key configuration."""
 
@@ -64,21 +86,19 @@ class Config:
             self.apply(overrides)
 
     def apply(self, overrides: Dict[str, Any]) -> None:
+        """Overlay ``overrides``, each value coerced to its key's type.
+
+        Raises ``KeyError`` for an unknown key and ``ValueError`` for a
+        value that is not of that type; either way nothing is applied.
+        """
         flat: Dict[str, Any] = {}
         _flatten("", overrides, flat)
+        coerced: Dict[str, Any] = {}
         for key, value in flat.items():
             if key not in self._values:
                 raise KeyError(f"unknown config key: {key}")
-            current = self._values[key]
-            if isinstance(current, bool):
-                if isinstance(value, str):
-                    value = value.lower() in ("1", "true", "yes", "on")
-                value = bool(value)
-            elif isinstance(current, int) and not isinstance(value, bool):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
-            self._values[key] = value
+            coerced[key] = _coerce(key, self._values[key], value)
+        self._values.update(coerced)
 
     def __getitem__(self, key: str) -> Any:
         return self._values[key]
@@ -90,6 +110,8 @@ class Config:
 
     @classmethod
     def from_yaml(cls, path: str) -> "Config":
+        import yaml
+
         with open(path, "r", encoding="utf-8") as handle:
             loaded = yaml.safe_load(handle) or {}
         if not isinstance(loaded, dict):

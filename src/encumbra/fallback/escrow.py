@@ -11,7 +11,7 @@ AEAD tag check rather than yielding garbage plaintext.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -84,22 +84,25 @@ def decrypt_state(private_scalar: bytes, blob: EncryptedBlob) -> bytes:
 
 
 class StorageRepo:
-    """One replica host.  Keeps every version it has acknowledged;
-    an unreachable repo acknowledges nothing."""
+    """One replica host.  Keeps only the newest version it has
+    acknowledged, the one a release reads: an older version that
+    arrives out of order is acknowledged and dropped.  An unreachable
+    repo acknowledges nothing."""
 
     def __init__(self, name: str, reachable: bool = True):
         self.name = name
         self.reachable = reachable
-        self.blobs: List[EncryptedBlob] = []
+        self._latest: Optional[EncryptedBlob] = None
 
     def store(self, blob: EncryptedBlob) -> bool:
         if not self.reachable:
             return False
-        self.blobs.append(blob)
+        if self._latest is None or blob.version > self._latest.version:
+            self._latest = blob
         return True
 
-    def latest(self) -> EncryptedBlob | None:
-        return max(self.blobs, key=lambda b: b.version) if self.blobs else None
+    def latest(self) -> Optional[EncryptedBlob]:
+        return self._latest
 
 
 def replicate_blocking(repos: List[StorageRepo], blob: EncryptedBlob) -> int:

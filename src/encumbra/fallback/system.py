@@ -12,6 +12,10 @@ the reliable chain's finalized state), a threshold of committee shares
 reconstructs the escrow key (checked against the known public key
 before use), and at least one repository serves an intact replica.
 The latest decryptable version wins; release happens at most once.
+
+An escrow write serialises every wallet, but tree nodes are values that
+keep their canonical JSON once built, so a write re-serialises only the
+nodes created since the previous write.
 """
 
 from __future__ import annotations
@@ -83,20 +87,25 @@ class FallbackSystem:
     # replication
 
     def _payload(self) -> bytes:
-        wallets = []
-        for wallet in self.manager.wallets():
-            wallets.append(
-                {
-                    "id": wallet.wallet_id,
-                    "access_manager": wallet.access_manager,
-                    "seed": wallet.key.seed_bytes().hex(),
-                    "public_key": wallet.public_key.hex(),
-                    "policy_version": wallet.policy_version,
-                    "policy": wallet.policy.snapshot(),
-                }
-            )
-        blob = {"version": self.version, "wallets": wallets}
-        return json.dumps(blob, sort_keys=True, separators=(",", ":")).encode()
+        """The escrow plaintext: canonical JSON of every wallet.
+
+        The bytes are ``json.dumps(..., sort_keys=True, separators=(",",
+        ":"))`` of {version, wallets}, joined from strings in that key
+        order.  Each tree node keeps its JSON fragment once built, so a
+        write re-serialises only the nodes created since the last write,
+        plus every wallet's scalars and every tree's manual seals.
+        """
+        dump = json.dumps
+        wallets = ",".join(
+            f'{{"access_manager":{dump(wallet.access_manager)},'
+            f'"id":{dump(wallet.wallet_id)},'
+            f'"policy":{wallet.policy.snapshot_json()},'
+            f'"policy_version":{dump(wallet.policy_version)},'
+            f'"public_key":{dump(wallet.public_key.hex())},'
+            f'"seed":{dump(wallet.key.seed_bytes().hex())}}}'
+            for wallet in self.manager.wallets()
+        )
+        return f'{{"version":{dump(self.version)},"wallets":[{wallets}]}}'.encode()
 
     def _encrypt_current(self) -> EncryptedBlob:
         self.version += 1

@@ -10,6 +10,7 @@ of foreign code.
 
 from __future__ import annotations
 
+import json
 from functools import cache
 from typing import Iterable, Iterator, Optional, Tuple
 
@@ -32,8 +33,9 @@ class WalletPolicy:
         """The approval of each message in turn, under one state, lazily."""
         return (self.approves(player, m, st, t)[0] for m in messages)
 
-    def snapshot(self) -> dict:
-        raise NotImplementedError
+    def snapshot_json(self) -> str:
+        """Canonical JSON (sorted keys, compact) of the policy's summary."""
+        return f'{{"kind":{json.dumps(self.kind)}}}'
 
 
 class AllowAllPolicy(WalletPolicy):
@@ -44,9 +46,6 @@ class AllowAllPolicy(WalletPolicy):
     def approves(self, player, message, st, t):
         return True, None
 
-    def snapshot(self):
-        return {"kind": self.kind}
-
 
 class DenyAllPolicy(WalletPolicy):
     """Approves nothing; the initial posture of every new wallet."""
@@ -55,9 +54,6 @@ class DenyAllPolicy(WalletPolicy):
 
     def approves(self, player, message, st, t):
         return False, None
-
-    def snapshot(self):
-        return {"kind": self.kind}
 
 
 class TreeWalletPolicy(WalletPolicy):
@@ -92,8 +88,8 @@ class TreeWalletPolicy(WalletPolicy):
         seals = cache(lambda: self.tree.sealed_assets(st))
         return (self.approves(player, m, st, t, seals)[0] for m in messages)
 
-    def snapshot(self):
-        return {"kind": self.kind, "tree": self.tree.snapshot()}
+    def snapshot_json(self):
+        return f'{{"kind":{json.dumps(self.kind)},"tree":{self.tree.snapshot_json()}}}'
 
 
 # The one table of policy and update-rule names.  A wallet is created

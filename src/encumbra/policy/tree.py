@@ -21,6 +21,11 @@ twin: a spawn builds one node, a re-grant replaces one.  Since no node
 changes in place, the update check treats a node that is the same
 object in both trees as untouched, without comparing its fields.
 
+A node's canonical JSON is built the first time an escrow write
+serialises it and kept on the node, so a write re-serialises only the
+nodes created since the last one; the tree's own summary (its capacity
+and manual seals) is serialised on every write.
+
 Spending is likewise derived: a node's spent amount is computed from
 the wallet's signing log (every logged signature is presumed
 realizable), and a unit asset is sealed while the log holds a
@@ -36,7 +41,7 @@ log, until the seals are indexed by nonce beside the log.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Collection, Container, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import crypto
@@ -120,7 +125,9 @@ class Node:
     ``grants`` may be given as any sequence and is stored as a tuple.
     An update builds a new node (``dataclasses.replace``) and installs
     it in a cloned tree's node table, so trees share every node that an
-    update leaves alone.
+    update leaves alone.  Being a value, a node also keeps its canonical
+    JSON once built (``json_fragment``); a replaced node starts without
+    it, and equality and hashing ignore it.
     """
 
     node_id: str
@@ -129,12 +136,59 @@ class Node:
     expiry: int
     created_at: int
     grants: Tuple[Grant, ...] = ()
+    _json: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grants", tuple(self.grants))
+        # A defaulted init=False field lives on the class until assigned;
+        # assigning it here, not on first use, keeps every node's
+        # attributes the same from construction on.
+        object.__setattr__(self, "_json", None)
 
     def active_at(self, t: int) -> bool:
         return t <= self.expiry
+
+    def json_fragment(self) -> str:
+        """This node's canonical JSON, built on first use and kept."""
+        fragment = self._json
+        if fragment is None:
+            fragment = _node_json(self)
+            object.__setattr__(self, "_json", fragment)
+        return fragment
+
+
+def _node_json(node: Node) -> str:
+    """``json.dumps`` (sorted keys, compact) of the node's summary.
+
+    Controllers are recorded by player or program name; grants by asset
+    label, sorted by label and window.
+    """
+    if isinstance(node.controller, PlayerController):
+        controller = {"type": "player", "id": node.controller.player}
+    else:
+        controller = {"type": "program", "id": node.controller.name}
+    grants = sorted(
+        (
+            {
+                "asset": g.asset.label(),
+                "cap": g.cap,
+                "start": g.start,
+                "expiry": g.expiry,
+                "platform": g.platform.hex() if g.platform else None,
+            }
+            for g in node.grants
+        ),
+        key=lambda d: (d["asset"], d["start"], d["expiry"]),
+    )
+    summary = {
+        "id": node.node_id,
+        "parent": node.parent,
+        "controller": controller,
+        "expiry": node.expiry,
+        "created_at": node.created_at,
+        "grants": grants,
+    }
+    return json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
 class ControllerProgram:
@@ -561,46 +615,23 @@ class PolicyTree:
     # ------------------------------------------------------------------
     # snapshots
 
-    def snapshot(self) -> dict:
-        """Deterministic structural summary, stable across runs."""
-        nodes = []
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            if isinstance(node.controller, PlayerController):
-                controller = {"type": "player", "id": node.controller.player}
-            else:
-                controller = {"type": "program", "id": node.controller.name}
-            grants = sorted(
-                (
-                    {
-                        "asset": g.asset.label(),
-                        "cap": g.cap,
-                        "start": g.start,
-                        "expiry": g.expiry,
-                        "platform": g.platform.hex() if g.platform else None,
-                    }
-                    for g in node.grants
-                ),
-                key=lambda d: (d["asset"], d["start"], d["expiry"]),
-            )
-            nodes.append(
-                {
-                    "id": node.node_id,
-                    "parent": node.parent,
-                    "controller": controller,
-                    "expiry": node.expiry,
-                    "created_at": node.created_at,
-                    "grants": grants,
-                }
-            )
-        return {
-            "native_capacity": self.native_capacity,
-            "nodes": nodes,
-            "seals": sorted(
-                (enc.hex(), owner) for enc, owner in self.manual_seals.items()
-            ),
-        }
+    def snapshot_json(self) -> str:
+        """Deterministic structural summary as canonical JSON.
+
+        The text ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+        gives for {native capacity, nodes in id order, manual seals}, put
+        together from each node's kept fragment: only nodes never
+        serialised before are built.  The capacity and the manual seals
+        belong to the tree, and ``seal`` changes them in place, so they
+        are serialised on every call.
+        """
+        nodes = ",".join(self.nodes[node_id].json_fragment() for node_id in sorted(self.nodes))
+        seals = json.dumps(
+            sorted((enc.hex(), owner) for enc, owner in self.manual_seals.items()),
+            separators=(",", ":"),
+        )
+        capacity = json.dumps(self.native_capacity)
+        return f'{{"native_capacity":{capacity},"nodes":[{nodes}],"seals":{seals}}}'
 
     def snapshot_digest(self) -> bytes:
-        blob = json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
-        return crypto.digest(blob.encode())
+        return crypto.digest(self.snapshot_json().encode())

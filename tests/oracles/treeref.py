@@ -518,3 +518,47 @@ def check_update_ref(actor: str, old, new, st, t: int) -> None:
     for source_id, amount in native_drawn.items():
         if amount > native_available_ref(old, source_id, t, st):
             raise errors.ConflictingGrant(f"carve exceeds {source_id} available balance")
+
+
+def snapshot_ref(tree) -> dict:
+    """The tree's structural summary as a dict, built whole on each call.
+
+    This is the serialisation the per-node fragments replaced: its
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` is the
+    text ``PolicyTree.snapshot_json`` must produce.
+    """
+    nodes = []
+    for node_id in sorted(tree.nodes):
+        node = tree.nodes[node_id]
+        if hasattr(node.controller, "player"):
+            controller = {"type": "player", "id": node.controller.player}
+        else:
+            controller = {"type": "program", "id": node.controller.name}
+        grants = sorted(
+            (
+                {
+                    "asset": g.asset.label(),
+                    "cap": g.cap,
+                    "start": g.start,
+                    "expiry": g.expiry,
+                    "platform": g.platform.hex() if g.platform else None,
+                }
+                for g in node.grants
+            ),
+            key=lambda d: (d["asset"], d["start"], d["expiry"]),
+        )
+        nodes.append(
+            {
+                "id": node.node_id,
+                "parent": node.parent,
+                "controller": controller,
+                "expiry": node.expiry,
+                "created_at": node.created_at,
+                "grants": grants,
+            }
+        )
+    return {
+        "native_capacity": tree.native_capacity,
+        "nodes": nodes,
+        "seals": sorted((enc.hex(), owner) for enc, owner in tree.manual_seals.items()),
+    }

@@ -1,5 +1,9 @@
 """Configuration defaults, overlays, and coercion rules."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from encumbra.config import Config, ORACLE_MODES
@@ -52,6 +56,25 @@ def test_scalar_coercion():
         assert config["txpolicy.commit_required"] is want, text
 
 
+def test_malformed_values_are_rejected_whole():
+    config = Config()
+    for key, value in [
+        ("txpolicy.commit_required", "ture"),
+        ("txpolicy.commit_required", ""),
+        ("txpolicy.commit_required", 2),
+        ("txpolicy.commit_required", None),
+        ("engine.seed", "x"),
+        ("engine.seed", None),
+        ("oracle.latest.mean_s", "fast"),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            config.apply({"oracle.mode": "latest", key: value})
+        assert config["oracle.mode"] == "finalized"  # nothing applied
+    assert config["txpolicy.commit_required"] is True
+    config.apply({"txpolicy.commit_required": 0})
+    assert config["txpolicy.commit_required"] is False
+
+
 def test_delay_model():
     config = Config()
     assert config.delay_model("latest") == (49.0, 7.4)
@@ -71,3 +94,9 @@ def test_from_yaml(tmp_path):
     bad.write_text("- just\n- a list\n")
     with pytest.raises(ValueError):
         Config.from_yaml(str(bad))
+
+
+def test_yaml_is_imported_only_to_read_a_file():
+    probe = "import sys, encumbra.cli; sys.exit('yaml' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

@@ -1,0 +1,228 @@
+"""Escrow plaintext bytes: pinned, checked against a reference, reused.
+
+``tests/fixtures/escrow/<name>.txt`` lists, one per line and in write
+order, the sha256 of every escrow plaintext that the scenario ``<name>``
+hands to ``encrypt_state`` under the default config: each bundled
+scenario, and ``grown`` below, whose trees carry nested and
+platform-keyed grants, a program node, manual seals, a wallet without a
+native capacity and a non-ASCII node id.  The digests were recorded
+from the dict-and-``json.dumps`` serialisation that the fragment join
+replaced; equal digests mean the replicas a recovery opens are byte for
+byte what they were.
+
+Over seeded trees the joined text must equal ``json.dumps`` of the
+dict reference in ``tests/oracles/treeref.py``, and a write must build
+a fragment only for a node that never had one.
+"""
+
+import dataclasses
+import hashlib
+import json
+import pathlib
+import random
+
+import pytest
+
+from encumbra import cli, crypto
+from encumbra.assets import capability, destination
+from encumbra.fallback import system
+from encumbra.fallback.system import FallbackSystem
+from encumbra.manager import WalletManager
+from encumbra.policy import tree as tree_module
+from encumbra.policy.registry import TreeWalletPolicy
+from encumbra.policy.tree import ROOT_ID, Node, PlayerController, ProgramController
+from encumbra.scenario import ScenarioRunner, parse_scenario
+from tests.oracles import gen, treeref
+
+ESCROW = pathlib.Path(__file__).parent / "fixtures" / "escrow"
+
+GROWN = """\
+player alice
+player bob
+player carol
+account shop
+account café
+wallet vault am=alice policy=tree update=tree capacity=10eth fund=20eth
+wallet gov am=carol policy=tree update=tree fund=5eth
+spawn vault actor=alice node=a controller=bob native=4eth dest=shop cap=dao:a
+spawn vault actor=bob parent=a node=a.1 controller=carol native=1eth cap=proposal:a.1 platform=dao:a
+spawn vault actor=bob parent=a node=a.2 controller=alice native=1eth cap=proposal:a.2 platform=dao:a
+spawn vault actor=alice node=bé controller=carol native=2eth dest=café
+advance 3600
+seal vault actor=alice node=a dest=shop
+spawn vault actor=carol parent=a.1 node=a.1.x controller=bob native=0.5eth
+proposal p dao=main snapshot=tip close=+3600
+enroll gov dao=main
+advance 3600
+unseal vault actor=alice dest=shop
+seal vault actor=alice node=bé dest=café
+advance 3600
+"""
+SCENARIOS = [*cli.bundled_scenarios(), "grown"]
+
+
+def escrow_digests(name, monkeypatch):
+    """sha256 hex of each escrow plaintext one run of ``name`` writes."""
+    seen = []
+    encrypt = system.encrypt_state
+
+    def recording(public, plaintext, version, seed):
+        seen.append(hashlib.sha256(plaintext).hexdigest())
+        return encrypt(public, plaintext, version, seed)
+
+    monkeypatch.setattr(system, "encrypt_state", recording)
+    if name == "grown":
+        ScenarioRunner(parse_scenario(GROWN, name=name)).run()
+    else:
+        assert cli.main(["--scenario", name]) == 0
+    return seen
+
+
+def test_every_scenario_has_escrow_digests():
+    stored = sorted(path.stem for path in ESCROW.glob("*.txt"))
+    assert stored == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_escrow_plaintexts_match_the_pinned_digests(name, monkeypatch, capsys):
+    digests = escrow_digests(name, monkeypatch)
+    capsys.readouterr()
+    assert digests == (ESCROW / f"{name}.txt").read_text(encoding="ascii").split()
+
+
+# ----------------------------------------------------------------------
+# the fragment join against the dict reference
+
+ODD_IDS = ['q"uote', "né", "back\\slash", "tab\there", "lock\U0001f512"]
+
+
+def canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def decorated_tree(rng: random.Random):
+    """A ``gen.build_tree`` tree plus what the generator leaves out:
+    program controllers, manual seals and ids JSON has to escape."""
+    tree = gen.build_tree(rng).tree
+    for node_id in sorted(tree.nodes):
+        if node_id != ROOT_ID and rng.random() < 0.3:
+            gen.edit_node(tree, node_id, controller=ProgramController(rng.choice(["dao-vote", "vé"])))
+    for odd in rng.sample(ODD_IDS, 3):
+        parent = tree.nodes[rng.choice(sorted(tree.nodes))]
+        tree.nodes[odd] = Node(odd, parent.node_id, PlayerController(odd), parent.expiry, 0)
+    owners = [*sorted(tree.nodes), ""]
+    for _ in range(rng.randint(0, 3)):
+        tree.seal(rng.choice(owners), destination(rng.randbytes(20)))
+    if rng.random() < 0.5:
+        tree.seal(rng.choice(owners), capability(rng.randbytes(32)))
+    return tree
+
+
+def test_tree_json_equals_the_reference_dict():
+    for seed in range(60):
+        tree = decorated_tree(random.Random(seed))
+        expected = canonical(treeref.snapshot_ref(tree))
+        assert tree.snapshot_json() == expected, seed
+        assert tree.snapshot_json() == expected, seed  # from kept fragments
+
+
+def payload_ref(fallback: FallbackSystem) -> bytes:
+    """The escrow plaintext as the dict serialisation built it."""
+    wallets = []
+    for wallet in fallback.manager.wallets():
+        if isinstance(wallet.policy, TreeWalletPolicy):
+            policy = {"kind": "tree", "tree": treeref.snapshot_ref(wallet.policy.tree)}
+        else:
+            policy = {"kind": wallet.policy.kind}
+        wallets.append(
+            {
+                "id": wallet.wallet_id,
+                "access_manager": wallet.access_manager,
+                "seed": wallet.key.seed_bytes().hex(),
+                "public_key": wallet.public_key.hex(),
+                "policy_version": wallet.policy_version,
+                "policy": policy,
+            }
+        )
+    return canonical({"version": fallback.version, "wallets": wallets}).encode()
+
+
+def test_escrow_payload_equals_the_reference_dict():
+    manager = WalletManager(crypto.digest(b"escrow-bytes"))
+    manager.register_player("am")
+    manager.register_player('ä"m')
+    fallback = FallbackSystem(manager, crypto.digest(b"escrow-bytes-seed"))
+    manager.lw_gen("am", "open", policy_kind="allow")
+    manager.lw_gen("am", "shut")
+    rng = random.Random(7)
+    for i in range(8):
+        wallet = manager.lw_gen('ä"m', f'w"{i}é', policy_kind="tree")
+        wallet.policy.tree = decorated_tree(rng)
+        wallet.policy_version = rng.randint(0, 5)
+        assert fallback._payload() == payload_ref(fallback), i
+
+
+# ----------------------------------------------------------------------
+# fragment reuse
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Ids of the nodes whose fragment gets built, in build order."""
+    built = []
+    node_json = tree_module._node_json
+
+    def counting(node):
+        built.append(node.node_id)
+        return node_json(node)
+
+    monkeypatch.setattr(tree_module, "_node_json", counting)
+    return built
+
+
+def test_a_flush_builds_fragments_only_for_new_nodes(builds):
+    manager = WalletManager(crypto.digest(b"escrow-reuse"))
+    manager.register_player("am")
+    fallback = FallbackSystem(manager, crypto.digest(b"escrow-reuse-seed"))
+    manager.lw_gen("am", "w", policy_kind="tree", update_rule="tree")
+    assert builds == [ROOT_ID]
+
+    def spawn(names):
+        for name in names:
+            manager.spawn_node("am", "w", ROOT_ID, name, PlayerController("renter"), 10**9, [])
+
+    spawn(["a", "b", "c"])
+    builds.clear()
+    assert fallback.flush(now=3600)
+    assert sorted(builds) == ["a", "b", "c"]
+
+    for k in (1, 4):
+        builds.clear()
+        fresh = [f"k{k}.{i}" for i in range(k)]
+        spawn(fresh)
+        assert fallback.flush(now=3600 * (k + 1))
+        assert sorted(builds) == fresh
+
+    builds.clear()
+    manager.seal_asset("am", "w", "a", destination(b"\x51" * 20))
+    assert builds == []  # a seal write rebuilds no node
+    assert fallback.version == 5
+
+
+def test_a_replaced_node_builds_a_fresh_fragment(builds):
+    node = Node("n", ROOT_ID, PlayerController("p"), 10, 0)
+    fragment = node.json_fragment()
+    assert node.json_fragment() is fragment
+    later = dataclasses.replace(node, expiry=20)
+    assert later.json_fragment() != fragment
+    assert builds == ["n", "n"]
+
+
+def test_node_equality_and_hash_ignore_the_fragment():
+    node = Node("n", ROOT_ID, PlayerController("p"), 10, 0)
+    twin = dataclasses.replace(node)
+    attributes = set(vars(node))
+    node.json_fragment()
+    assert node == twin and hash(node) == hash(twin)
+    assert repr(node) == repr(twin)
+    assert set(vars(node)) == attributes  # filled in place, nothing added

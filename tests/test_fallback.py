@@ -139,8 +139,8 @@ def test_storage_repos_and_replication():
 
     up = StorageRepo("up")
     up.store(blob2)
-    up.store(blob1)  # out of order; latest still picks by version
-    assert up.latest().version == 2
+    assert up.store(blob1) is True  # out of order: acknowledged, then dropped
+    assert up.latest() is blob2
 
     with pytest.raises(ReplicationTimeout):
         replicate_blocking([down], blob1)
@@ -391,8 +391,10 @@ def test_execute_gates_close_in_order():
 def test_release_prefers_the_newest_decryptable_replica():
     manager, system = _stack()
     manager.lw_gen("am", "w1", policy_kind="allow")
+    v1 = system.repos[0].latest()
     manager.lw_gen("am", "w2", policy_kind="allow")
-    v1, v2 = system.repos[0].blobs
+    v2 = system.repos[0].latest()
+    assert (v1.version, v2.version) == (1, 2)
 
     flipped = bytes([v2.ciphertext[0] ^ 1]) + v2.ciphertext[1:]
     corrupted = StorageRepo("corrupted")

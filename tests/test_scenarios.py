@@ -339,6 +339,16 @@ def test_cli_exit_codes(case, tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["txpolicy.commit_required=ture", "engine.seed=x"])
+def test_cli_reports_a_malformed_config_value(header, tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_text(f"config {header}\nplayer am\n", encoding="utf-8")
+    assert cli.main(["--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: bad value for config key {header.split('=')[0]}")
+
+
 def test_cli_exits_two_on_a_missing_scenario_file(tmp_path, capsys):
     assert cli.main(["--scenario", str(tmp_path / "absent.scn")]) == 2
     assert "no scenario file" in capsys.readouterr().err
