@@ -1,8 +1,7 @@
 """Hashing, deterministic signatures, and seeded key derivation.
 
 The engine fixes one hash (sha256) and one signature scheme (Ed25519)
-per deployment; both names appear in the run config so transcripts are
-self-describing.  Ed25519 is deterministic by construction, which gives
+per deployment.  Ed25519 is deterministic by construction, which gives
 the engine its "same (sk, m), same signature" guarantee without extra
 state.  Addresses are the last 20 bytes of sha256(public key).
 
@@ -23,8 +22,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-HASH_NAME = "sha256"
-SIGNATURE_SCHEME = "ed25519"
 ADDRESS_BYTES = 20
 
 

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .manager import WalletManager
 from .messages import TypedData, parse_vote_extst, vote_extst, vote_message
-from .policy.tree import ControllerProgram, Grant, Node, PolicyTree, ProgramController
+from .policy.tree import Grant, ProgramController
 from .simchain import SimChain
 from .state import StateTriple
 
@@ -79,7 +79,7 @@ class Enrollment:
     domain_hash: bytes
 
 
-class DaoVoteProgram(ControllerProgram):
+class DaoVoteProgram:
     """Controller for a member's vote node.
 
     Undelegated proposals: the enrolled owner votes freely while the
@@ -91,15 +91,7 @@ class DaoVoteProgram(ControllerProgram):
         self.dao = dao
         self.enrollment = enrollment
 
-    def allows(
-        self,
-        tree: PolicyTree,
-        node: Node,
-        player: str,
-        message,
-        st: StateTriple,
-        t: int,
-    ) -> bool:
+    def allows(self, player: str, message, st: StateTriple, t: int) -> bool:
         if not isinstance(message, TypedData):
             return False
         hint = parse_vote_extst(st.extst)
@@ -184,9 +176,7 @@ class DarkDao:
         )
         # Registered only once the spawn has committed, so a refused
         # enroll leaves no program behind.
-        self.manager.tree_of(wallet_id).programs[program_name] = DaoVoteProgram(
-            self, enrollment
-        )
+        wallet.policy.programs[program_name] = DaoVoteProgram(self, enrollment)
         self.enrollments[wallet_id] = enrollment
         return enrollment
 

@@ -45,12 +45,17 @@ def proposal_id_of(name: str) -> bytes:
     return crypto.digest(b"proposal-v1" + name.encode())
 
 
+def engine_seed(config: Config) -> bytes:
+    """The run seed every key, chain and escrow draw derives from."""
+    seed = int(config["engine.seed"])
+    return crypto.digest(b"engine-seed-v1" + seed.to_bytes(8, "big"))
+
+
 class Engine:
     def __init__(self, config: Optional[Config] = None):
         self.config = config or Config()
         cfg = self.config
-        seed_int = int(cfg["engine.seed"])
-        self.seed = crypto.digest(b"engine-seed-v1" + seed_int.to_bytes(8, "big"))
+        self.seed = engine_seed(cfg)
 
         models = {mode: cfg.delay_model(mode) for mode in ORACLE_MODES}
         self.chain = SimChain(
@@ -191,6 +196,7 @@ class Engine:
             commit_required=self.config["txpolicy.commit_required"],
             reimburse_wei=reimburse,
         )
+        wallet.policy.ledger = ledger
         self.ledgers[wallet_id] = ledger
         return ledger
 

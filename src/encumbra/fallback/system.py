@@ -204,7 +204,6 @@ class FallbackSystem:
                 (wallet["id"], bytes.fromhex(wallet["seed"]))
             )
         self.executed = True
-        self.last_payload = parsed
         return released
 
 

@@ -11,6 +11,11 @@ delegation tree); updates are gated by the wallet's update rule.  Tree
 transitions go through the structural update predicate; registry swaps
 are only admitted under the permissive rule used in tests.
 
+Every tree change (spawn, re-grant, seal, unseal) is one swap: a
+successor built from a clone is installed on the wallet's tree policy,
+which keeps its programs and ledger.  An installed tree never changes,
+so undoing a change puts the previous tree back.
+
 Refusals are uniform: a caller learns that the policy said no, and
 nothing else.
 """
@@ -242,11 +247,9 @@ class WalletManager:
         grants: Sequence[Grant],
     ) -> None:
         wallet = self.wallet(wallet_id)
-        old_tree = self.tree_of(wallet_id)
-        policy = wallet.policy
         st = self._state_triple(wallet, b"")
         new_tree = tree_update.spawn(
-            old_tree,
+            self.tree_of(wallet_id),
             actor,
             parent_id,
             node_id,
@@ -256,32 +259,17 @@ class WalletManager:
             st,
             st.ost.chain_time,
         )
-        policy.tree = new_tree
-        wallet.policy_version += 1
-
-        def undo():
-            policy.tree = old_tree
-            wallet.policy_version -= 1
-
-        self._notify(wallet_id, PRIVILEGE_INCREASE, undo)
+        self._install_tree(wallet, new_tree, PRIVILEGE_INCREASE)
 
     def add_node_grants(
         self, actor: str, wallet_id: str, node_id: str, grants: Sequence[Grant]
     ) -> None:
         wallet = self.wallet(wallet_id)
-        old_tree = self.tree_of(wallet_id)
-        policy = wallet.policy
         st = self._state_triple(wallet, b"")
-        policy.tree = tree_update.add_grants(
-            old_tree, actor, node_id, grants, st, st.ost.chain_time
+        new_tree = tree_update.add_grants(
+            self.tree_of(wallet_id), actor, node_id, grants, st, st.ost.chain_time
         )
-        wallet.policy_version += 1
-
-        def undo():
-            policy.tree = old_tree
-            wallet.policy_version -= 1
-
-        self._notify(wallet_id, PRIVILEGE_INCREASE, undo)
+        self._install_tree(wallet, new_tree, PRIVILEGE_INCREASE)
 
     def seal_asset(self, actor: str, wallet_id: str, node_id: str, asset: AssetId) -> None:
         wallet = self.wallet(wallet_id)
@@ -293,34 +281,30 @@ class WalletManager:
         )
         if not allowed:
             raise UpdateRefused()
-        previous = tree.manual_seals.get(asset.encode())
-        tree.seal(node_id, asset)
-        wallet.policy_version += 1
-
-        def undo():
-            if previous is None:
-                tree.unseal(asset)
-            else:
-                tree.manual_seals[asset.encode()] = previous
-            wallet.policy_version -= 1
-
-        self._notify(wallet_id, PRIVILEGE_DECREASE, undo)
+        sealed = tree.clone()
+        sealed.seal(node_id, asset)
+        self._install_tree(wallet, sealed, PRIVILEGE_DECREASE)
 
     def unseal_asset(self, actor: str, wallet_id: str, asset: AssetId) -> None:
         wallet = self.wallet(wallet_id)
         if actor != wallet.access_manager:
             raise UpdateRefused()
-        tree = self.tree_of(wallet_id)
-        previous = tree.manual_seals.get(asset.encode())
-        tree.unseal(asset)
+        unsealed = self.tree_of(wallet_id).clone()
+        unsealed.unseal(asset)
+        self._install_tree(wallet, unsealed, PRIVILEGE_INCREASE)
+
+    def _install_tree(self, wallet: Wallet, tree: PolicyTree, change_class: str) -> None:
+        """Commit a tree change: the one place a wallet's tree is swapped."""
+        policy = wallet.policy
+        old_tree = policy.tree
+        policy.tree = tree
         wallet.policy_version += 1
 
         def undo():
-            if previous is not None:
-                tree.manual_seals[asset.encode()] = previous
+            policy.tree = old_tree
             wallet.policy_version -= 1
 
-        self._notify(wallet_id, PRIVILEGE_INCREASE, undo)
+        self._notify(wallet.wallet_id, change_class, undo)
 
     def _notify(
         self,

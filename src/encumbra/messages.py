@@ -169,11 +169,6 @@ def signing_digest(message: SignableMessage) -> bytes:
     return crypto.digest(bytes([_DOMAIN_SEP[encoded[0]]]) + encoded)
 
 
-def tx_digest(tx: ChainTx) -> bytes:
-    """Chain-side identifier of a transaction (same as its signing digest)."""
-    return signing_digest(tx)
-
-
 VOTE_TAG = b"vote-typed-v1"
 
 

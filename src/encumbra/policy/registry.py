@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
 from ..state import StateTriple
 from .tree import PolicyTree
+
+if TYPE_CHECKING:
+    from ..darkdao import DaoVoteProgram
+    from ..txpolicy import TxLedger
 
 
 class WalletPolicy:
@@ -58,12 +62,19 @@ class DenyAllPolicy(WalletPolicy):
 
 class TreeWalletPolicy(WalletPolicy):
     """Delegation-tree policy; approval comes from the first node that
-    vouches for the player, in node creation order."""
+    vouches for the player, in node creation order.
+
+    The manager replaces ``tree`` on every change; the policy keeps what
+    the plain-data tree does not hold: the programs, by name, and the
+    transaction ledger once one is attached.
+    """
 
     kind = "tree"
 
     def __init__(self, tree: PolicyTree):
         self.tree = tree
+        self.programs: Dict[str, DaoVoteProgram] = {}
+        self.ledger: Optional[TxLedger] = None
 
     def approves(self, player, message, st, t, seals=None):
         """The first vouching node decides.
@@ -78,7 +89,9 @@ class TreeWalletPolicy(WalletPolicy):
         if seals is None:
             seals = cache(lambda: self.tree.sealed_assets(st))
         for node in self.tree.nodes_for_player(player):
-            if self.tree.evaluate(node.node_id, player, message, st, t, seals):
+            if self.tree.evaluate(
+                node.node_id, player, message, st, t, seals, self.programs, self.ledger
+            ):
                 return True, node.node_id
         return False, None
 

@@ -14,17 +14,21 @@ the child's window; a fungible carve reserves the parent's capacity
 from the moment it exists until the child window ends, so conservation
 holds at every instant even for windows that start in the future.
 
-Nodes are values (frozen, with their grants in a tuple); only a tree's
-node table and manual seals change.  An update clones the tree, which
-copies the table and shares every node, and installs new nodes in the
-twin: a spawn builds one node, a re-grant replaces one.  Since no node
+A tree is plain data: its node table, its native capacity and its
+manual seals.  The programs that control program nodes and the
+transaction ledger belong to the wallet's policy, which hands them to
+``evaluate``.  Nodes are values (frozen, with their grants in a tuple),
+and an installed tree never changes: every update clones the tree,
+which copies the table and shares every node, changes only the clone
+(a spawn builds one node, a re-grant replaces one, a seal edits the
+clone's seals), and has the manager install the clone.  Since no node
 changes in place, the update check treats a node that is the same
 object in both trees as untouched, without comparing its fields.
 
 A node's canonical JSON is built the first time an escrow write
 serialises it and kept on the node, so a write re-serialises only the
 nodes created since the last one; the tree's own summary (its capacity
-and manual seals) is serialised on every write.
+and manual seals) is serialised on every write (``snapshot_json``).
 
 Spending is likewise derived: a node's spent amount is computed from
 the wallet's signing log (every logged signature is presumed
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Container, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Collection, Container, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import crypto
 from ..assets import AssetId, AssetKind, UnitDemand, capability, demands_of
@@ -54,6 +58,10 @@ from ..errors import (
 )
 from ..messages import ChainTx
 from ..state import StateTriple
+
+if TYPE_CHECKING:
+    from ..darkdao import DaoVoteProgram
+    from ..txpolicy import TxLedger
 
 INFINITE_EXPIRY = 2**62
 ROOT_ID = "root"
@@ -68,8 +76,8 @@ class PlayerController:
 class ProgramController:
     """Controller decided by engine code rather than a single player.
 
-    The name resolves through the tree's program table at evaluation
-    time; snapshots record only the name.
+    The name resolves through the wallet policy's program table at
+    evaluation time; snapshots record only the name.
     """
 
     name: str
@@ -191,27 +199,9 @@ def _node_json(node: Node) -> str:
     return json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
-class ControllerProgram:
-    """Interface for contract-like node controllers."""
-
-    def allows(self, tree: "PolicyTree", node: Node, player: str, message, st: StateTriple, t: int) -> bool:
-        raise NotImplementedError
-
-
-class LedgerHook:
-    """Interface the transaction-encumbrance ledger plugs into the tree.
-
-    When attached, chain-transaction spending power comes from the
-    ledger (deposit-attributed sub-balances, nonce freshness, request
-    commitments) instead of fungible grants.
-    """
-
-    def approves_chain_tx(self, node_id: str, tx: ChainTx, st: StateTriple) -> bool:
-        raise NotImplementedError
-
-
 class PolicyTree:
-    """Delegation tree for one wallet: a mutable table of immutable nodes."""
+    """Delegation tree for one wallet: a table of immutable nodes, its
+    native capacity and its manual seals.  Only a fresh clone changes."""
 
     def __init__(
         self,
@@ -229,8 +219,6 @@ class PolicyTree:
             )
         }
         self.native_capacity = native_capacity
-        self.programs: Dict[str, ControllerProgram] = {}
-        self.ledger: Optional[LedgerHook] = None
         self.manual_seals: Dict[bytes, str] = {}  # asset encoding -> sealing node
 
     # ------------------------------------------------------------------
@@ -268,13 +256,10 @@ class PolicyTree:
 
         Nodes are values, so the twin shares every one of them: the
         cost is one copy of the node table, not a copy of each node.
-        The program table and the ledger hook are shared by design.
         """
         twin = PolicyTree.__new__(PolicyTree)
         twin.nodes = dict(self.nodes)
         twin.native_capacity = self.native_capacity
-        twin.programs = self.programs
-        twin.ledger = self.ledger
         twin.manual_seals = dict(self.manual_seals)
         return twin
 
@@ -392,11 +377,18 @@ class PolicyTree:
         st: StateTriple,
         t: int,
         seals: Optional[Callable[[], Dict[bytes, str]]] = None,
+        programs: Optional[Dict[str, DaoVoteProgram]] = None,
+        ledger: Optional[TxLedger] = None,
     ) -> bool:
         """Decide whether ``player`` may sign ``message`` through the node.
 
         Total over well-formed inputs: every reason to say no returns
         False rather than raising, except an unknown node id.
+
+        ``programs`` (name -> program) decides program-controlled nodes.
+        With a ``ledger``, a chain transaction's spending power comes
+        from the ledger instead of the node's native grant.  Both belong
+        to the wallet's policy, not to the tree.
 
         ``seals`` returns ``sealed_assets(st)``; a decision that tries
         several nodes passes one memoized function to all of them, so
@@ -416,8 +408,8 @@ class PolicyTree:
             if controller.player != player:
                 return False
         else:
-            program = self.programs.get(controller.name)
-            if program is None or not program.allows(self, node, player, message, st, t):
+            program = None if programs is None else programs.get(controller.name)
+            if program is None or not program.allows(player, message, st, t):
                 return False
         demands = demands_of(message, st.extst)
         if demands is None:
@@ -426,8 +418,8 @@ class PolicyTree:
         for unit in demands.units:
             if not self._unit_satisfied(node_id, unit, t, sealed):
                 return False
-        if isinstance(message, ChainTx) and self.ledger is not None:
-            if not self.ledger.approves_chain_tx(node_id, message, st):
+        if isinstance(message, ChainTx) and ledger is not None:
+            if not ledger.approves_chain_tx(node_id, message, st):
                 return False
         elif demands.native > 0:
             if demands.native > self.available_native(node_id, t, st):
@@ -622,8 +614,8 @@ class PolicyTree:
         gives for {native capacity, nodes in id order, manual seals}, put
         together from each node's kept fragment: only nodes never
         serialised before are built.  The capacity and the manual seals
-        belong to the tree, and ``seal`` changes them in place, so they
-        are serialised on every call.
+        belong to the tree, not to a node, so they are serialised on
+        every call.
         """
         nodes = ",".join(self.nodes[node_id].json_fragment() for node_id in sorted(self.nodes))
         seals = json.dumps(

@@ -16,9 +16,8 @@ from __future__ import annotations
 import statistics
 from typing import Any, Dict, List, Tuple
 
-from . import crypto
 from .config import Config, ORACLE_MODES
-from .engine import Engine
+from .engine import Engine, engine_seed
 from .simchain import SimChain
 from .txpolicy import (
     HOST_OPS,
@@ -125,8 +124,7 @@ def latency_report(config: Config) -> Tuple[str, Dict[str, Any]]:
     distribution.
     """
     trials = int(config["oracle.trials"])
-    seed_int = int(config["engine.seed"])
-    seed = crypto.digest(b"engine-seed-v1" + seed_int.to_bytes(8, "big"))
+    seed = engine_seed(config)
     models = {mode: config.delay_model(mode) for mode in ORACLE_MODES}
     interval = config["chain.block_interval_s"]
     chain = SimChain(

@@ -153,21 +153,29 @@ def load_scenario(path: str) -> Scenario:
 _SUFFIX = {"eth": 10**18, "gwei": 10**9, "wei": 1}
 
 
+def parse_int(text: str, what: str) -> int:
+    """``text`` as an integer; a malformed value fails the step."""
+    try:
+        return int(text)
+    except ValueError:
+        raise StepFailure(f"bad {what} {text!r}") from None
+
+
 def parse_amount(text: str) -> int:
     lowered = text.lower().replace("_", "")
     for suffix, scale in _SUFFIX.items():
         if lowered.endswith(suffix):
             body = lowered[: -len(suffix)]
             if "." not in body:
-                return int(body) * scale
+                return parse_int(body, "amount") * scale
             # exact decimal arithmetic; floats drift at wei resolution
             whole, frac = body.split(".", 1)
-            if not frac.isdigit() or (whole and not whole.isdigit()):
+            if not frac.isdecimal() or (whole and not whole.isdecimal()):
                 raise StepFailure(f"bad amount {text!r}")
             if scale < 10 ** len(frac):
                 raise StepFailure(f"amount {text!r} finer than 1 {suffix}")
             return int(whole or "0") * scale + int(frac) * (scale // 10 ** len(frac))
-    return int(lowered)
+    return parse_int(lowered, "amount")
 
 
 class ScenarioRunner:
@@ -234,7 +242,10 @@ class ScenarioRunner:
             return proposal_id_of(text[len("proposal:") :])
         if text.startswith("personal:"):
             return personal_payload_key(text[len("personal:") :].encode())
-        return bytes.fromhex(text)
+        try:
+            return bytes.fromhex(text)
+        except ValueError:
+            raise StepFailure(f"bad capability key {text!r}") from None
 
     # -- execution ------------------------------------------------------
 
@@ -380,9 +391,9 @@ def _build_request(r: ScenarioRunner, wallet_id: str, kw) -> ChainTx:
         wallet_id,
         to=r.engine.resolve_address(kw["to"]),
         value=parse_amount(kw["value"]),
-        nonce=int(kw["nonce"]) if "nonce" in kw else None,
-        gas_limit=int(kw.get("gas", "21000")),
-        fee_gwei=int(kw["fee"]) if "fee" in kw else None,
+        nonce=parse_int(kw["nonce"], "nonce") if "nonce" in kw else None,
+        gas_limit=parse_int(kw.get("gas", "21000"), "gas"),
+        fee_gwei=parse_int(kw["fee"], "fee") if "fee" in kw else None,
     )
 
 
@@ -478,7 +489,9 @@ def _cmd_prove_tx(r: ScenarioRunner, pos, kw) -> str:
 def _cmd_proposal(r: ScenarioRunner, pos, kw) -> str:
     snapshot = kw.get("snapshot", "tip")
     height = (
-        r.engine.chain.tip().height if snapshot == "tip" else int(snapshot)
+        r.engine.chain.tip().height
+        if snapshot == "tip"
+        else parse_int(snapshot, "snapshot")
     )
     r.engine.dao.add_proposal(
         proposal_id_of(pos[0]), dao_domain(kw["dao"]), height, r.parse_time(kw["close"])
@@ -495,7 +508,7 @@ def _cmd_enroll(r: ScenarioRunner, pos, kw) -> str:
 @command("vote", "wallet", "player proposal choice")
 def _cmd_vote(r: ScenarioRunner, pos, kw) -> str:
     pid = proposal_id_of(kw["proposal"])
-    r.engine.dao.cast_vote(kw["player"], pos[0], pid, int(kw["choice"]))
+    r.engine.dao.cast_vote(kw["player"], pos[0], pid, parse_int(kw["choice"], "choice"))
     return f"{pos[0]} choice={kw['choice']}"
 
 
@@ -505,7 +518,7 @@ def _cmd_offer(r: ScenarioRunner, pos, kw) -> str:
         pos[0],
         briber=kw["briber"],
         proposal_id=proposal_id_of(kw["proposal"]),
-        choice=int(kw["choice"]),
+        choice=parse_int(kw["choice"], "choice"),
         price_per_token=parse_amount(kw["price"]),
         escrow=parse_amount(kw["escrow"]),
     )
@@ -567,7 +580,7 @@ def _cmd_fire(r: ScenarioRunner, pos, kw) -> str:
 
 @command("recover", optional="shares")
 def _cmd_recover(r: ScenarioRunner, pos, kw) -> str:
-    count = int(kw["shares"]) if "shares" in kw else None
+    count = parse_int(kw["shares"], "shares") if "shares" in kw else None
     released = r.engine.recover(count)
     total = sum(len(v) for v in released.values())
     return f"wallets={total} managers={len(released)}"
@@ -589,13 +602,15 @@ def _cmd_assert_balance(r: ScenarioRunner, pos, kw) -> str:
 @command("assert-nonce", "wallet", "eq")
 def _cmd_assert_nonce(r: ScenarioRunner, pos, kw) -> str:
     nonce = r.engine.ledger_of(pos[0]).recognized_nonce
-    if nonce != int(kw["eq"]):
+    if nonce != parse_int(kw["eq"], "nonce"):
         raise StepFailure(f"{pos[0]} nonce {nonce} != {kw['eq']}")
     return f"{pos[0]}={nonce}"
 
 
 @command("assert-trigger", "state")
 def _cmd_assert_trigger(r: ScenarioRunner, pos, kw) -> str:
+    if pos[0] not in {state.value for state in TriggerState}:
+        raise StepFailure(f"unknown trigger state {pos[0]!r}")
     actual = r.engine.trigger.state
     if actual is not TriggerState(pos[0]):
         raise StepFailure(f"trigger {actual.value} != {pos[0]}")

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import crypto
 from .crypto import Drbg
-from .config import ORACLE_MODES
+from .config import Config, ORACLE_MODES
 from .errors import (
     BadProof,
     InvalidSignature,
@@ -110,11 +110,10 @@ class SimChain:
         self.proof_mode = proof_mode
         self.label = label
         self._seed = seed
-        self.delay_models = delay_models or {
-            "latest": (49.0, 7.4),
-            "justified": (648.7, 125.2),
-            "finalized": (1036.9, 113.8),
-        }
+        if not delay_models:
+            defaults = Config()
+            delay_models = {mode: defaults.delay_model(mode) for mode in ORACLE_MODES}
+        self.delay_models = delay_models
         self.time = 0
         genesis = Block(0, 0, b"\x00" * 32, merkle_root(()), (), ())
         self.blocks: List[Block] = [genesis]

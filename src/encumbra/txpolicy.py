@@ -27,7 +27,7 @@ this gas model, not measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import crypto
 from .assets import AssetKind
@@ -38,7 +38,7 @@ from .errors import (
     UnknownDeposit,
 )
 from .messages import ChainTx, signing_digest
-from .policy.tree import LedgerHook, PolicyTree
+from .policy.tree import PolicyTree
 from .simchain import InclusionProof, SimChain
 from .state import StateTriple
 
@@ -114,27 +114,27 @@ class NonOwnershipStatement:
         )
 
 
-class TxLedger(LedgerHook):
-    """Per-wallet accounting attached to the wallet's delegation tree."""
+class TxLedger:
+    """Per-wallet accounting attached to the wallet's tree policy.
+
+    It gates each chain transaction a node signs in place of the node's
+    native grant, and calls ``tree`` on every use for the current tree:
+    each policy update installs a new one.
+    """
 
     def __init__(
         self,
         wallet_id: str,
         wallet_address: bytes,
         chain: SimChain,
-        tree: Union[PolicyTree, Callable[[], PolicyTree]],
+        tree: Callable[[], PolicyTree],
         commit_required: bool = True,
         reimburse_wei: int = 50_000 * 100 * 10**9,
     ):
         self.wallet_id = wallet_id
         self.wallet_address = wallet_address
         self.chain = chain
-        # Policy updates swap the live tree for a validated clone, so the
-        # ledger must resolve the current tree per call, not hold one.
-        if callable(tree):
-            self._tree_provider = tree
-        else:
-            self._tree_provider = lambda: tree
+        self._tree_provider = tree
         self.commit_required = commit_required
         self.reimburse_wei = reimburse_wei
 
@@ -151,8 +151,6 @@ class TxLedger(LedgerHook):
         self.total_deducted = 0
         self.unattributed: List[bytes] = []
         self.gas_log: List[Tuple[str, int]] = []
-
-        self.tree.ledger = self
         self.meter(OP_ADD_POLICY, words=3)
 
     @property
@@ -197,7 +195,7 @@ class TxLedger(LedgerHook):
         return holders
 
     # ------------------------------------------------------------------
-    # signing gate (LedgerHook)
+    # signing gate
 
     def approves_chain_tx(self, node_id: str, tx: ChainTx, st: StateTriple) -> bool:
         if tx.chain_id != self.chain.chain_id:

@@ -235,11 +235,8 @@ def evaluate_ref(
             holder = sealed.get(option)
             if holder is not None and holder != node_id:
                 return False
-    if native > 0:
-        if tree.ledger is not None:
-            raise AssertionError("reference interpreter does not model ledgers")
-        if native > native_available_ref(tree, node_id, t, st):
-            return False
+    if native > 0 and native > native_available_ref(tree, node_id, t, st):
+        return False
     return True
 
 

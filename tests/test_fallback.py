@@ -354,7 +354,6 @@ def test_execute_releases_every_wallet_once():
     by_id = dict(released["am"])
     assert verify_released_key(by_id["w1"], w1.public_key)
     assert verify_released_key(by_id["w2"], w2.public_key)
-    assert system.last_payload["version"] == 2
 
     with pytest.raises(AlreadyTriggered):
         system.execute(system.shares[:3], trigger, reliable)
@@ -410,7 +409,43 @@ def test_release_prefers_the_newest_decryptable_replica():
     # the tampered newest replica fails authentication; the release
     # falls back to the intact older version, which predates w2
     assert [wid for wid, _ in released["am"]] == ["w1"]
-    assert system.last_payload["version"] == 1
+
+
+def _held_text(value):
+    """Every str reachable from ``value`` through containers and instance
+    attributes; bytes are given as their hex and as latin-1 text."""
+    pending, seen = [value], set()
+    while pending:
+        item = pending.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, str):
+            yield item
+        elif isinstance(item, (bytes, bytearray)):
+            yield item.hex()
+            yield item.decode("latin-1")
+        elif isinstance(item, dict):
+            pending.extend(item.keys())
+            pending.extend(item.values())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            pending.extend(item)
+        elif hasattr(item, "__dict__"):
+            pending.extend(vars(item).values())
+
+
+def test_release_leaves_no_key_material_on_the_fallback():
+    manager, system = _stack()
+    manager.lw_gen("am", "w1", policy_kind="allow")
+    manager.lw_gen("am", "w2", policy_kind="tree", update_rule="tree")
+    released = system.execute(system.shares[:3], _fired_trigger(), _settled_reliable_chain())
+    seeds = [seed.hex() for pairs in released.values() for _, seed in pairs]
+    assert len(seeds) == 2
+    # The manager holds the wallet keys by design; everything else the
+    # fallback keeps must not hold a released seed once the release is done.
+    kept = {name: value for name, value in vars(system).items() if name != "manager"}
+    held = list(_held_text(kept))
+    assert not [seed for seed in seeds if any(seed in text for text in held)]
 
 
 def test_verify_released_key_checks_the_public_half():

@@ -247,6 +247,21 @@ def test_seal_permissions():
         manager.seal_asset("bob", "w", "anode", asset)
 
 
+def test_seal_and_unseal_install_a_new_tree():
+    manager = _manager()
+    _tree_wallet(manager)
+    asset = destination(D1)
+    before = manager.tree_of("w")
+    nodes, seals = dict(before.nodes), dict(before.manual_seals)
+    manager.seal_asset("alice", "w", "anode", asset)
+    sealed = manager.tree_of("w")
+    assert sealed is not before
+    assert (before.nodes, before.manual_seals) == (nodes, seals)
+    manager.unseal_asset("am", "w", asset)
+    assert manager.tree_of("w") is not sealed
+    assert sealed.manual_seals == {asset.encode(): "anode"}
+
+
 def test_failed_replication_rolls_back():
     manager = _manager()
 

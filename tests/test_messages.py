@@ -20,7 +20,6 @@ from encumbra.messages import (
     decode_message,
     parse_vote_extst,
     signing_digest,
-    tx_digest,
     vote_extst,
     vote_message,
     vote_struct_hash,
@@ -53,7 +52,6 @@ def test_domain_separated_digests():
     assert signing_digest(ps) == hashlib.sha256(b"\xe2" + ps.encode()).digest()
     assert signing_digest(td) == hashlib.sha256(b"\xe3" + td.encode()).digest()
     assert signing_digest(tx) != hashlib.sha256(tx.encode()).digest()
-    assert tx_digest(tx) == signing_digest(tx)
 
 
 def test_frozen_vectors():

@@ -66,11 +66,23 @@ def test_refused_enroll_leaves_no_program_behind():
         "wallet gov am=voter policy=tree update=tree fund=5eth\n"
         "spawn gov actor=voter node=dao-vote controller=voter\n"
     )
-    before = dict(runner.engine.manager.tree_of("gov").programs)
+    before = dict(runner.engine.manager.wallet("gov").policy.programs)
     with pytest.raises(EngineError):
         runner.engine.dao.enroll("gov", dao_domain("main"))
-    assert runner.engine.manager.tree_of("gov").programs == before
+    assert runner.engine.manager.wallet("gov").policy.programs == before
     assert "gov" not in runner.engine.dao.enrollments
+
+
+def test_a_ledger_wallet_swapped_off_its_tree_refuses_ledger_commands():
+    runner = _run(
+        "player am\naccount payer fund=1eth\n"
+        "wallet w am=am update=any ledger=on\n"
+        "spawn w actor=am node=n controller=am\n"
+        "xfer payer to=w value=1wei as=d submit=off\n"
+        "update w player=am policy=allow\n"
+        "? claim w node=n tx=d\n"
+    )
+    assert runner.transcript[-1] == "refused L7 claim UnknownPolicy"
 
 
 def test_enroll_registers_its_program():
@@ -79,7 +91,7 @@ def test_enroll_registers_its_program():
         "wallet gov am=voter policy=tree update=tree fund=5eth\n"
         "enroll gov dao=main\n"
     )
-    programs = runner.engine.manager.tree_of("gov").programs
+    programs = runner.engine.manager.wallet("gov").policy.programs
     assert list(programs) == ["darkdao:gov"]
 
 
@@ -347,6 +359,44 @@ def test_cli_reports_a_malformed_config_value(header, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: bad value for config key {header.split('=')[0]}")
+
+
+MALFORMED_PRELUDE = (
+    "player am\nplayer voter\naccount shop fund=1eth\n"
+    "wallet w am=am capacity=10eth ledger=on\n"
+    "wallet gov am=voter fund=5eth\nenroll gov dao=main\n"
+    "proposal p dao=main close=+100\n"
+)
+
+MALFORMED_STEPS = [
+    "advance 1x",
+    "assert-trigger bogus",
+    "recover shares=x",
+    "spawn w actor=am node=n controller=am cap=zz",
+    "vote gov player=voter proposal=p choice=x",
+    "offer o briber=am proposal=p choice=x price=1 escrow=1",
+    "build w to=shop value=1wei nonce=x as=t",
+    "sign w player=am to=shop value=1wei gas=x",
+    "sign w player=am to=shop value=1wei fee=x",
+    "proposal q dao=main close=+100 snapshot=x",
+    "assert-nonce w eq=x",
+]
+
+
+@pytest.mark.parametrize("step", MALFORMED_STEPS)
+def test_cli_reports_a_malformed_step_value(step, tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_text(MALFORMED_PRELUDE + step + "\n", encoding="utf-8")
+    assert cli.main(["--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("step failure: line 8: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("step", MALFORMED_STEPS)
+def test_a_tolerant_malformed_step_is_refused(step):
+    runner = _run(MALFORMED_PRELUDE + "? " + step + "\n")
+    assert runner.transcript[-1] == f"refused L8 {step.split()[0]} StepFailure"
 
 
 def test_cli_exits_two_on_a_missing_scenario_file(tmp_path, capsys):

@@ -3,11 +3,13 @@
 import pytest
 
 from encumbra import crypto
-from encumbra.assets import destination
+from encumbra.assets import NATIVE, destination
+from encumbra.engine import Engine
 from encumbra.errors import (
     AlreadyClaimed,
     BadProof,
     NotYetConfirmed,
+    PolicyRefusal,
     StaleNonce,
     UnknownDeposit,
     UnknownNode,
@@ -122,11 +124,8 @@ def test_proofs_price_above_their_commitments():
 def test_ctor_and_grant_registration_meter():
     chain, wallet, box, ledger = _build()
     assert ledger.gas_log == [(OP_ADD_POLICY, 161_000)]
-    assert box["tree"].ledger is ledger
     _carve(box, ledger)
     assert ledger.gas_log[-1] == (OP_ADD_SUB_POLICY, 121_000)
-    # the spawned clone must still route ChainTx approval through us
-    assert box["tree"].ledger is ledger
     summary = ledger.gas_summary()
     assert summary[OP_ADD_POLICY] == (1, 161_000)
     assert summary[OP_ADD_SUB_POLICY] == (1, 121_000)
@@ -265,14 +264,39 @@ def test_evaluate_routes_chain_tx_through_the_ledger():
     st = _st()
     tx = ChainTx(1, 0, FEE, GAS, D1, ETH // 2)
     ledger.commit_request("n1", signing_digest(tx))
-    assert box["tree"].evaluate("n1", "renter", tx, st, 0)
+    assert box["tree"].evaluate("n1", "renter", tx, st, 0, ledger=ledger)
     # destination demand still applies: D2 was never carved to n1
     stray = ChainTx(1, 0, FEE, GAS, D2, ETH // 2)
     ledger.commit_request("n1", signing_digest(stray))
-    assert not box["tree"].evaluate("n1", "renter", stray, st, 0)
+    assert not box["tree"].evaluate("n1", "renter", stray, st, 0, ledger=ledger)
     # ledger says no once the nonce moves on
     ledger.recognized_nonce = 1
-    assert not box["tree"].evaluate("n1", "renter", tx, st, 0)
+    assert not box["tree"].evaluate("n1", "renter", tx, st, 0, ledger=ledger)
+
+
+def test_the_ledger_gates_signing_across_tree_swaps():
+    """The engine attaches the ledger to the wallet's tree policy, so it
+    still gates a chain tx after a spawn and a seal install new trees."""
+    engine = Engine()
+    for name in ("am", "renter"):
+        engine.manager.register_player(name)
+    gated = engine.create_wallet("gated", "am", native_capacity=10 * ETH, fund_wei=10 * ETH)
+    plain = engine.create_wallet("plain", "am", native_capacity=10 * ETH, fund_wei=10 * ETH)
+    ledger = engine.attach_ledger("gated")
+    for wallet in (gated, plain):
+        engine.spawn_node(
+            "am", wallet.wallet_id, ROOT_ID, "n1", "renter", FAR,
+            [Grant(NATIVE, ETH, 0, FAR), Grant(destination(D1), 1, 0, FAR)],
+        )
+        engine.manager.seal_asset("am", wallet.wallet_id, "n1", destination(D1))
+    assert gated.policy.ledger is ledger
+    assert plain.policy.ledger is None
+    tx = engine.wallet_tx("gated", D1, 1)
+    # the node's native grant alone allows the tx ...
+    engine.signed_wallet_tx("renter", "plain", tx)
+    # ... but n1 has no ledger balance, so the ledger refuses it
+    with pytest.raises(PolicyRefusal):
+        engine.signed_wallet_tx("renter", "gated", tx)
 
 
 def test_commit_request_rules():

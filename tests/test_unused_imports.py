@@ -1,11 +1,16 @@
-"""Every name a source module imports is read in that module.
+"""Dead names in the source: unused imports and unreferenced definitions.
 
-Package ``__init__`` files are skipped (an import there is the
-package's surface), as are ``__future__`` imports.  Names inside string
+Every name a source module imports is read in that module.  Package
+``__init__`` files are skipped (an import there is the package's
+surface), as are ``__future__`` imports.  Names inside string
 annotations are not seen, so source modules write annotations unquoted.
+
+Every public module-level function, class and constant is referenced
+somewhere in the source, the tests or the benchmark.
 """
 
 import ast
+import collections
 import pathlib
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "encumbra"
@@ -33,3 +38,66 @@ def test_no_source_module_has_an_unused_import():
             if name not in used:
                 unused.append(f"{path.relative_to(SRC)}:{line} {name}")
     assert unused == []
+
+
+ROOT = SRC.parent.parent
+SEARCHED = ("src", "tests", "bench")
+
+
+def _public_definitions(tree):
+    """(name, first line, last line) of each public module-level
+    function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node.lineno, node.end_lineno
+
+
+def _references(tree):
+    """(identifier, line) for each read of a name, attribute or imported
+    name, and each dotted word in a string constant (``bench/layers.py``
+    names the functions it patches by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for word in node.value.replace(".", " ").split():
+                if word.isidentifier():
+                    yield word, node.lineno
+
+
+def test_every_public_source_name_is_referenced():
+    """A public name defined in ``src/encumbra`` is read somewhere in
+    ``src/``, ``tests/`` or ``bench/`` outside its own definition.
+
+    Matching is by identifier, so an attribute of the same name counts:
+    the check misses some dead names but never flags a live one.
+    """
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for top in SEARCHED
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    uses = collections.defaultdict(list)  # identifier -> [(path, line)]
+    for path, tree in trees.items():
+        for word, line in _references(tree):
+            uses[word].append((path, line))
+    dead = []
+    for path in sorted(SRC.rglob("*.py")):
+        for name, first, last in _public_definitions(trees[path]):
+            if all(where == path and first <= line <= last for where, line in uses[name]):
+                dead.append(f"{path.relative_to(SRC)}:{first} {name}")
+    assert dead == []
