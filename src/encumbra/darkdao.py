@@ -41,6 +41,7 @@ from .simchain import SimChain
 from .state import StateTriple
 
 WEIGHT_UNIT = 10**18  # price is quoted per whole token of snapshot weight
+VOTE_NODE_ID = "dao-vote"  # the node an enrollment spawns under the root
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,7 @@ class DarkDao:
         self.proposals[proposal_id] = proposal
         return proposal
 
-    def enroll(
-        self, wallet_id: str, domain_hash: bytes, node_id: str = "dao-vote"
-    ) -> Enrollment:
+    def enroll(self, wallet_id: str, domain_hash: bytes) -> Enrollment:
         """Move the wallet's vote capability under program control.
 
         Spawns a node holding the platform-level vote grant, controlled
@@ -153,7 +152,7 @@ class DarkDao:
         enrollment = Enrollment(
             wallet_id=wallet_id,
             owner=wallet.access_manager,
-            node_id=node_id,
+            node_id=VOTE_NODE_ID,
             domain_hash=domain_hash,
         )
         program_name = f"darkdao:{wallet_id}"
@@ -162,7 +161,7 @@ class DarkDao:
             actor=wallet.access_manager,
             wallet_id=wallet_id,
             parent_id="root",
-            node_id=node_id,
+            node_id=VOTE_NODE_ID,
             controller=ProgramController(program_name),
             expiry=root_expiry,
             grants=[

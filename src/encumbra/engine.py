@@ -130,29 +130,19 @@ class Engine:
     def advance(self, seconds: int) -> None:
         """Advance the whole world.  The sentinel, while up, answers an
         open challenge just before its deadline would pass."""
-        remaining = seconds
-        while remaining > 0:
-            step = remaining
-            if self.sentinel_up and self.trigger.state is TriggerState.CHALLENGED:
-                deadline = (
-                    self.trigger.challenge_record.opened_at + self.trigger.window
-                )
-                if self.time < deadline - 1:
-                    step = min(step, deadline - 1 - self.time)
-                    self._step(step)
-                    remaining -= step
-                    if self.time == deadline - 1:
-                        self.respond_challenge(SENTINEL_OPERATOR)
-                    continue
-                if self.time == deadline - 1:
-                    self.respond_challenge(SENTINEL_OPERATOR)
-            self._step(step)
-            remaining -= step
+        target = self.time + seconds
+        if seconds > 0 and self.sentinel_up and self.trigger.state is TriggerState.CHALLENGED:
+            respond_at = self.trigger.challenge_record.opened_at + self.trigger.window - 1
+            if self.time <= respond_at <= target:
+                self._step(respond_at - self.time)
+                self.respond_challenge(SENTINEL_OPERATOR)
+        self._step(target - self.time)
         self.fallback.maybe_flush(self.time)
 
     def _step(self, seconds: int) -> None:
-        self.chain.advance(seconds)
-        self.reliable.advance(seconds)
+        if seconds > 0:
+            self.chain.advance(seconds)
+            self.reliable.advance(seconds)
 
     # ------------------------------------------------------------------
     # players, wallets, accounts
@@ -241,7 +231,6 @@ class Engine:
         nonce: int,
         gas_limit: int = DEFAULT_GAS_LIMIT,
         fee_gwei: Optional[int] = None,
-        data: bytes = b"",
     ) -> ChainTx:
         fee = self.config["host.gas_price_gwei"] if fee_gwei is None else fee_gwei
         return ChainTx(
@@ -251,7 +240,6 @@ class Engine:
             gas_limit=gas_limit,
             to=to,
             value=value,
-            data=data,
         )
 
     def wallet_tx(
@@ -341,8 +329,12 @@ class Engine:
         self.trigger.respond(responder, ping, signature, self.time)
 
     def recover(self, share_count: Optional[int] = None) -> Dict[str, List[Tuple[str, bytes]]]:
-        """Run the fallback release with the first ``share_count`` shares."""
+        """Run the fallback release with the first ``share_count`` shares
+        (the threshold by default); a count outside 0..committee is
+        refused before anything is read."""
         count = self.fallback.threshold if share_count is None else share_count
+        if not 0 <= count <= len(self.fallback.shares):
+            raise StepFailure(f"shares={count} outside 0..{len(self.fallback.shares)}")
         shares = self.fallback.shares[:count]
         released = self.fallback.execute(shares, self.trigger, self.reliable)
         for pairs in released.values():

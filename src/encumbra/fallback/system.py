@@ -177,8 +177,8 @@ class FallbackSystem:
                 f"{len(shares)} shares, threshold {self.threshold}"
             )
         secret = secretshare.reconstruct(shares)
-        _, derived_public = _public_of(secret)
-        if derived_public != self.escrow_public:
+        private = X25519PrivateKey.from_private_bytes(secret)
+        if private.public_key().public_bytes_raw() != self.escrow_public:
             raise InsufficientShares("reconstructed key fails known-plaintext check")
 
         candidates: List[EncryptedBlob] = []
@@ -205,11 +205,6 @@ class FallbackSystem:
             )
         self.executed = True
         return released
-
-
-def _public_of(secret: bytes) -> Tuple[bytes, bytes]:
-    private = X25519PrivateKey.from_private_bytes(secret)
-    return secret, private.public_key().public_bytes_raw()
 
 
 def verify_released_key(seed: bytes, expected_public: bytes) -> bool:

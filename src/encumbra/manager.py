@@ -373,9 +373,9 @@ class WalletManager:
         name = predicate[0]
         t = st.ost.chain_time
         if name == "approves-all":
-            return all(wallet.policy.approves_each(subject, messages, st, t))
+            return all(wallet.policy.approves(subject, m, st, t)[0] for m in messages)
         if name == "approves-none":
-            return not any(wallet.policy.approves_each(subject, messages, st, t))
+            return not any(wallet.policy.approves(subject, m, st, t)[0] for m in messages)
         if name == "log-contains-all":
             logged = {encode_message(e.message) for e in wallet.intst}
             return all(encode_message(m) in logged for m in messages)

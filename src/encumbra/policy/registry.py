@@ -11,8 +11,7 @@ of foreign code.
 from __future__ import annotations
 
 import json
-from functools import cache
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..state import StateTriple
 from .tree import PolicyTree
@@ -30,12 +29,6 @@ class WalletPolicy:
     ) -> Tuple[bool, Optional[str]]:
         """Return (approved, node id that vouched or None)."""
         raise NotImplementedError
-
-    def approves_each(
-        self, player: str, messages: Iterable, st: StateTriple, t: int
-    ) -> Iterator[bool]:
-        """The approval of each message in turn, under one state, lazily."""
-        return (self.approves(player, m, st, t)[0] for m in messages)
 
     def snapshot_json(self) -> str:
         """Canonical JSON (sorted keys, compact) of the policy's summary."""
@@ -76,30 +69,21 @@ class TreeWalletPolicy(WalletPolicy):
         self.programs: Dict[str, DaoVoteProgram] = {}
         self.ledger: Optional[TxLedger] = None
 
-    def approves(self, player, message, st, t, seals=None):
+    def approves(self, player, message, st, t):
         """The first vouching node decides.
 
-        The seal map is derived when the first node reaches the seal
-        check and shared by every node tried after it: one log scan per
-        decision, not one per node tried, and none when every node is
-        refused before the seal check.  That scan covers the whole log,
-        so a sign still grows linearly with the log.  ``seals`` passes
-        in a map shared with other decisions under the same state.
+        The nodes tried share the triple's seal map
+        (``StateTriple.outstanding``): the log is scanned for seals at
+        most once per triple, so once per decision or verify, and not at
+        all when no node reaches the seal check.  That scan covers the
+        whole log, so a sign still grows linearly with the log.
         """
-        if seals is None:
-            seals = cache(lambda: self.tree.sealed_assets(st))
         for node in self.tree.nodes_for_player(player):
             if self.tree.evaluate(
-                node.node_id, player, message, st, t, seals, self.programs, self.ledger
+                node.node_id, player, message, st, t, self.programs, self.ledger
             ):
                 return True, node.node_id
         return False, None
-
-    def approves_each(self, player, messages, st, t):
-        """As ``approves`` per message, with one seal map for them all:
-        the log is scanned for seals at most once per call."""
-        seals = cache(lambda: self.tree.sealed_assets(st))
-        return (self.approves(player, m, st, t, seals)[0] for m in messages)
 
     def snapshot_json(self):
         return f'{{"kind":{json.dumps(self.kind)},"tree":{self.tree.snapshot_json()}}}'

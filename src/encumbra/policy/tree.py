@@ -35,18 +35,19 @@ the wallet's signing log (every logged signature is presumed
 realizable), and a unit asset is sealed while the log holds a
 signature touching it whose nonce has not yet been passed by the
 recognized account nonce.  Sealed assets cannot be carved away; this
-is what blocks the pre-sign-then-transfer double spend.  Deriving the
-seals costs one scan of the log per approval decision, not one per
-node tried, and none when no node gets past the checks that come
-before the seal check; a sign therefore still grows linearly with the
-log, until the seals are indexed by nonce beside the log.
+is what blocks the pre-sign-then-transfer double spend.  The seals the
+log implies are derived by the state triple (``StateTriple.outstanding``),
+once per triple and only when a node first reaches the seal check; the
+tree adds its manual seals on top.  That one scan covers the whole log,
+so a sign still grows linearly with the log until the seals are indexed
+by nonce beside it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Collection, Container, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Collection, Container, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import crypto
 from ..assets import AssetId, AssetKind, UnitDemand, capability, demands_of
@@ -299,36 +300,19 @@ class PolicyTree:
         return grant.cap - self.spent_native(node_id, st) - self.reserved_native(node_id, t)
 
     def sealed_assets(self, st: StateTriple) -> Dict[bytes, str]:
-        """Unit assets with an outstanding signature, keyed by encoding.
-
-        A chain-transaction signature is outstanding while its nonce is
-        not below the recognized nonce; it seals its destination for the
-        node that produced it.  Manual seals (application semantics) are
-        merged in.  This is the only derivation of seals from the log.
-        Each call scans the whole log; an approval decision makes one
-        call however many nodes it tries, and none when no node reaches
-        the seal check, so a sign grows linearly with the log until the
-        seals are indexed by nonce beside it.
-        """
-        sealed: Dict[bytes, str] = dict(self.manual_seals)
-        for entry in st.intst:
-            message = entry.message
-            if not isinstance(message, ChainTx):
-                continue
-            if message.nonce < st.ost.recognized_nonce:
-                continue
-            asset = AssetId(AssetKind.DESTINATION_ADDRESS, address=message.to)
-            sealed.setdefault(asset.encode(), entry.node_id or "")
-        return sealed
+        """Sealed unit assets, keyed by encoding: the log's outstanding
+        seals (``st.outstanding``, derived once per triple) with the
+        manual seals (application semantics) taking precedence."""
+        return {**st.outstanding, **self.manual_seals}
 
     def seal(self, node_id: str, asset: AssetId) -> None:
         """Seal ``asset`` for every node but ``node_id``.
 
         The owner is an opaque label, like the ``""`` that
-        ``sealed_assets`` records for a log entry with no node: it may
-        name no live node (a seal outlives the garbage collection of its
-        node).  Callers that take an owner from outside validate it, as
-        ``WalletManager.seal_asset`` does.
+        ``StateTriple.outstanding`` records for a log entry with no
+        node: it may name no live node (a seal outlives the garbage
+        collection of its node).  Callers that take an owner from
+        outside validate it, as ``WalletManager.seal_asset`` does.
         """
         self.manual_seals[asset.encode()] = node_id
 
@@ -351,8 +335,8 @@ class PolicyTree:
         self,
         node_id: str,
         demand: UnitDemand,
+        st: StateTriple,
         t: int,
-        sealed: Dict[bytes, str],
     ) -> bool:
         node = self.nodes[node_id]
         for grant in node.grants:
@@ -363,7 +347,8 @@ class PolicyTree:
             if self._shadowed(node_id, grant, demand.options, t):
                 continue
             for option in demand.options:
-                sealer = sealed.get(option.encode())
+                enc = option.encode()
+                sealer = self.manual_seals.get(enc, st.outstanding.get(enc))
                 if sealer is not None and sealer != node_id:
                     return False
             return True
@@ -376,7 +361,6 @@ class PolicyTree:
         message,
         st: StateTriple,
         t: int,
-        seals: Optional[Callable[[], Dict[bytes, str]]] = None,
         programs: Optional[Dict[str, DaoVoteProgram]] = None,
         ledger: Optional[TxLedger] = None,
     ) -> bool:
@@ -389,14 +373,6 @@ class PolicyTree:
         With a ``ledger``, a chain transaction's spending power comes
         from the ledger instead of the node's native grant.  Both belong
         to the wallet's policy, not to the tree.
-
-        ``seals`` returns ``sealed_assets(st)``; a decision that tries
-        several nodes passes one memoized function to all of them, so
-        the log is scanned for seals once per decision, not once per
-        node tried, and not at all when every node is refused before the
-        seal check.  Without it the node derives its own map.  Either
-        way a decision that reaches the seal check scans the whole log
-        once, so its cost grows linearly with the log.
         """
         node = self.node(node_id)
         if node_id == ROOT_ID:
@@ -414,9 +390,8 @@ class PolicyTree:
         demands = demands_of(message, st.extst)
         if demands is None:
             return False
-        sealed = self.sealed_assets(st) if seals is None else seals()
         for unit in demands.units:
-            if not self._unit_satisfied(node_id, unit, t, sealed):
+            if not self._unit_satisfied(node_id, unit, st, t):
                 return False
         if isinstance(message, ChainTx) and ledger is not None:
             if not ledger.approves_chain_tx(node_id, message, st):

@@ -4,14 +4,22 @@ Policies never see the outside world directly.  They see exactly one
 ``StateTriple``: the wallet's own append-only signing log (``intst``),
 an oracle snapshot supplied by the engine (``ost``), and whatever bytes
 the caller attached (``extst``, untrusted).
+
+What the log seals is derived here, beside the log it reads: the
+triple's ``outstanding`` map is the one scan of the log for seals, run
+on first read and kept for the triple's life.  The manager builds a
+fresh triple for every command, so the log is scanned for seals at most
+once per decision or verify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
-from .messages import SignableMessage, encode_message
+from .assets import destination
+from .messages import ChainTx, SignableMessage, encode_message
 
 
 @dataclass(frozen=True)
@@ -59,11 +67,34 @@ class LogEntry:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateTriple:
+    """The one state a policy sees: log, oracle snapshot, caller bytes.
+
+    A triple is a value, so what is derived from it (``outstanding``)
+    is derived once, on first read, and kept with it.
+    """
+
     intst: Tuple[LogEntry, ...]
     ost: OracleState
     extst: bytes = b""
+
+    @cached_property
+    def outstanding(self) -> Dict[bytes, str]:
+        """Destinations sealed by the log, keyed by asset encoding.
+
+        A chain-transaction signature is outstanding while its nonce is
+        not below the recognized nonce; it seals its destination for the
+        node that produced it (``""`` for an entry with no node), and the
+        first such entry for a destination wins.  This is the only scan
+        of the log for seals; it runs on first read, once per triple.
+        """
+        sealed: Dict[bytes, str] = {}
+        for entry in self.intst:
+            message = entry.message
+            if isinstance(message, ChainTx) and message.nonce >= self.ost.recognized_nonce:
+                sealed.setdefault(destination(message.to).encode(), entry.node_id or "")
+        return sealed
 
 
 GENESIS_ORACLE = OracleState(chain_time=0, block_hashes=(), recognized_nonce=0)

@@ -106,12 +106,14 @@ class NonOwnershipStatement:
     signature: crypto.Signature
 
     def payload(self) -> bytes:
-        return crypto.digest(
-            b"non-ownership-v1"
-            + self.wallet_address
-            + self.target_digest
-            + self.ledger_digest
-        )
+        return _non_ownership_payload(self.wallet_address, self.target_digest, self.ledger_digest)
+
+
+def _non_ownership_payload(
+    wallet_address: bytes, target_digest: bytes, ledger_digest: bytes
+) -> bytes:
+    """What a non-ownership statement's signature signs."""
+    return crypto.digest(b"non-ownership-v1" + wallet_address + target_digest + ledger_digest)
 
 
 class TxLedger:
@@ -345,15 +347,12 @@ def prove_non_ownership(
     if target_digest in ledger.claims:
         raise AlreadyClaimed(target_digest.hex())
     ledger_digest = ledger.ledger_digest()
-    payload = crypto.digest(
-        b"non-ownership-v1" + ledger.wallet_address + target_digest + ledger_digest
-    )
-    signature = wallet_key_sign(payload)
+    payload = _non_ownership_payload(ledger.wallet_address, target_digest, ledger_digest)
     return NonOwnershipStatement(
         wallet_address=ledger.wallet_address,
         target_digest=target_digest,
         ledger_digest=ledger_digest,
-        signature=signature,
+        signature=wallet_key_sign(payload),
     )
 
 

@@ -1,5 +1,7 @@
 """Wallet registry: key custody, signing, updates, attestations."""
 
+from functools import cached_property
+
 import pytest
 
 from encumbra import crypto
@@ -14,8 +16,8 @@ from encumbra.errors import (
 )
 from encumbra.manager import WalletManager
 from encumbra.messages import ChainTx, PersonalSign, signing_digest
-from encumbra.policy.tree import Grant, PlayerController, PolicyTree, ROOT_ID
-from encumbra.state import OracleState
+from encumbra.policy.tree import Grant, PlayerController, ROOT_ID
+from encumbra.state import OracleState, StateTriple
 
 SEED = crypto.digest(b"manager-tests")
 ETH = 10**18
@@ -116,6 +118,21 @@ def test_tree_wallet_logs_the_vouching_node():
     assert len(wallet.intst) == 1  # refusals never touch the log
 
 
+def _count_seal_scans(monkeypatch):
+    """Record the log length each time a triple derives its seals."""
+    calls = []
+    derive = StateTriple.outstanding.func
+
+    def counted(st):
+        calls.append(len(st.intst))
+        return derive(st)
+
+    patched = cached_property(counted)
+    patched.__set_name__(StateTriple, "outstanding")
+    monkeypatch.setattr(StateTriple, "outstanding", patched)
+    return calls
+
+
 def test_a_sign_derives_seals_at_most_once(monkeypatch):
     """Cost guard: a sign scans the log for seals once however many of
     the player's nodes it tries, and not at all when every node is
@@ -130,14 +147,7 @@ def test_a_sign_derives_seals_at_most_once(monkeypatch):
             "am", "w", ROOT_ID, node_id, PlayerController("alice"), 1000,
             [Grant(destination(to), 1, 0, 1000)],
         )
-    calls = []
-    sealed_assets = PolicyTree.sealed_assets
-
-    def counted(self, st):
-        calls.append(len(st.intst))
-        return sealed_assets(self, st)
-
-    monkeypatch.setattr(PolicyTree, "sealed_assets", counted)
+    calls = _count_seal_scans(monkeypatch)
     manager.lw_sign("alice", "w", ChainTx(1, 0, 0, 0, D1, 0))
     assert manager.wallet("w").intst[-1].node_id == "n3"  # the last one tried
     assert calls == [0]
@@ -152,18 +162,11 @@ def test_a_sign_derives_seals_at_most_once(monkeypatch):
 
 
 def test_a_verify_derives_seals_at_most_once(monkeypatch):
-    """Cost guard: approves-all and approves-none share one seal map
-    across the messages of a call, however many there are."""
+    """Cost guard: approves-all and approves-none share their triple's
+    seal map across the messages of a call, however many there are."""
     manager = _manager()
     _tree_wallet(manager)
-    calls = []
-    sealed_assets = PolicyTree.sealed_assets
-
-    def counted(self, st):
-        calls.append(len(st.intst))
-        return sealed_assets(self, st)
-
-    monkeypatch.setattr(PolicyTree, "sealed_assets", counted)
+    calls = _count_seal_scans(monkeypatch)
     # within the cap: each message passes the seal check and is approved
     inside = [ChainTx(1, n, 0, 0, D1, 1) for n in range(32)]
     assert manager.lw_verify("w", "alice", inside, ("approves-all",))[0]

@@ -438,8 +438,9 @@ def test_snapshot_digest_ignores_insertion_order():
 
 def test_evaluate_agrees_with_reference_interpreter():
     """Each node alone, and the wallet policy that tries a player's nodes
-    in order with one shared seal map, agree with the reference; the
-    policy's vouching node is the first one a lone evaluate approves."""
+    in order under one triple, agree with the reference, as does the
+    tree's seal map; the policy's vouching node is the first one a lone
+    evaluate approves."""
     mismatches = 0
     for trial in range(60):
         built = gen.build_tree(random.Random(4100 + trial))
@@ -448,6 +449,7 @@ def test_evaluate_agrees_with_reference_interpreter():
         times = sorted({0, built.horizon // 3, built.horizon, built.horizon + 7})
         for t in times:
             st = built.state(t)
+            assert built.tree.sealed_assets(st) == treeref.sealed_ref(built.tree, st)
             for message, extst in built.probes:
                 stx = StateTriple(intst=st.intst, ost=st.ost, extst=extst)
                 for player in built.players + [gen.OUTSIDER]:

@@ -96,11 +96,13 @@ def test_enroll_registers_its_program():
 
 
 def _run_checking_trees(runner, after_step=None):
-    """Run each step, then check every wallet's whole tree.
+    """Run each step, then check every wallet's whole tree and the books.
 
     ``check_update`` checks only what an update touches, relying on the
     old tree being valid at the engine's time; this checks that
-    precondition after every step.  Returns each step's outcome.
+    precondition after every step.  It also checks that the target chain
+    conserves value and that each ledger's sub-balances add up to what
+    it proved minus what it deducted.  Returns each step's outcome.
     """
     outcomes = []
     for step in runner.scenario.steps:
@@ -115,6 +117,9 @@ def _run_checking_trees(runner, after_step=None):
             tree = getattr(wallet.policy, "tree", None)
             if tree is not None:
                 tree.validate_structure(runner.engine.time)
+        assert runner.engine.conservation_gap() == 0
+        for ledger in runner.engine.ledgers.values():
+            assert ledger.total_proven - ledger.total_deducted == sum(ledger.ether_sub.values())
     return outcomes
 
 
@@ -397,6 +402,38 @@ def test_cli_reports_a_malformed_step_value(step, tmp_path, capsys):
 def test_a_tolerant_malformed_step_is_refused(step):
     runner = _run(MALFORMED_PRELUDE + "? " + step + "\n")
     assert runner.transcript[-1] == f"refused L8 {step.split()[0]} StepFailure"
+
+
+RECOVERY_PRELUDE = (
+    "config chain.block_interval_s=600 reliable_chain.block_interval_s=600\n"
+    "player ops\nplayer watcher\n"
+    "wallet w1 am=ops policy=tree update=tree capacity=1eth\n"
+    "sentinel down\nchallenge challenger=watcher deposit=0.1eth\n"
+    "advance 604801\nfire\nadvance 3000\n"
+)
+
+
+@pytest.mark.parametrize("count", ["-1", "9"])
+def test_cli_fails_a_share_count_outside_the_committee(count, tmp_path, capsys):
+    path = tmp_path / "recover.scn"
+    path.write_text(RECOVERY_PRELUDE + f"recover shares={count}\n", encoding="utf-8")
+    assert cli.main(["--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("step failure: line 10: ")
+
+
+def test_a_share_count_outside_the_committee_releases_nothing():
+    runner = _run(
+        RECOVERY_PRELUDE + "? recover shares=-1\n? recover shares=9\n? recover shares=2\n"
+    )
+    assert runner.transcript[-3:] == [
+        "refused L10 recover StepFailure",
+        "refused L11 recover StepFailure",
+        "refused L12 recover InsufficientShares",
+    ]
+    assert not runner.engine.fallback.executed
+    # the whole committee is in range, and the release was ready
+    assert [w for w, _ in runner.engine.recover(5)["ops"]] == ["w1"]
+    assert runner.engine.fallback.executed
 
 
 def test_cli_exits_two_on_a_missing_scenario_file(tmp_path, capsys):
