@@ -280,15 +280,7 @@ class DarkDao:
             raise NotDelegatee(player)
         if self.delegations.get((wallet_id, offer.proposal_id)) != offer_id:
             raise NotDelegatee(f"{wallet_id} not delegated to {offer_id}")
-        enrollment = self._enrollment(wallet_id)
-        message = vote_message(enrollment.domain_hash, offer.proposal_id, offer.choice)
-        extst = vote_extst(offer.proposal_id, offer.choice)
-        signature = self.manager.lw_sign(player, wallet_id, message, extst)
-        self.cast[(offer.proposal_id, wallet_id)] = (
-            offer.choice,
-            self.weight_of(wallet_id, offer.proposal_id),
-        )
-        return signature
+        return self.cast_vote(player, wallet_id, offer.proposal_id, offer.choice)
 
     def claim_payment(self, wallet_id: str, offer_id: str, now: int) -> int:
         """Collect the reserved payment once the proposal has closed."""

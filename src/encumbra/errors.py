@@ -6,6 +6,11 @@ errors by code only, so two deployments refusing for the same reason
 produce byte-identical lines.  PolicyRefusal deliberately carries no
 detail payload: a policy that explains *why* it refused leaks the shape
 of other players' grants.
+
+Update refusals are uniform in the same way: every refused tree change
+(spawn, re-grant, seal, unseal) is one UpdateRefused, whose ``str`` and
+``code`` are the bare class name.  Its reason stays in ``.detail`` for
+the operator, who sees it on the runner's step-failure line on stderr.
 """
 
 from __future__ import annotations
@@ -74,22 +79,6 @@ class UpdateRefused(EngineError):
 
 class UnknownNode(EngineError):
     pass
-
-
-class ExpiredPolicy(EngineError):
-    """Operation addressed to a sub-policy past its expiry."""
-
-
-class ConflictingGrant(EngineError):
-    """Proposed grant overlaps an existing active grant on the asset."""
-
-
-class ExpiryExceedsParent(EngineError):
-    """Child expiry or grant window extends beyond the parent's."""
-
-
-class SealedAsset(EngineError):
-    """Transition touches an asset with an outstanding signature."""
 
 
 # --- simulated chain ---

@@ -89,7 +89,6 @@ class WalletManager:
     ):
         self._seed = seed
         self._wallets: Dict[str, Wallet] = {}
-        self._wallet_order: List[str] = []
         self._players: Set[str] = set()
         self._ost_provider = ost_provider or (lambda wallet_id: GENESIS_ORACLE)
         # Observer for the recovery subsystem; receives
@@ -128,7 +127,7 @@ class WalletManager:
         # so equal seeds mint equal wallets regardless of what other
         # commands ran in between.
         key = crypto.derive_signing_key(
-            self._seed, "wallet-key", len(self._wallet_order)
+            self._seed, "wallet-key", len(self._wallets)
         )
         policy = self._build_policy(policy_kind, access_manager, native_capacity)
         wallet = Wallet(
@@ -139,11 +138,9 @@ class WalletManager:
             update_rule=update_rule,
         )
         self._wallets[wallet_id] = wallet
-        self._wallet_order.append(wallet_id)
 
         def undo():
             del self._wallets[wallet_id]
-            self._wallet_order.remove(wallet_id)
 
         self._notify(wallet_id, NEW_WALLET, undo)
         return wallet
@@ -169,7 +166,7 @@ class WalletManager:
         return found
 
     def wallets(self) -> List[Wallet]:
-        return [self._wallets[w] for w in self._wallet_order]
+        return list(self._wallets.values())
 
     def tree_of(self, wallet_id: str) -> PolicyTree:
         policy = self.wallet(wallet_id).policy
@@ -214,9 +211,9 @@ class WalletManager:
         if new_policy_kind not in REGISTRY_POLICIES:
             raise UnknownPolicy(new_policy_kind)
         if wallet.update_rule != "any":
-            raise UpdateRefused()
+            raise UpdateRefused(f"update rule {wallet.update_rule} swaps no policy")
         if player != wallet.access_manager:
-            raise UpdateRefused()
+            raise UpdateRefused("only the access manager may swap the policy")
         old_policy = wallet.policy
         wallet.policy = self._build_policy(
             new_policy_kind, wallet.access_manager, None
@@ -274,13 +271,11 @@ class WalletManager:
     def seal_asset(self, actor: str, wallet_id: str, node_id: str, asset: AssetId) -> None:
         wallet = self.wallet(wallet_id)
         tree = self.tree_of(wallet_id)
-        node = tree.node(node_id)
-        allowed = actor == wallet.access_manager or (
-            isinstance(node.controller, PlayerController)
-            and node.controller.player == actor
-        )
-        if not allowed:
-            raise UpdateRefused()
+        node = tree.nodes.get(node_id)
+        if node is None:
+            raise UpdateRefused(f"unknown node {node_id}")
+        if actor != wallet.access_manager and node.controller != PlayerController(actor):
+            raise UpdateRefused(f"actor may not seal for {node_id}")
         sealed = tree.clone()
         sealed.seal(node_id, asset)
         self._install_tree(wallet, sealed, PRIVILEGE_DECREASE)
@@ -288,13 +283,18 @@ class WalletManager:
     def unseal_asset(self, actor: str, wallet_id: str, asset: AssetId) -> None:
         wallet = self.wallet(wallet_id)
         if actor != wallet.access_manager:
-            raise UpdateRefused()
+            raise UpdateRefused("only the access manager may unseal")
         unsealed = self.tree_of(wallet_id).clone()
         unsealed.unseal(asset)
         self._install_tree(wallet, unsealed, PRIVILEGE_INCREASE)
 
     def _install_tree(self, wallet: Wallet, tree: PolicyTree, change_class: str) -> None:
-        """Commit a tree change: the one place a wallet's tree is swapped."""
+        """Commit a tree change: the one place a wallet's tree is swapped.
+
+        A wallet created with the ``frozen`` update rule takes none.
+        """
+        if wallet.update_rule == "frozen":
+            raise UpdateRefused(f"{wallet.wallet_id} is frozen")
         policy = wallet.policy
         old_tree = policy.tree
         policy.tree = tree

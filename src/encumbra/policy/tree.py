@@ -51,12 +51,7 @@ from typing import TYPE_CHECKING, Collection, Container, Dict, List, Optional, S
 
 from .. import crypto
 from ..assets import AssetId, AssetKind, UnitDemand, capability, demands_of
-from ..errors import (
-    ConflictingGrant,
-    ExpiryExceedsParent,
-    UnknownNode,
-    UpdateRefused,
-)
+from ..errors import UnknownNode, UpdateRefused
 from ..messages import ChainTx
 from ..state import StateTriple
 
@@ -470,7 +465,7 @@ class PolicyTree:
                 self._check_siblings(kids[node_id], touched)
         if ROOT_ID in gathered and self.native_capacity is not None:
             if reserved.get(ROOT_ID, 0) > self.native_capacity:
-                raise ConflictingGrant("root fungible capacity exceeded")
+                raise UpdateRefused("root fungible capacity exceeded")
         for node_id in order:
             if node_id != ROOT_ID:
                 self._check_balance(node_id, reserved.get(node_id, 0))
@@ -485,7 +480,7 @@ class PolicyTree:
             raise UpdateRefused(f"dangling parent for {node.node_id}")
         parent = self.nodes[node.parent]
         if node.expiry > parent.expiry:
-            raise ExpiryExceedsParent(node.node_id)
+            raise UpdateRefused(f"{node.node_id} outlives its parent")
         native_seen = False
         for grant in node.grants:
             if grant.cap < 1:
@@ -493,7 +488,7 @@ class PolicyTree:
             if grant.start > grant.expiry:
                 raise UpdateRefused("inverted grant window")
             if grant.expiry > node.expiry:
-                raise ExpiryExceedsParent(node.node_id)
+                raise UpdateRefused(f"{node.node_id} grant outlives its node")
             if grant.asset.kind is AssetKind.NATIVE_BALANCE:
                 if native_seen:
                     raise UpdateRefused("one fungible grant per node")
@@ -508,7 +503,7 @@ class PolicyTree:
                 if grant.platform is not None and grant.platform == grant.asset.key:
                     raise UpdateRefused("grant cannot be its own platform")
             if node.parent != ROOT_ID and not self._covered_by_parent(parent, grant):
-                raise ConflictingGrant(
+                raise UpdateRefused(
                     f"{node.node_id} grant on {grant.asset.label()} has no source"
                 )
 
@@ -550,7 +545,7 @@ class PolicyTree:
             id_a, a = flat[i]
             id_b, b = flat[j]
             if id_a != id_b and a.conflicts_with(b):
-                raise ConflictingGrant(f"{id_a} and {id_b} overlap on {a.asset.label()}")
+                raise UpdateRefused(f"{id_a} and {id_b} overlap on {a.asset.label()}")
 
     def _check_balance(self, node_id: str, reserved: int) -> None:
         """Fungible conservation at one non-root node, pointwise at t.
@@ -561,7 +556,7 @@ class PolicyTree:
         """
         grant = self.native_grant(node_id)
         if grant is not None and reserved > grant.cap:
-            raise ConflictingGrant(f"{node_id} over-delegates balance")
+            raise UpdateRefused(f"{node_id} over-delegates balance")
 
     @staticmethod
     def _covered_by_parent(parent: Node, grant: Grant) -> bool:

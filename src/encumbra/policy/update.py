@@ -12,11 +12,18 @@ expired, or garbage collection of expired parts:
   ``t`` and ``t`` never goes back;
 * nothing another player currently holds may shrink or vanish;
 * every added node, even an empty one, must hang under a live anchored
-  ancestor (the nearest ancestor already in the old tree);
+  ancestor (the nearest ancestor already in the old tree), and the
+  actor must control that anchor: no player hangs even an empty node
+  under a node it does not control;
 * every added grant must carve from a node the actor controls (the
-  root's residual capacity counts as the root controller's);
+  root's residual capacity counts as the root controller's), and a
+  re-grant must add at least one grant;
 * carved capacity must be unsealed — no outstanding signature may be
   able to spend what is being handed over.
+
+Every refusal is one ``UpdateRefused`` whose reason is in ``.detail``
+only, so a player who controls nothing cannot tell from a refusal
+which assets, windows or node ids other players hold.
 
 Its cost is one linear diff of the two trees, at one identity test
 for each node the update left alone, plus the rules on the touched
@@ -36,12 +43,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..assets import AssetKind
-from ..errors import (
-    ConflictingGrant,
-    ExpiredPolicy,
-    SealedAsset,
-    UpdateRefused,
-)
+from ..errors import UpdateRefused
 from ..state import StateTriple
 from .tree import Controller, Grant, Node, PlayerController, PolicyTree, ROOT_ID
 
@@ -58,6 +60,25 @@ def _controlling_ancestor(old: PolicyTree, new: PolicyTree, node_id: str) -> Opt
             return old.nodes[cursor]
         cursor = new.nodes[cursor].parent
     return None
+
+
+def _check_source(actor: str, source: Node, t: int) -> None:
+    """Refuse unless ``source`` is live at ``t`` and ``actor`` is the
+    player controlling it."""
+    if t > source.expiry:
+        raise UpdateRefused(f"{source.node_id} has expired")
+    if source.controller != PlayerController(actor):
+        raise UpdateRefused(f"actor does not control {source.node_id}")
+
+
+def _live_node(tree: PolicyTree, node_id: str, t: int) -> Node:
+    """The node ``node_id`` of ``tree``, refused unless it is live at ``t``."""
+    node = tree.nodes.get(node_id)
+    if node is None:
+        raise UpdateRefused(f"unknown node {node_id}")
+    if t > node.expiry:
+        raise UpdateRefused(f"{node_id} has expired")
+    return node
 
 
 def check_update(
@@ -148,8 +169,7 @@ def check_update(
         source = _controlling_ancestor(old, new, node_id)
         if source is None:
             raise UpdateRefused("added subtree has no anchored ancestor")
-        if t > source.expiry:
-            raise ExpiredPolicy(source.node_id)
+        _check_source(actor, source, t)
         anchors[node_id] = source
         for grant in new_node.grants:
             added.append((node_id, grant))
@@ -173,15 +193,10 @@ def check_update(
             source = old.nodes.get(source_id)
             if source is None:
                 raise UpdateRefused("grant added under a new parent")
-            if t > source.expiry:
-                raise ExpiredPolicy(source.node_id)
-        controller = source.controller
-        if not isinstance(controller, PlayerController) or controller.player != actor:
-            raise UpdateRefused("actor does not control the capacity source")
+            _check_source(actor, source, t)
         if grant.asset.kind is not AssetKind.NATIVE_BALANCE:
-            owner = sealed.get(grant.asset.encode())
-            if owner is not None:
-                raise SealedAsset(grant.asset.label())
+            if grant.asset.encode() in sealed:
+                raise UpdateRefused(f"{grant.asset.label()} is sealed")
         elif grant.expiry >= t and new.nodes[node_id].parent == source.node_id:
             # Direct carves draw on the source's unspent, unreserved
             # balance; cap alone is not enough once the source has spent.
@@ -193,7 +208,7 @@ def check_update(
 
     for source_id, amount in native_drawn.items():
         if amount > old.available_native(source_id, t, st):
-            raise ConflictingGrant(f"carve exceeds {source_id} available balance")
+            raise UpdateRefused(f"carve exceeds {source_id} available balance")
 
 
 def spawn(
@@ -208,9 +223,7 @@ def spawn(
     t: int,
 ) -> PolicyTree:
     """Validated spawn; returns the successor tree, original untouched."""
-    parent = tree.node(parent_id)
-    if t > parent.expiry:
-        raise ExpiredPolicy(parent_id)
+    _live_node(tree, parent_id, t)
     if node_id in tree.nodes:
         raise UpdateRefused(f"node id {node_id} already in use")
     candidate = tree.clone()
@@ -235,9 +248,9 @@ def add_grants(
     t: int,
 ) -> PolicyTree:
     """Re-grant a live node whose previous holdings have all expired."""
-    node = tree.node(node_id)
-    if t > node.expiry:
-        raise ExpiredPolicy(node_id)
+    node = _live_node(tree, node_id, t)
+    if not grants:
+        raise UpdateRefused(f"grant on {node_id} adds nothing")
     candidate = tree.clone()
     candidate.nodes[node_id] = replace(node, grants=node.grants + tuple(grants))
     check_update(actor, tree, candidate, st, t)

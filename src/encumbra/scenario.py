@@ -265,7 +265,7 @@ class ScenarioRunner:
                 if not step.tolerant:
                     raise StepFailure(
                         f"line {step.lineno}: {step.command} failed with "
-                        f"{error.code}: {error}"
+                        f"{error.code}: {error.detail or error}"
                     ) from error
                 emit(f"refused L{step.lineno} {step.command} {error.code}")
                 continue

@@ -346,8 +346,8 @@ def scan_violations(
 # ``check_update`` that the production checker replaced: children and
 # reserved balances are found by scanning every node, every sibling
 # grant is compared pairwise, and every kept node's grants are compared
-# as multisets.  It raises the production error classes with the
-# production messages, so outcomes compare exactly.  Pairwise grant
+# as multisets.  It raises ``UpdateRefused`` with the production
+# details, so outcomes compare exactly.  Pairwise grant
 # predicates (``Grant.conflicts_with``, ``PolicyTree._covered_by_parent``)
 # are the production ones; tree-wide derivations are the ones above.
 
@@ -366,7 +366,7 @@ def validate_structure_ref(tree, t: int) -> None:
             raise errors.UpdateRefused(f"dangling parent for {node.node_id}")
         parent = tree.nodes[node.parent]
         if node.expiry > parent.expiry:
-            raise errors.ExpiryExceedsParent(node.node_id)
+            raise errors.UpdateRefused(f"{node.node_id} outlives its parent")
         native_seen = False
         for grant in node.grants:
             if grant.cap < 1:
@@ -374,7 +374,7 @@ def validate_structure_ref(tree, t: int) -> None:
             if grant.start > grant.expiry:
                 raise errors.UpdateRefused("inverted grant window")
             if grant.expiry > node.expiry:
-                raise errors.ExpiryExceedsParent(node.node_id)
+                raise errors.UpdateRefused(f"{node.node_id} grant outlives its node")
             if enc(grant.asset) == NATIVE_ENC:
                 if native_seen:
                     raise errors.UpdateRefused("one fungible grant per node")
@@ -390,7 +390,7 @@ def validate_structure_ref(tree, t: int) -> None:
                 if grant.platform is not None and grant.platform == grant.asset.key:
                     raise errors.UpdateRefused("grant cannot be its own platform")
             if node.parent != ROOT and not covered_by_parent(parent, grant):
-                raise errors.ConflictingGrant(
+                raise errors.UpdateRefused(
                     f"{node.node_id} grant on {grant.asset.label()} has no source"
                 )
     for node in tree.nodes.values():
@@ -405,12 +405,12 @@ def validate_structure_ref(tree, t: int) -> None:
                 id_a, a = flat[i]
                 id_b, b = flat[j]
                 if id_a != id_b and a.conflicts_with(b):
-                    raise errors.ConflictingGrant(
+                    raise errors.UpdateRefused(
                         f"{id_a} and {id_b} overlap on {a.asset.label()}"
                     )
     if tree.native_capacity is not None:
         if reserved_ref(tree, ROOT, t) > tree.native_capacity:
-            raise errors.ConflictingGrant("root fungible capacity exceeded")
+            raise errors.UpdateRefused("root fungible capacity exceeded")
     for node in tree.nodes.values():
         if node.node_id == ROOT:
             continue
@@ -418,9 +418,9 @@ def validate_structure_ref(tree, t: int) -> None:
         reserved = reserved_ref(tree, node.node_id, t)
         if not natives:
             if reserved > 0:
-                raise errors.ConflictingGrant(f"{node.node_id} delegates absent balance")
+                raise errors.UpdateRefused(f"{node.node_id} delegates absent balance")
         elif reserved > natives[0].cap:
-            raise errors.ConflictingGrant(f"{node.node_id} over-delegates balance")
+            raise errors.UpdateRefused(f"{node.node_id} over-delegates balance")
 
 
 def _grant_key_ref(grant) -> tuple:
@@ -481,7 +481,9 @@ def check_update_ref(actor: str, old, new, st, t: int) -> None:
         if source is None:
             raise errors.UpdateRefused("added subtree has no anchored ancestor")
         if t > source.expiry:
-            raise errors.ExpiredPolicy(source.node_id)
+            raise errors.UpdateRefused(f"{source.node_id} has expired")
+        if controller_player(source) != actor:
+            raise errors.UpdateRefused(f"actor does not control {source.node_id}")
         anchors[node_id] = source
         for grant in new_node.grants:
             added.append((node_id, grant))
@@ -501,12 +503,12 @@ def check_update_ref(actor: str, old, new, st, t: int) -> None:
             if source is None:
                 raise errors.UpdateRefused("grant added under a new parent")
             if t > source.expiry:
-                raise errors.ExpiredPolicy(source.node_id)
-        if controller_player(source) != actor:
-            raise errors.UpdateRefused("actor does not control the capacity source")
+                raise errors.UpdateRefused(f"{source.node_id} has expired")
+            if controller_player(source) != actor:
+                raise errors.UpdateRefused(f"actor does not control {source.node_id}")
         if enc(grant.asset) != NATIVE_ENC:
             if enc(grant.asset) in sealed:
-                raise errors.SealedAsset(grant.asset.label())
+                raise errors.UpdateRefused(f"{grant.asset.label()} is sealed")
         elif grant.expiry >= t and new.nodes[node_id].parent == source.node_id:
             native_drawn[source.node_id] = (
                 native_drawn.get(source.node_id, 0) + grant.cap
@@ -514,7 +516,7 @@ def check_update_ref(actor: str, old, new, st, t: int) -> None:
 
     for source_id, amount in native_drawn.items():
         if amount > native_available_ref(old, source_id, t, st):
-            raise errors.ConflictingGrant(f"carve exceeds {source_id} available balance")
+            raise errors.UpdateRefused(f"carve exceeds {source_id} available balance")
 
 
 def snapshot_ref(tree) -> dict:

@@ -194,6 +194,50 @@ def test_refusals_are_uniform():
     assert causes[0][1] == "PolicyRefusal"
 
 
+def test_update_refusals_are_uniform_to_an_outsider():
+    # bob's rent holds a destination until 1000; eve controls nothing.
+    # Whatever her attempt would reveal (which destinations are taken,
+    # which node ids exist, a grant's window), she sees one refusal and
+    # the wallet does not change.
+    manager = _manager()
+    manager.register_player("eve")
+    _tree_wallet(manager)
+    shop, other = destination(b"\x5a" * 20), destination(b"\x5b" * 20)
+    manager.spawn_node(
+        "am", "w", ROOT_ID, "rent", PlayerController("bob"), 1000,
+        [Grant(shop, 1, 0, 1000)],
+    )
+    wallet = manager.wallet("w")
+    before, version = manager.tree_of("w"), wallet.policy_version
+
+    def spawn(parent, expiry, *grants):
+        return lambda: manager.spawn_node(
+            "eve", "w", parent, "probe", PlayerController("eve"), expiry, list(grants)
+        )
+
+    attempts = [
+        spawn(ROOT_ID, 1000, Grant(shop, 1, 0, 1000)),    # a delegated destination
+        spawn(ROOT_ID, 1000, Grant(other, 1, 0, 1000)),   # a free one
+        spawn("nosuch", 1000),                            # an unknown node id
+        spawn("rent", 2000),                              # outlives rent's window
+        spawn("rent", 1000, Grant(other, 1, 0, 500)),     # nothing rent holds
+        spawn("rent", 1000, Grant(shop, 1, 0, 500)),      # inside rent's window
+        spawn("rent", 1000),                              # an empty node
+        lambda: manager.add_node_grants("eve", "w", "rent", []),
+        lambda: manager.seal_asset("eve", "w", "nosuch", shop),
+        lambda: manager.seal_asset("eve", "w", "rent", shop),
+        lambda: manager.unseal_asset("eve", "w", shop),
+    ]
+    causes = set()
+    for attempt in attempts:
+        with pytest.raises(UpdateRefused) as info:
+            attempt()
+        causes.add((type(info.value), str(info.value), info.value.code))
+        assert manager.tree_of("w") is before
+        assert wallet.policy_version == version
+    assert causes == {(UpdateRefused, "UpdateRefused", "UpdateRefused")}
+
+
 def test_lw_update_rules():
     manager = _manager()
     manager.lw_gen(access_manager="am", wallet_id="w", policy_kind="deny",

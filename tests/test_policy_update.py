@@ -7,20 +7,14 @@ full-rescan reference in tests/oracles/treeref.py on seeded trees.
 """
 
 import collections
+import contextlib
 import random
 
 import pytest
 
 from encumbra import crypto
 from encumbra.assets import NATIVE, capability, destination
-from encumbra.errors import (
-    ConflictingGrant,
-    EngineError,
-    ExpiredPolicy,
-    ExpiryExceedsParent,
-    SealedAsset,
-    UpdateRefused,
-)
+from encumbra.errors import EngineError, UpdateRefused
 from encumbra.messages import ChainTx
 from encumbra.policy.tree import (
     ROOT_ID,
@@ -44,6 +38,14 @@ def _st(t=0, entries=(), nonce=0):
         ost=OracleState(chain_time=t, block_hashes=(), recognized_nonce=nonce),
         extst=b"",
     )
+
+
+@contextlib.contextmanager
+def _refused(detail):
+    """Expect an ``UpdateRefused`` whose operator detail contains ``detail``."""
+    with pytest.raises(UpdateRefused) as info:
+        yield
+    assert detail in info.value.detail, info.value.detail
 
 
 def _pc(player):
@@ -80,8 +82,10 @@ def test_spawn_rejects_duplicate_ids_and_expired_parents():
     tree = _base()
     with pytest.raises(UpdateRefused):
         spawn(tree, "am", ROOT_ID, "a", _pc("x"), 50, [], _st(), 0)
-    with pytest.raises(ExpiredPolicy):
+    with _refused("a has expired"):
         spawn(tree, "ann", "a", "late", _pc("x"), 150, [], _st(150), 150)
+    with _refused("unknown node nosuch"):
+        spawn(tree, "am", "nosuch", "late", _pc("x"), 50, [], _st(), 0)
 
 
 def test_live_nodes_cannot_be_removed():
@@ -156,8 +160,19 @@ def test_regrant_requires_full_expiry():
 
 def test_add_grants_to_expired_node_fails():
     tree = _base()
-    with pytest.raises(ExpiredPolicy):
+    with _refused("a has expired"):
         add_grants(tree, "am", "a", [Grant(destination(D2), 1, 150, 160)], _st(150), 150)
+    with _refused("unknown node nosuch"):
+        add_grants(tree, "am", "nosuch", [Grant(destination(D2), 1, 0, 50)], _st(), 0)
+
+
+def test_a_regrant_must_add_a_grant():
+    tree = _base()
+    # at 101 every holding of a has expired, yet the node is still live
+    tree = spawn(tree, "am", ROOT_ID, "b", _pc("bo"), 1000, [Grant(NATIVE, ETH, 0, 10)], _st(), 0)
+    with _refused("grant on b adds nothing"):
+        add_grants(tree, "am", "b", [], _st(11), 11)
+    add_grants(tree, "am", "b", [Grant(destination(D2), 1, 11, 20)], _st(11), 11)
 
 
 def test_new_child_under_expired_parent_fails():
@@ -168,7 +183,7 @@ def test_new_child_under_expired_parent_fails():
     )
     candidate = tree.clone()
     candidate.nodes["kid"] = Node("kid", "a", _pc("kim"), 100, 101, [])
-    with pytest.raises(ExpiredPolicy):
+    with _refused("a has expired"):
         check_update("ann", tree, candidate, _st(101), 101)
 
 
@@ -177,19 +192,22 @@ def test_actor_must_control_the_source():
     with pytest.raises(UpdateRefused):
         spawn(tree, "bob", "a", "kid", _pc("kim"), 50,
               [Grant(NATIVE, ETH, 0, 50)], _st(), 0)
-    # an empty spawn moves no authority, so anyone may hang scaffolding
-    spawn(tree, "bob", "a", "kid", _pc("kim"), 50, [], _st(), 0)
+    # even an empty spawn changes the tree another player controls, so
+    # only the anchor's controller may hang one
+    with _refused("actor does not control a"):
+        spawn(tree, "bob", "a", "kid", _pc("kim"), 50, [], _st(), 0)
+    spawn(tree, "ann", "a", "kid", _pc("kim"), 50, [], _st(), 0)
 
 
 def test_carve_respects_available_balance():
     tree = _base()  # ann holds 4 ETH
-    with pytest.raises(ConflictingGrant):
+    with _refused("a over-delegates balance"):
         spawn(tree, "ann", "a", "kid", _pc("kim"), 100,
               [Grant(NATIVE, 4 * ETH + 1, 0, 100)], _st(), 0)
     grown = spawn(tree, "ann", "a", "kid", _pc("kim"), 100,
                   [Grant(NATIVE, 3 * ETH, 0, 100)], _st(), 0)
     # the carve is reserved: only 1 ETH of headroom remains
-    with pytest.raises(ConflictingGrant):
+    with _refused("a over-delegates balance"):
         spawn(grown, "ann", "a", "kid2", _pc("kim"), 100,
               [Grant(NATIVE, 2 * ETH, 0, 100)], _st(), 0)
 
@@ -199,7 +217,7 @@ def test_spending_shrinks_what_can_be_carved():
     spend = ChainTx(1, 0, 0, 0, D1, 3 * ETH)
     entry = LogEntry("ann", spend, OracleState(0, (), 0), node_id="a")
     st = _st(0, entries=[entry], nonce=1)  # landed: no seal, but spent
-    with pytest.raises(ConflictingGrant):
+    with _refused("carve exceeds a available balance"):
         spawn(tree, "ann", "a", "kid", _pc("kim"), 100,
               [Grant(NATIVE, 2 * ETH, 0, 100)], st, 0)
     spawn(tree, "ann", "a", "kid", _pc("kim"), 100,
@@ -212,7 +230,7 @@ def test_sealed_asset_blocks_transfer_until_nonce_advances():
     entry = LogEntry("ann", withheld, OracleState(0, (), 0), node_id="a")
     pending = _st(0, entries=[entry], nonce=0)
     carve = [Grant(destination(D1), 1, 50, 100)]
-    with pytest.raises(SealedAsset):
+    with _refused(f"dest:{D1.hex()} is sealed"):
         spawn(tree, "ann", "a", "kid", _pc("kim"), 100, carve, pending, 0)
     # inclusion recognized: the nonce advanced, the seal is gone
     settled = _st(0, entries=[entry], nonce=1)
@@ -223,7 +241,7 @@ def test_manual_seal_blocks_transfer_until_unsealed():
     tree = _base()
     tree.seal("a", destination(D1))
     carve = [Grant(destination(D1), 1, 50, 100)]
-    with pytest.raises(SealedAsset):
+    with _refused(f"dest:{D1.hex()} is sealed"):
         spawn(tree, "ann", "a", "kid", _pc("kim"), 100, carve, _st(), 0)
     tree.unseal(destination(D1))
     spawn(tree, "ann", "a", "kid", _pc("kim"), 100, carve, _st(), 0)
@@ -231,9 +249,9 @@ def test_manual_seal_blocks_transfer_until_unsealed():
 
 def test_child_windows_stay_inside_the_source():
     tree = _base()
-    with pytest.raises(ExpiryExceedsParent):
+    with _refused("kid outlives its parent"):
         spawn(tree, "ann", "a", "kid", _pc("kim"), 150, [], _st(), 0)
-    with pytest.raises((ConflictingGrant, ExpiryExceedsParent)):
+    with _refused("kid grant outlives its node"):
         spawn(tree, "ann", "a", "kid", _pc("kim"), 100,
               [Grant(destination(D1), 1, 50, 120)], _st(), 0)
 
@@ -247,7 +265,7 @@ def test_same_capability_cannot_be_sold_twice_concurrently():
     tree = spawn(tree, "sal", "seller", "b1", _pc("briber1"), 500,
                  [Grant(capability(proposal), 1, 0, 500, platform=domain)],
                  _st(), 0)
-    with pytest.raises(ConflictingGrant):
+    with _refused(f"b1 and b2 overlap on cap:{proposal.hex()}"):
         spawn(tree, "sal", "seller", "b2", _pc("briber2"), 600,
               [Grant(capability(proposal), 1, 400, 600, platform=domain)],
               _st(), 0)
@@ -314,6 +332,11 @@ def _outcome(check, *args):
     return None
 
 
+# Every refusal is one UpdateRefused; the refusal families the
+# generators aim for are told apart by their operator detail.
+FAMILIES = ("overlap", "outlives", "is sealed", "has no source", "over-delegates")
+
+
 def test_check_update_agrees_with_full_rescan_reference():
     # UpdateRefused hides its reason from str() but keeps it in detail,
     # so two different refusals of that class do not compare equal, and
@@ -345,14 +368,18 @@ def test_check_update_agrees_with_full_rescan_reference():
                 assert _outcome(candidate.validate_structure, t) == _outcome(
                     treeref.validate_structure_ref, candidate, t
                 ), (trial, t, label)
-                seen[got[0].__name__ if got else "admitted"] += 1
+                if got is None:
+                    seen["admitted"] += 1
+                else:
+                    assert got[:2] == (UpdateRefused, "UpdateRefused"), got
+                    seen[next((f for f in FAMILIES if f in got[2]), "other")] += 1
                 if got is None and benign:
                     built.tree = candidate
     # the comparison is not vacuous: both verdicts and every refusal
     # family the generators aim for came up
     assert seen["admitted"] > 100
-    for code in ("ConflictingGrant", "ExpiryExceedsParent", "SealedAsset", "UpdateRefused"):
-        assert seen[code] > 0, seen
+    for family in FAMILIES + ("other",):
+        assert seen[family] > 0, seen
 
 
 def test_sibling_unit_overlap_is_found_among_fungible_grants():
@@ -363,9 +390,9 @@ def test_sibling_unit_overlap_is_found_among_fungible_grants():
             [Grant(NATIVE, ETH, 0, 100), Grant(destination(D1), 1, 50, 100)],
         )
     for check in (tree.validate_structure, lambda t: treeref.validate_structure_ref(tree, t)):
-        with pytest.raises(ConflictingGrant) as raised:
+        with pytest.raises(UpdateRefused) as raised:
             check(0)
-        assert str(raised.value) == f"a and b overlap on dest:{D1.hex()}"
+        assert raised.value.detail == f"a and b overlap on dest:{D1.hex()}"
 
 
 def _wide_tree(size):

@@ -19,9 +19,10 @@ import pytest
 
 from encumbra import cli
 from encumbra.engine import dao_domain
-from encumbra.errors import EngineError, ParseError, StepFailure, UnknownPolicy
+from encumbra.assets import destination
+from encumbra.errors import EngineError, ParseError, StepFailure, UnknownPolicy, UpdateRefused
 from encumbra.policy.registry import REGISTRY_POLICIES, UPDATE_RULES
-from encumbra.policy.tree import INFINITE_EXPIRY
+from encumbra.policy.tree import INFINITE_EXPIRY, ROOT_ID, Grant, PlayerController
 from encumbra.policy.update import check_update
 from encumbra.scenario import COMMANDS, SYNTAX, ScenarioRunner, parse_scenario
 
@@ -71,6 +72,69 @@ def test_refused_enroll_leaves_no_program_behind():
         runner.engine.dao.enroll("gov", dao_domain("main"))
     assert runner.engine.manager.wallet("gov").policy.programs == before
     assert "gov" not in runner.engine.dao.enrollments
+
+
+def test_an_outsider_cannot_hang_a_node_on_a_tree():
+    # An empty spawn moves no authority, but it takes a node id: one
+    # under alice's root would block her enroll.
+    runner = _run(
+        "player alice\nplayer eve\n"
+        "wallet gov am=alice policy=tree update=tree fund=5eth\n"
+        "? spawn gov actor=eve node=dao-vote controller=eve\n"
+        "enroll gov dao=main\n"
+    )
+    assert runner.transcript[-2:] == [
+        "refused L4 spawn UpdateRefused",
+        "ok L5 enroll gov/dao-vote",
+    ]
+
+
+def test_a_failed_tree_step_names_its_reason_on_stderr_only(tmp_path, capsys):
+    script = (
+        "player alice\nplayer eve\n"
+        "wallet gov am=alice policy=tree update=tree\n"
+        "spawn gov actor=eve node=x controller=eve\n"
+    )
+    path = tmp_path / "outsider.scn"
+    path.write_text(script, encoding="utf-8")
+    assert cli.main(["--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "step failure: line 4: spawn failed with UpdateRefused: actor does not control root"
+    )
+    assert _run(script.replace("spawn", "? spawn")).transcript[-1] == (
+        "refused L4 spawn UpdateRefused"
+    )
+
+
+def test_a_frozen_tree_wallet_takes_no_tree_change():
+    shop = "5a" * 20
+    runner = _run(
+        "player am\nplayer alice\n"
+        "wallet t am=am policy=tree update=tree capacity=1eth\n"
+        "wallet f am=am policy=tree update=frozen capacity=1eth\n"
+        f"spawn t actor=am node=n controller=alice dest={shop} until=10 expiry=1000\n"
+        "advance 20\n"
+    )
+    manager, dao = runner.engine.manager, runner.engine.dao
+    frozen = manager.wallet("f")
+    frozen.policy.tree = manager.tree_of("t")  # one tree under both rules
+    asset = destination(bytes.fromhex(shop))
+    changes = [
+        lambda w: manager.spawn_node("am", w, ROOT_ID, "m", PlayerController("alice"), 1000, []),
+        lambda w: manager.add_node_grants("am", w, "n", [Grant(asset, 1, 30, 40)]),
+        lambda w: manager.seal_asset("am", w, "n", asset),
+        lambda w: manager.unseal_asset("am", w, asset),
+        lambda w: dao.enroll(w, dao_domain("main")),
+    ]
+    for change in changes:
+        tree, version = manager.tree_of("f"), frozen.policy_version
+        with pytest.raises(UpdateRefused) as refused:
+            change("f")
+        assert refused.value.detail == "f is frozen"
+        assert manager.tree_of("f") is tree and frozen.policy_version == version
+        change("t")  # the tree rule admits the same change
+    assert "f" not in dao.enrollments and "t" in dao.enrollments
+    assert manager.wallet("t").policy_version == 6
 
 
 def test_a_ledger_wallet_swapped_off_its_tree_refuses_ledger_commands():

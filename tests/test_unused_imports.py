@@ -6,7 +6,8 @@ surface), as are ``__future__`` imports.  Names inside string
 annotations are not seen, so source modules write annotations unquoted.
 
 Every public module-level function, class and constant is referenced
-somewhere in the source, the tests or the benchmark.
+somewhere in the source, the tests or the benchmark, and every refusal
+code in ``errors.py`` is raised somewhere in the source.
 """
 
 import ast
@@ -101,3 +102,38 @@ def test_every_public_source_name_is_referenced():
             if all(where == path and first <= line <= last for where, line in uses[name]):
                 dead.append(f"{path.relative_to(SRC)}:{first} {name}")
     assert dead == []
+
+
+def _raised_names(tree):
+    """Names of the classes or instances a ``raise`` statement raises."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def test_every_refusal_code_is_raised_in_the_source():
+    """Each ``EngineError`` subclass in ``errors.py`` is raised somewhere
+    in ``src/encumbra``.
+
+    A class only the tests still name passes the dead-name check above,
+    but no caller can meet it: its code is dead.
+    """
+    classes = {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for node in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    errors = {"EngineError"}
+    for name, bases in classes.items():  # bases are defined before use
+        if bases & errors:
+            errors.add(name)
+    errors.discard("EngineError")
+    raised = set()
+    for path in SRC.rglob("*.py"):
+        raised.update(_raised_names(ast.parse(path.read_text(encoding="utf-8"))))
+    assert len(errors) > 20
+    assert sorted(errors - raised) == []
