@@ -39,7 +39,6 @@ DEFAULTS: Dict[str, Any] = {
     "fallback.committee": 5,
     "fallback.threshold": 3,
     "reliable_chain.block_interval_s": 12,
-    "reliable_chain.chain_id": 2,
 }
 
 _MODES = ("latest", "justified", "finalized")

@@ -66,7 +66,6 @@ class BribeOffer:
     reserved: int = 0
     # wallet id -> reserved payment, created at accept, consumed at claim
     reservations: Dict[str, int] = field(default_factory=dict)
-    paid: Dict[str, int] = field(default_factory=dict)
 
     def headroom(self) -> int:
         return self.escrow - self.reserved
@@ -293,7 +292,6 @@ class DarkDao:
             raise NoReservation(wallet_id)
         offer.reserved -= payment
         offer.escrow -= payment
-        offer.paid[wallet_id] = offer.paid.get(wallet_id, 0) + payment
         return payment
 
     # ------------------------------------------------------------------

@@ -32,6 +32,8 @@ from .txpolicy import TxLedger
 
 SENTINEL_WALLET = "sentinel"
 SENTINEL_OPERATOR = "sentinel-op"
+# The reliable chain carries no transactions, so its id signs nothing.
+RELIABLE_CHAIN_ID = 2
 
 DEFAULT_GAS_LIMIT = 21_000
 GWEI = 10**9
@@ -68,9 +70,8 @@ class Engine:
         )
         self.reliable = SimChain(
             seed=self.seed,
-            chain_id=cfg["reliable_chain.chain_id"],
+            chain_id=RELIABLE_CHAIN_ID,
             block_interval=cfg["reliable_chain.block_interval_s"],
-            proof_mode=cfg["oracle.mode"],
             delay_models=models,
             label="reliable",
         )
@@ -336,7 +337,9 @@ class Engine:
         if not 0 <= count <= len(self.fallback.shares):
             raise StepFailure(f"shares={count} outside 0..{len(self.fallback.shares)}")
         shares = self.fallback.shares[:count]
-        released = self.fallback.execute(shares, self.trigger, self.reliable)
+        reliable = self.reliable
+        finalized = reliable.header(reliable.confirmed_height("finalized")).timestamp
+        released = self.fallback.execute(shares, self.trigger, finalized)
         for pairs in released.values():
             for wallet_id, seed in pairs:
                 wallet = self.manager.wallet(wallet_id)

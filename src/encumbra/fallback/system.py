@@ -7,11 +7,12 @@ originating operation fails if no repository acknowledges — while
 privilege increases batch on a timer, so a crash between flushes can
 only lose permissiveness, never grant it.
 
-Release needs three independent facts: the trigger fired (read from
-the reliable chain's finalized state), a threshold of committee shares
-reconstructs the escrow key (checked against the known public key
-before use), and at least one repository serves an intact replica.
-The latest decryptable version wins; release happens at most once.
+Release needs three independent facts: the trigger fired and is final
+(the engine hands in the reliable chain's finalized time), a threshold
+of committee shares reconstructs the escrow key (checked against the
+known public key before use), and at least one repository serves an
+intact replica.  The latest decryptable version wins; release happens
+at most once.
 
 An escrow write serialises every wallet, but tree nodes are values that
 keep their canonical JSON once built, so a write re-serialises only the
@@ -39,7 +40,6 @@ from ..manager import (
     PRIVILEGE_INCREASE,
     WalletManager,
 )
-from ..simchain import SimChain
 from . import secretshare
 from .escrow import (
     EncryptedBlob,
@@ -155,19 +155,19 @@ class FallbackSystem:
         self,
         shares: Sequence[secretshare.Share],
         trigger: TriggerContract,
-        reliable_chain: SimChain,
+        finalized_time: int,
         repos: Optional[Sequence[StorageRepo]] = None,
     ) -> Dict[str, List[Tuple[str, bytes]]]:
         """Release escrowed keys to their access managers.
 
-        Returns {access manager: [(wallet id, key seed), ...]}.
+        ``finalized_time`` is the timestamp of the reliable chain's
+        finalized head; the trigger must have fired by then.  Returns
+        {access manager: [(wallet id, key seed), ...]}.
         """
         if self.executed:
             raise AlreadyTriggered("fallback already executed")
         if trigger.triggered_at is None:
             raise NotChallenged("trigger has not fired")
-        finalized_height = reliable_chain.confirmed_height("finalized")
-        finalized_time = reliable_chain.header(finalized_height).timestamp
         if finalized_time < trigger.triggered_at:
             raise NotYetConfirmed(
                 f"finalized time {finalized_time} precedes trigger {trigger.triggered_at}"

@@ -76,9 +76,31 @@ class Wallet:
         return self.key.public_key
 
 
-def _canonical_messages_digest(messages: Sequence[SignableMessage]) -> bytes:
-    blob = b"".join(encode_message(m) for m in messages)
-    return crypto.digest(len(messages).to_bytes(4, "big") + blob)
+def _framed(text: str) -> bytes:
+    raw = text.encode()
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def attestation_digest(
+    wallet_id: str,
+    subject: str,
+    messages: Sequence[SignableMessage],
+    predicate: Tuple,
+    verdict: bool,
+) -> bytes:
+    """What ``lw_verify`` signs; the layout is in docs/encoding.md."""
+    args = predicate[1:]
+    return crypto.digest(
+        b"attest-v2"
+        + _framed(wallet_id)
+        + _framed(subject)
+        + len(messages).to_bytes(4, "big")
+        + b"".join(encode_message(m) for m in messages)
+        + _framed(predicate[0])
+        + len(args).to_bytes(4, "big")
+        + b"".join(_framed(str(arg)) for arg in args)
+        + (b"\x01" if verdict else b"\x00")
+    )
 
 
 class WalletManager:
@@ -340,26 +362,13 @@ class WalletManager:
         """Evaluate a validity predicate and attest to the result.
 
         Side-effect free: nothing is logged and no counter moves.  The
-        attestation binds (subject, message set, predicate, verdict) and
-        is deterministic, so re-asking yields the identical signature.
+        attestation binds (wallet, subject, messages, predicate, verdict)
+        and is deterministic, so re-asking yields the identical signature.
         """
         wallet = self.wallet(wallet_id)
         st = self._state_triple(wallet, b"")
         result = self._eval_predicate(wallet, subject, messages, predicate, st)
-        name = predicate[0]
-        args_blob = ",".join(str(a) for a in predicate[1:])
-        payload = crypto.digest(
-            b"attest-v1"
-            + wallet.wallet_id.encode()
-            + b"\x00"
-            + subject.encode()
-            + b"\x00"
-            + _canonical_messages_digest(messages)
-            + name.encode()
-            + b"\x00"
-            + args_blob.encode()
-            + (b"\x01" if result else b"\x00")
-        )
+        payload = attestation_digest(wallet_id, subject, messages, predicate, result)
         return result, wallet.key.sign(payload)
 
     def _eval_predicate(

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Tuple
 
 from .config import Config, ORACLE_MODES
 from .engine import Engine, engine_seed
-from .simchain import SimChain
+from .simchain import mode_delays
 from .txpolicy import (
     HOST_OPS,
     OP_ADD_POLICY,
@@ -117,31 +117,21 @@ def costs_report(config: Config, engine: Engine | None = None) -> Tuple[str, Dic
 
 
 def latency_report(config: Config) -> Tuple[str, Dict[str, Any]]:
-    """Confirmation delays measured off a fresh seeded chain.
+    """Confirmation delays drawn for a seeded probe label.
 
-    Produces ``oracle.trials`` blocks and reports the per-mode delay
-    between block timestamp and confirmation, against the configured
-    distribution.
+    Draws the delays of heights 1 through ``oracle.trials`` (no blocks
+    are produced) and reports each mode's delay between block timestamp
+    and confirmation, against the configured distribution.
     """
     trials = int(config["oracle.trials"])
     seed = engine_seed(config)
     models = {mode: config.delay_model(mode) for mode in ORACLE_MODES}
-    interval = config["chain.block_interval_s"]
-    chain = SimChain(
-        seed=seed,
-        chain_id=config["chain.chain_id"],
-        block_interval=interval,
-        proof_mode=config["oracle.mode"],
-        delay_models=models,
-        label="latency-probe",
-    )
-    chain.advance(trials * interval)
+    draws = [
+        mode_delays(seed, "latency-probe", models, h) for h in range(1, trials + 1)
+    ]
     modes: Dict[str, Any] = {}
     for mode in ORACLE_MODES:
-        delays = [
-            chain.confirm_time(mode, h) - chain.header(h).timestamp
-            for h in range(1, trials + 1)
-        ]
+        delays = [drawn[mode] for drawn in draws]
         mean, stddev = models[mode]
         modes[mode] = {
             "trials": trials,

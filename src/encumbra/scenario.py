@@ -162,7 +162,10 @@ def parse_int(text: str, what: str) -> int:
 
 
 def parse_amount(text: str) -> int:
+    """A non-negative amount in wei; any sign fails the step."""
     lowered = text.lower().replace("_", "")
+    if lowered.startswith(("+", "-")):
+        raise StepFailure(f"bad amount {text!r}")
     for suffix, scale in _SUFFIX.items():
         if lowered.endswith(suffix):
             body = lowered[: -len(suffix)]

@@ -8,15 +8,16 @@ conserved to the wei: minted == circulating + fees.  There are no
 reorgs; a transaction is included at most once, and a nonce is consumed
 exactly once.
 
-The confirmation oracle maps each height to three confirmation times
-(latest / justified / finalized) drawn deterministically from the run
-seed through per-mode Gaussian delay models, clamped to be monotone
-across modes.  The times are drawn on first read, in height order:
-producing a block draws nothing, and a reader fills the oracle up to
-the height (or the time) it asks about.  Each height is a pure function
-of the seed, the chain label and the height, so when it is drawn does
-not change what it is.  Inclusion proofs are only issued for blocks at
-or below the confirmed height of the chain's configured proof mode.
+The confirmation oracle gives each height three delays (latest /
+justified / finalized), ``mode_delays``: seeded draws from per-mode
+Gaussian delay models, clamped to be monotone across modes.  They are a
+pure function of the seed, the chain label and the height.  The chain
+keeps only, per mode, the running max of ``timestamp + delay`` over the
+heights drawn so far: the time each prefix is confirmed.  It draws on
+first read, in height order: producing a block draws nothing, and a
+reader fills the prefixes up to the time it asks about.  Inclusion
+proofs are only issued for blocks at or below the confirmed height of
+the chain's configured proof mode.
 
 Derived values are computed once.  A ``SignedTx`` hashes its tx and
 its public key when it is built, so submission and every sweep of block
@@ -123,12 +124,9 @@ class SimChain:
         self.minted = 0
         self._tx_index: Dict[bytes, Tuple[int, int]] = {}
         self._balance_history: Dict[bytes, List[Tuple[int, int]]] = {}
-        # Raw per-block confirmation times keep the configured delay
-        # distribution measurable; the running max alongside them gives
-        # the oracle its prefix property (a confirmed height confirms
-        # everything below it) without distorting the marginals.  Both
-        # hold the heights drawn so far, 0 through len - 1.
-        self._confirm_times: Dict[str, List[int]] = {m: [0] for m in ORACLE_MODES}
+        # When each prefix 0..h is confirmed, per mode: the running max
+        # of timestamp + delay, so a confirmed height confirms everything
+        # below it.  Holds the heights drawn so far, 0 through len - 1.
         self._prefix_times: Dict[str, List[int]] = {m: [0] for m in ORACLE_MODES}
 
     # ------------------------------------------------------------------
@@ -259,27 +257,13 @@ class SimChain:
     # ------------------------------------------------------------------
     # confirmation oracle
 
-    def _mode_delays(self, height: int) -> Dict[str, int]:
-        delays = {}
-        previous = 0
-        for mode in ORACLE_MODES:
-            mean, stddev = self.delay_models[mode]
-            raw = sample_delay(self._seed, self.label, mode, height, mean, stddev)
-            value = max(1, round(raw))
-            value = max(value, previous)  # latest <= justified <= finalized
-            delays[mode] = value
-            previous = value
-        return delays
-
     def _draw_next(self) -> None:
-        """Draw the confirmation times of the lowest undrawn height."""
+        """Draw the prefix times of the lowest undrawn height."""
         block = self.blocks[len(self._prefix_times[ORACLE_MODES[0]])]
-        delays = self._mode_delays(block.height)
+        delays = mode_delays(self._seed, self.label, self.delay_models, block.height)
         for mode in ORACLE_MODES:
-            confirm_at = block.timestamp + delays[mode]
-            self._confirm_times[mode].append(confirm_at)
             prefix = self._prefix_times[mode]
-            prefix.append(max(confirm_at, prefix[-1]))
+            prefix.append(max(block.timestamp + delays[mode], prefix[-1]))
 
     def confirmed_height(self, mode: str, at_time: Optional[int] = None) -> int:
         """Highest height whose whole prefix is confirmed for the mode."""
@@ -290,17 +274,6 @@ class SimChain:
         while prefix[-1] <= now and len(prefix) < len(self.blocks):
             self._draw_next()
         return bisect.bisect_right(prefix, now) - 1
-
-    def confirm_time(self, mode: str, height: int) -> int:
-        """When this block itself confirmed (not its whole prefix)."""
-        times = self._confirm_times[mode]
-        tip = len(self.blocks) - 1
-        # Out-of-range heights index the fully drawn list, as if every
-        # block had been drawn when it was produced.
-        last = height if 0 <= height <= tip else tip
-        while len(times) <= last:
-            self._draw_next()
-        return times[height]
 
     # ------------------------------------------------------------------
     # proofs
@@ -346,6 +319,21 @@ class SimChain:
             parts.append(self.balances[address].to_bytes(16, "big"))
             parts.append(self.nonces.get(address, 0).to_bytes(8, "big"))
         return crypto.digest(b"chain-snap-v1" + b"".join(parts))
+
+
+def mode_delays(
+    seed: bytes, label: str, models: Dict[str, Tuple[float, float]], height: int
+) -> Dict[str, int]:
+    """One height's delay per mode, in whole seconds: at least 1, and
+    latest <= justified <= finalized."""
+    delays = {}
+    previous = 1
+    for mode in ORACLE_MODES:
+        mean, stddev = models[mode]
+        raw = sample_delay(seed, label, mode, height, mean, stddev)
+        previous = max(previous, round(raw))
+        delays[mode] = previous
+    return delays
 
 
 def sample_delay(

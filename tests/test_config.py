@@ -42,6 +42,12 @@ def test_unknown_key_rejected():
         config["also.nonsense"]
 
 
+def test_the_reliable_chain_id_is_not_a_setting():
+    # no transaction reaches the reliable chain, so its id is a constant
+    with pytest.raises(KeyError):
+        Config({"reliable_chain.chain_id": 3})
+
+
 def test_scalar_coercion():
     config = Config()
     config.apply({"engine.seed": "42"})

@@ -35,7 +35,6 @@ from encumbra.fallback.trigger import TriggerContract, TriggerState, ping_messag
 from encumbra.manager import WalletManager
 from encumbra.messages import signing_digest
 from encumbra.policy.tree import ROOT_ID, Grant, PlayerController
-from encumbra.simchain import SimChain
 
 SEED = crypto.digest(b"fallback-tests")
 SECRET = crypto.digest(b"the-escrowed-secret")
@@ -336,10 +335,10 @@ def _fired_trigger(at=WINDOW + 101):
     return trigger
 
 
-def _settled_reliable_chain(past=WINDOW + 101):
-    chain = SimChain(crypto.digest(b"reliable"), chain_id=2, block_interval=600)
-    chain.advance(past + 6_000)  # blocks past the trigger, then finalization lag
-    return chain
+# The reliable chain's finalized time, as the engine hands it in: the
+# trigger fired at WINDOW + 101, and a finalized time at or after that
+# has seen it.
+SETTLED = WINDOW + 101
 
 
 def test_execute_releases_every_wallet_once():
@@ -347,16 +346,15 @@ def test_execute_releases_every_wallet_once():
     w1 = manager.lw_gen("am", "w1", policy_kind="allow")
     w2 = manager.lw_gen("am", "w2", policy_kind="tree", update_rule="tree")
     trigger = _fired_trigger()
-    reliable = _settled_reliable_chain()
 
-    released = system.execute(system.shares[:3], trigger, reliable)
+    released = system.execute(system.shares[:3], trigger, SETTLED)
     assert set(released) == {"am"}
     by_id = dict(released["am"])
     assert verify_released_key(by_id["w1"], w1.public_key)
     assert verify_released_key(by_id["w2"], w2.public_key)
 
     with pytest.raises(AlreadyTriggered):
-        system.execute(system.shares[:3], trigger, reliable)
+        system.execute(system.shares[:3], trigger, SETTLED)
 
 
 def test_execute_gates_close_in_order():
@@ -364,25 +362,24 @@ def test_execute_gates_close_in_order():
     manager.lw_gen("am", "w1", policy_kind="allow")
 
     idle = TriggerContract(_sentinel_key().public_key, window=WINDOW)
-    reliable = _settled_reliable_chain()
     with pytest.raises(NotChallenged):
-        system.execute(system.shares[:3], idle, reliable)
+        system.execute(system.shares[:3], idle, SETTLED)
 
     trigger = _fired_trigger()
-    unsettled = SimChain(crypto.digest(b"reliable"), chain_id=2, block_interval=600)
-    with pytest.raises(NotYetConfirmed):
-        system.execute(system.shares[:3], trigger, unsettled)
+    for unsettled in (0, SETTLED - 1):  # nothing final yet; one second short
+        with pytest.raises(NotYetConfirmed):
+            system.execute(system.shares[:3], trigger, unsettled)
 
     with pytest.raises(InsufficientShares):
-        system.execute(system.shares[:2], trigger, reliable)
+        system.execute(system.shares[:2], trigger, SETTLED)
 
     wrong = secretshare.split(crypto.digest(b"not-the-escrow"), 3, 5, SEED)
     with pytest.raises(InsufficientShares):
-        system.execute(wrong[:3], trigger, reliable)
+        system.execute(wrong[:3], trigger, SETTLED)
 
     empty = [StorageRepo("empty")]
     with pytest.raises(InsufficientShares):
-        system.execute(system.shares[:3], trigger, reliable, repos=empty)
+        system.execute(system.shares[:3], trigger, SETTLED, repos=empty)
 
     assert system.executed is False  # none of the failures consumed the release
 
@@ -401,10 +398,8 @@ def test_release_prefers_the_newest_decryptable_replica():
     stale = StorageRepo("stale")
     stale.store(v1)
 
-    trigger = _fired_trigger()
-    reliable = _settled_reliable_chain()
     released = system.execute(
-        system.shares[:3], trigger, reliable, repos=[corrupted, stale]
+        system.shares[:3], _fired_trigger(), SETTLED, repos=[corrupted, stale]
     )
     # the tampered newest replica fails authentication; the release
     # falls back to the intact older version, which predates w2
@@ -438,7 +433,7 @@ def test_release_leaves_no_key_material_on_the_fallback():
     manager, system = _stack()
     manager.lw_gen("am", "w1", policy_kind="allow")
     manager.lw_gen("am", "w2", policy_kind="tree", update_rule="tree")
-    released = system.execute(system.shares[:3], _fired_trigger(), _settled_reliable_chain())
+    released = system.execute(system.shares[:3], _fired_trigger(), SETTLED)
     seeds = [seed.hex() for pairs in released.values() for _, seed in pairs]
     assert len(seeds) == 2
     # The manager holds the wallet keys by design; everything else the

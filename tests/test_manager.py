@@ -1,6 +1,9 @@
 """Wallet registry: key custody, signing, updates, attestations."""
 
+import hashlib
+import json
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +17,13 @@ from encumbra.errors import (
     UnknownWallet,
     UpdateRefused,
 )
-from encumbra.manager import WalletManager
-from encumbra.messages import ChainTx, PersonalSign, signing_digest
+from encumbra.manager import WalletManager, attestation_digest
+from encumbra.messages import ChainTx, PersonalSign, decode_message, signing_digest
 from encumbra.policy.tree import Grant, PlayerController, ROOT_ID
 from encumbra.state import OracleState, StateTriple
 
 SEED = crypto.digest(b"manager-tests")
+FIXTURES = Path(__file__).parent / "fixtures"
 ETH = 10**18
 D1 = b"\x71" * 20
 
@@ -406,3 +410,60 @@ def test_log_prefix_digest_chains():
     manager.lw_sign("alice", "w", PersonalSign(b"two"))
     assert manager.log_prefix_digest("w", 1) == first
     assert manager.log_prefix_digest("w") != first
+
+
+def _framed(text):
+    raw = text.encode()
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def test_frozen_attestation_vectors():
+    """The attestation preimage, assembled by hand from the layout in
+    docs/encoding.md, matches the frozen bytes and what lw_verify signs."""
+    data = json.loads((FIXTURES / "attestation_vectors.json").read_text(encoding="utf-8"))
+    assert len(data["vectors"]) >= 3
+    for vector in data["vectors"]:
+        fields = vector["fields"]
+        encodings = [bytes.fromhex(m) for m in fields["messages_hex"]]
+        name, *args = fields["predicate"]
+        preimage = (
+            b"attest-v2"
+            + _framed(fields["wallet_id"])
+            + _framed(fields["subject"])
+            + len(encodings).to_bytes(4, "big")
+            + b"".join(encodings)
+            + _framed(name)
+            + len(args).to_bytes(4, "big")
+            + b"".join(_framed(str(arg)) for arg in args)
+            + bytes([fields["verdict"]])
+        )
+        assert preimage.hex() == vector["preimage_hex"], vector["name"]
+        assert hashlib.sha256(preimage).hexdigest() == vector["digest_hex"], vector["name"]
+        digest = attestation_digest(
+            fields["wallet_id"],
+            fields["subject"],
+            [decode_message(e) for e in encodings],
+            tuple(fields["predicate"]),
+            fields["verdict"],
+        )
+        assert digest.hex() == vector["digest_hex"], vector["name"]
+
+
+def test_an_attestation_frames_every_field():
+    manager = _manager()
+    wallet = _tree_wallet(manager)
+    inside = ChainTx(1, 0, 0, 0, D1, ETH)
+    ok, signature = manager.lw_verify("w", "alice", [inside], ("approves-all",))
+    digest = attestation_digest("w", "alice", [inside], ("approves-all",), ok)
+    assert crypto.verify(signature, digest)
+    assert signature.public_key == wallet.public_key
+    # an empty argument is an argument: the two predicates attest apart
+    _, padded = manager.lw_verify("w", "alice", [inside], ("approves-all", ""))
+    assert padded != signature
+    # no joiner inside a field can stand for a field boundary
+    assert attestation_digest("w", "s", [], ("p", "a,b"), True) != attestation_digest(
+        "w", "s", [], ("p", "a", "b"), True
+    )
+    assert attestation_digest("w", "s\x00x", [], ("p",), True) != attestation_digest(
+        "w\x00s", "x", [], ("p",), True
+    )

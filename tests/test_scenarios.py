@@ -449,6 +449,19 @@ MALFORMED_STEPS = [
     "sign w player=am to=shop value=1wei fee=x",
     "proposal q dao=main close=+100 snapshot=x",
     "assert-nonce w eq=x",
+    # amounts and absolute times take no sign; `+N` is a relative time
+    "fund shop -3",
+    "fund shop +3",
+    "advance -5",
+    "advance +5",
+    "account payer fund=-2",
+    "wallet v am=am capacity=-1eth",
+    "wallet v am=am fund=-1",
+    "host-fees w node=root amount=-1",
+    "offer o briber=am proposal=p choice=1 price=-1 escrow=1",
+    "offer o briber=am proposal=p choice=1 price=1 escrow=-1gwei",
+    "spawn w actor=am node=n controller=am until=-5",
+    "spawn w actor=am node=n controller=am until=+-5",
 ]
 
 

@@ -3,17 +3,23 @@
 import bisect
 import dataclasses
 import random
+import statistics
 
 import pytest
 
 from encumbra import crypto, simchain
-from encumbra.config import ORACLE_MODES
+from encumbra.config import ORACLE_MODES, Config
+from encumbra.engine import engine_seed
 from encumbra.errors import BadProof, InvalidSignature, NotYetConfirmed, UnknownTx
 from encumbra.merkle import merkle_levels, merkle_path, merkle_root
 from encumbra.messages import ChainTx, signing_digest
-from encumbra.simchain import FEE_SINK, InclusionProof, SignedTx, SimChain
+from encumbra.reports import latency_report
+from encumbra.simchain import FEE_SINK, InclusionProof, SignedTx, SimChain, mode_delays
 
 SEED = crypto.digest(b"simchain-tests")
+# Later than any height's confirmation: a read at this time draws every
+# block the chain has.
+FAR_FUTURE = 10**12
 
 
 def _key(label):
@@ -257,10 +263,9 @@ def test_confirmation_modes_are_ordered_and_monotone():
     chain = SimChain(SEED)
     chain.advance(12 * 40)
     for height in range(1, 41):
-        latest = chain.confirm_time("latest", height)
-        justified = chain.confirm_time("justified", height)
-        finalized = chain.confirm_time("finalized", height)
-        assert height * 12 < latest <= justified <= finalized
+        delays = mode_delays(SEED, chain.label, chain.delay_models, height)
+        # a block confirms strictly after its timestamp, latest first
+        assert 1 <= delays["latest"] <= delays["justified"] <= delays["finalized"]
     previous = -1
     for now in range(0, 4000, 100):
         confirmed = chain.confirmed_height("finalized", at_time=now)
@@ -319,6 +324,11 @@ def test_snapshot_digest_tracks_state():
     assert run(False) != run(True)
 
 
+def _finalized_prefixes(chain):
+    chain.confirmed_height("finalized", at_time=FAR_FUTURE)
+    return list(chain._prefix_times["finalized"])
+
+
 def test_seed_and_label_steer_the_delay_draws():
     a = SimChain(SEED, label="a")
     b = SimChain(SEED, label="b")
@@ -326,15 +336,21 @@ def test_seed_and_label_steer_the_delay_draws():
     a.advance(120)
     b.advance(120)
     c.advance(120)
-    times_a = [a.confirm_time("finalized", h) for h in range(1, 11)]
-    times_b = [b.confirm_time("finalized", h) for h in range(1, 11)]
-    times_c = [c.confirm_time("finalized", h) for h in range(1, 11)]
-    assert times_a != times_b
-    assert times_a != times_c
+    models = a.delay_models
+
+    def delays(seed, label):
+        return [mode_delays(seed, label, models, h)["finalized"] for h in range(1, 11)]
+
+    assert delays(SEED, "a") != delays(SEED, "b")
+    assert delays(SEED, "a") != delays(crypto.digest(b"other"), "a")
+    times_a = _finalized_prefixes(a)
+    assert times_a != _finalized_prefixes(b)
+    assert times_a != _finalized_prefixes(c)
     # and the same construction replays identically
     again = SimChain(SEED, label="a")
     again.advance(120)
-    assert times_a == [again.confirm_time("finalized", h) for h in range(1, 11)]
+    assert times_a == _finalized_prefixes(again)
+    assert delays(SEED, "a") == delays(SEED, "a")
 
 
 def _oracle_call(chain, op, *args):
@@ -345,10 +361,7 @@ def _oracle_call(chain, op, *args):
 
 
 def _oracle_lists(chain):
-    return (
-        {m: list(chain._confirm_times[m]) for m in ORACLE_MODES},
-        {m: list(chain._prefix_times[m]) for m in ORACLE_MODES},
-    )
+    return {m: list(chain._prefix_times[m]) for m in ORACLE_MODES}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -360,8 +373,8 @@ def test_lazy_oracle_matches_eager_order(seed):
     eager = SimChain(SEED, label="diff")
 
     def fill_to_tip(chain):
-        for mode in ORACLE_MODES:
-            chain.confirm_time(mode, chain.tip().height)
+        chain.confirmed_height("latest", at_time=FAR_FUTURE)
+        assert len(chain._prefix_times[ORACLE_MODES[0]]) == len(chain.blocks)
 
     for _ in range(300):
         roll = rng.random()
@@ -382,18 +395,20 @@ def test_lazy_oracle_matches_eager_order(seed):
             ])
             call = ("confirmed_height", mode, at_time)
         else:
+            # a time around some height's confirmation, past the tip too
             height = rng.choice([
                 tip,
                 tip + rng.randrange(1, 5),
                 rng.randrange(0, tip + 1),
                 -1,
             ])
-            call = ("confirm_time", mode, height)
+            at_time = height * lazy.block_interval + rng.randrange(0, 2500)
+            call = ("confirmed_height", mode, at_time)
         assert _oracle_call(lazy, *call) == _oracle_call(eager, *call), call
 
     assert lazy.tip().height > 100
-    drawn, _ = _oracle_lists(lazy)
-    full, _ = _oracle_lists(eager)
+    drawn = _oracle_lists(lazy)
+    full = _oracle_lists(eager)
     for mode in ORACLE_MODES:
         assert drawn[mode] == full[mode][: len(drawn[mode])]
     fill_to_tip(lazy)
@@ -412,17 +427,51 @@ def test_oracle_draws_only_what_is_read(monkeypatch):
     chain = SimChain(SEED)
     chain.advance(12 * 500)
     assert draws == []
-    chain.confirm_time("latest", 5)
-    assert draws == [(m, h) for h in range(1, 6) for m in ORACLE_MODES]
+    # the first read at time 0 draws height 1 only: it confirms after 12
+    assert chain.confirmed_height("latest", at_time=0) == 0
+    assert draws == [(m, 1) for m in ORACLE_MODES]
+    chain.confirmed_height("latest", at_time=12 * 5)
+    drawn = len(draws) // len(ORACLE_MODES)
+    assert draws == [(m, h) for h in range(1, drawn + 1) for m in ORACLE_MODES]
+    assert chain._prefix_times["latest"][drawn] > 12 * 5
+    assert chain._prefix_times["latest"][drawn - 1] <= 12 * 5
     confirmed = chain.confirmed_height("finalized", at_time=2000)
     drawn = len(draws) // len(ORACLE_MODES)
     assert confirmed < drawn < 500
     # the last drawn height is the first whose prefix confirms after t
     assert chain._prefix_times["finalized"][drawn] > 2000
     assert chain._prefix_times["finalized"][drawn - 1] <= 2000
-    with pytest.raises(IndexError):
-        chain.confirm_time("finalized", 501)
+    # a read past every confirmation draws up to the tip and no further
+    assert chain.confirmed_height("finalized", at_time=FAR_FUTURE) == 500
+    assert chain.confirmed_height("latest", at_time=FAR_FUTURE) == 500
     assert len(draws) == 500 * len(ORACLE_MODES)
+
+
+def test_prefixes_and_latency_report_read_one_source():
+    """The chain's prefix times and the latency report both come from
+    ``mode_delays``: a prefix is the running max of timestamp + delay,
+    and a report mean is the mean of the drawn delays."""
+    chain = SimChain(SEED, label="tie")
+    chain.advance(12 * 200)
+    chain.confirmed_height("finalized", at_time=FAR_FUTURE)
+    for mode in ORACLE_MODES:
+        expected = [0]
+        for height in range(1, 201):
+            delay = mode_delays(SEED, "tie", chain.delay_models, height)[mode]
+            expected.append(max(expected[-1], height * 12 + delay))
+        assert chain._prefix_times[mode] == expected
+
+    config = Config({"engine.seed": 5, "oracle.trials": 40})
+    _, data = latency_report(config)
+    models = {mode: config.delay_model(mode) for mode in ORACLE_MODES}
+    draws = [
+        mode_delays(engine_seed(config), "latency-probe", models, h) for h in range(1, 41)
+    ]
+    for mode in ORACLE_MODES:
+        delays = [drawn[mode] for drawn in draws]
+        assert data["modes"][mode]["trials"] == 40
+        assert data["modes"][mode]["mean_s"] == round(statistics.fmean(delays), 2)
+        assert data["modes"][mode]["stddev_s"] == round(statistics.stdev(delays), 2)
 
 
 def test_conservation_over_random_traffic():
