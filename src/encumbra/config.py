@@ -4,11 +4,14 @@ A config is a flat mapping from dotted keys to scalars.  YAML files may
 use nesting or dotted keys; both flatten to the same mapping.  Unknown
 keys and values that do not parse as the key's type are rejected, so a
 typo in a scenario header fails loudly instead of silently running with
-defaults.  PyYAML is imported only when a YAML file is read.
+defaults.  So are values the program cannot run with: a float that is
+not finite, a block interval under 1 s, and fewer than 2 latency trials.
+PyYAML is imported only when a YAML file is read.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict
 
 DEFAULTS: Dict[str, Any] = {
@@ -42,6 +45,14 @@ DEFAULTS: Dict[str, Any] = {
 }
 
 _MODES = ("latest", "justified", "finalized")
+# The least value an integer key can run with: a chain with an interval
+# under 1 s never stops producing blocks, and the latency report needs two
+# trials for a deviation.
+_AT_LEAST = {
+    "chain.block_interval_s": 1,
+    "reliable_chain.block_interval_s": 1,
+    "oracle.trials": 2,
+}
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
@@ -58,7 +69,8 @@ def _flatten(prefix: str, node: Any, out: Dict[str, Any]) -> None:
 
 
 def _coerce(key: str, current: Any, value: Any) -> Any:
-    """``value`` as the type of the key's ``current`` value."""
+    """``value`` as the type of the key's ``current`` value, if the
+    program can run with it."""
     try:
         if isinstance(current, bool):
             if isinstance(value, str):
@@ -66,12 +78,16 @@ def _coerce(key: str, current: Any, value: Any) -> Any:
             if value in (0, 1):
                 return bool(value)
         elif isinstance(current, int) and not isinstance(value, bool):
-            return int(value)
+            number = int(value)
+            if number >= _AT_LEAST.get(key, number):
+                return number
         elif isinstance(current, float):
-            return float(value)
+            number = float(value)
+            if math.isfinite(number):
+                return number
         else:
             return value
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"bad value for config key {key}: {value!r}")
 
@@ -88,7 +104,8 @@ class Config:
         """Overlay ``overrides``, each value coerced to its key's type.
 
         Raises ``KeyError`` for an unknown key and ``ValueError`` for a
-        value that is not of that type; either way nothing is applied.
+        value that is not of that type or that the program cannot run
+        with; either way nothing is applied.
         """
         flat: Dict[str, Any] = {}
         _flatten("", overrides, flat)

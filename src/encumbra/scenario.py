@@ -154,18 +154,19 @@ _SUFFIX = {"eth": 10**18, "gwei": 10**9, "wei": 1}
 
 
 def parse_int(text: str, what: str) -> int:
-    """``text`` as an integer; a malformed value fails the step."""
-    try:
-        return int(text)
-    except ValueError:
-        raise StepFailure(f"bad {what} {text!r}") from None
+    """``text`` as a non-negative integer; a sign or a malformed value
+    fails the step."""
+    if not text.strip().startswith(("+", "-")):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise StepFailure(f"bad {what} {text!r}")
 
 
 def parse_amount(text: str) -> int:
     """A non-negative amount in wei; any sign fails the step."""
     lowered = text.lower().replace("_", "")
-    if lowered.startswith(("+", "-")):
-        raise StepFailure(f"bad amount {text!r}")
     for suffix, scale in _SUFFIX.items():
         if lowered.endswith(suffix):
             body = lowered[: -len(suffix)]

@@ -11,13 +11,22 @@ exactly once.
 The confirmation oracle gives each height three delays (latest /
 justified / finalized), ``mode_delays``: seeded draws from per-mode
 Gaussian delay models, clamped to be monotone across modes.  They are a
-pure function of the seed, the chain label and the height.  The chain
-keeps only, per mode, the running max of ``timestamp + delay`` over the
-heights drawn so far: the time each prefix is confirmed.  It draws on
-first read, in height order: producing a block draws nothing, and a
-reader fills the prefixes up to the time it asks about.  Inclusion
-proofs are only issued for blocks at or below the confirmed height of
-the chain's configured proof mode.
+pure function of the seed, the chain label and the height.  A prefix
+0..h is confirmed once every height in it is: at the running max of
+``timestamp + delay``.  Inclusion proofs are only issued for blocks at
+or below the confirmed height of the chain's configured proof mode.
+
+A read draws only inside its confirmation window.  ``random.gauss``
+takes ``sqrt(-2 log(1 - random()))`` and ``random()`` is at most
+1 - 2**-53, so a draw lies within ``GAUSS_Z_MAX`` (about 8.57) standard
+deviations of its mean, and a mode's delay never exceeds its bound D
+(``delay_bounds``).  A height whose timestamp is at least D before the
+asked time is confirmed whatever it draws, so a read starts at the
+newest such height and walks up while the next height confirms by
+then; the first that does not ends the walk.  Drawn delays are kept
+sparsely by height, each height drawn at most once, and each mode
+remembers its last answer: a later read starts from it, so reads at a
+clock that only moves forward cost amortised O(1).
 
 Derived values are computed once.  A ``SignedTx`` hashes its tx and
 its public key when it is built, so submission and every sweep of block
@@ -30,6 +39,7 @@ nothing.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -48,6 +58,10 @@ from .merkle import Levels, MerklePath, merkle_levels, merkle_path, merkle_root,
 from .messages import ChainTx, signing_digest
 
 FEE_SINK = b"\xfe" * 20
+
+# The largest |z| that ``random.gauss`` returns: its radius at the
+# largest ``random()``, 1 - 2**-53, computed as gauss computes it.
+GAUSS_Z_MAX = math.sqrt(-2.0 * math.log(2.0**-53))
 
 
 @dataclass(frozen=True)
@@ -124,10 +138,11 @@ class SimChain:
         self.minted = 0
         self._tx_index: Dict[bytes, Tuple[int, int]] = {}
         self._balance_history: Dict[bytes, List[Tuple[int, int]]] = {}
-        # When each prefix 0..h is confirmed, per mode: the running max
-        # of timestamp + delay, so a confirmed height confirms everything
-        # below it.  Holds the heights drawn so far, 0 through len - 1.
-        self._prefix_times: Dict[str, List[int]] = {m: [0] for m in ORACLE_MODES}
+        # No mode's delay exceeds its bound; drawn delays by height.
+        self._bounds = delay_bounds(delay_models)
+        self._drawn: Dict[int, Dict[str, int]] = {}
+        # Per mode, the last answer: (time asked, confirmed height).
+        self._known: Dict[str, Tuple[int, int]] = {m: (0, 0) for m in ORACLE_MODES}
 
     # ------------------------------------------------------------------
     # funding and queries
@@ -257,23 +272,36 @@ class SimChain:
     # ------------------------------------------------------------------
     # confirmation oracle
 
-    def _draw_next(self) -> None:
-        """Draw the prefix times of the lowest undrawn height."""
-        block = self.blocks[len(self._prefix_times[ORACLE_MODES[0]])]
-        delays = mode_delays(self._seed, self.label, self.delay_models, block.height)
-        for mode in ORACLE_MODES:
-            prefix = self._prefix_times[mode]
-            prefix.append(max(block.timestamp + delays[mode], prefix[-1]))
+    def _delays(self, height: int) -> Dict[str, int]:
+        """The height's ``mode_delays``, drawn on first use."""
+        delays = self._drawn.get(height)
+        if delays is None:
+            delays = mode_delays(self._seed, self.label, self.delay_models, height)
+            self._drawn[height] = delays
+        return delays
 
     def confirmed_height(self, mode: str, at_time: Optional[int] = None) -> int:
         """Highest height whose whole prefix is confirmed for the mode."""
         now = self.time if at_time is None else at_time
-        prefix = self._prefix_times[mode]
-        # Prefix times never decrease, so once the last drawn one lies
-        # after ``now`` no later height can be confirmed by then.
-        while prefix[-1] <= now and len(prefix) < len(self.blocks):
-            self._draw_next()
-        return bisect.bisect_right(prefix, now) - 1
+        bound = self._bounds[mode]
+        known_time, known_height = self._known[mode]
+        if now < 0:
+            return -1
+        interval = self.block_interval
+        tip = len(self.blocks) - 1
+        # Every height at least the bound older than ``now`` is confirmed.
+        height = min(tip, max(0, (now - bound) // interval))
+        if known_time <= now:
+            height = max(height, known_height)
+        # Prefix times never decrease, so the first height that confirms
+        # after ``now`` ends the prefix.
+        while height < tip:
+            if (height + 1) * interval + self._delays(height + 1)[mode] > now:
+                break
+            height += 1
+        if known_time <= now:
+            self._known[mode] = (now, height)
+        return height
 
     # ------------------------------------------------------------------
     # proofs
@@ -283,11 +311,9 @@ class SimChain:
         if location is None:
             raise UnknownTx(tx_digest.hex())
         height, index = location
-        gate = mode or self.proof_mode
-        if height > self.confirmed_height(gate):
-            raise NotYetConfirmed(
-                f"height {height} above confirmed {self.confirmed_height(gate)}"
-            )
+        confirmed = self.confirmed_height(mode or self.proof_mode)
+        if height > confirmed:
+            raise NotYetConfirmed(f"height {height} above confirmed {confirmed}")
         path = merkle_path(self.blocks[height].levels, index)
         return InclusionProof(tx_digest=tx_digest, block_height=height, path=path)
 
@@ -334,6 +360,20 @@ def mode_delays(
         previous = max(previous, round(raw))
         delays[mode] = previous
     return delays
+
+
+def delay_bounds(models: Dict[str, Tuple[float, float]]) -> Dict[str, int]:
+    """Per mode, a whole number of seconds that ``mode_delays`` never
+    exceeds: the running max, over the mode and the modes it is clamped
+    above, of ``ceil(mean + GAUSS_Z_MAX * |stddev|) + 1`` (the 1 covers
+    rounding), and at least 1."""
+    bounds = {}
+    previous = 1
+    for mode in ORACLE_MODES:
+        mean, stddev = models[mode]
+        previous = max(previous, math.ceil(mean + GAUSS_Z_MAX * abs(stddev)) + 1)
+        bounds[mode] = previous
+    return bounds
 
 
 def sample_delay(

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from encumbra.config import Config, ORACLE_MODES
+from encumbra.reports import latency_report
 
 
 def test_defaults():
@@ -79,6 +80,44 @@ def test_malformed_values_are_rejected_whole():
     assert config["txpolicy.commit_required"] is True
     config.apply({"txpolicy.commit_required": 0})
     assert config["txpolicy.commit_required"] is False
+
+
+@pytest.mark.parametrize("key", ["chain.block_interval_s", "reliable_chain.block_interval_s"])
+def test_a_block_interval_under_one_second_is_refused(key):
+    config = Config()
+    for value in (0, "0", -12):
+        with pytest.raises(ValueError, match=key):
+            config.apply({"oracle.mode": "latest", key: value})
+        assert config["oracle.mode"] == "finalized"  # nothing applied
+    assert config[key] == 12
+    config.apply({key: 1})
+    assert config[key] == 1
+
+
+def test_a_float_that_is_not_finite_is_refused():
+    config = Config()
+    keys = [f"oracle.{mode}.{field}" for mode in ORACLE_MODES for field in ("mean_s", "stddev_s")]
+    for key in keys + ["host.token_usd"]:
+        for value in ("inf", "-inf", "nan", float("nan"), "1e309"):
+            with pytest.raises(ValueError, match=key):
+                config.apply({"oracle.mode": "latest", key: value})
+            assert config["oracle.mode"] == "finalized"  # nothing applied
+    # an integer key refuses infinity too, as a ValueError
+    with pytest.raises(ValueError, match="engine.seed"):
+        config.apply({"engine.seed": float("inf")})
+    config.apply({"oracle.latest.stddev_s": "-7.5"})
+    assert config.delay_model("latest") == (49.0, -7.5)
+
+
+def test_fewer_than_two_latency_trials_are_refused():
+    config = Config()
+    for value in (1, 0, -3):
+        with pytest.raises(ValueError, match="oracle.trials"):
+            config.apply({"oracle.mode": "latest", "oracle.trials": value})
+        assert config["oracle.mode"] == "finalized"  # nothing applied
+    config.apply({"oracle.trials": 2})
+    _, data = latency_report(config)
+    assert all(data["modes"][mode]["trials"] == 2 for mode in ORACLE_MODES)
 
 
 def test_delay_model():

@@ -420,7 +420,14 @@ def test_cli_exit_codes(case, tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-@pytest.mark.parametrize("header", ["txpolicy.commit_required=ture", "engine.seed=x"])
+@pytest.mark.parametrize("header", [
+    "txpolicy.commit_required=ture",
+    "engine.seed=x",
+    "chain.block_interval_s=0",
+    "reliable_chain.block_interval_s=-12",
+    "oracle.finalized.mean_s=inf",
+    "oracle.trials=1",
+])
 def test_cli_reports_a_malformed_config_value(header, tmp_path, capsys):
     path = tmp_path / "bad.scn"
     path.write_text(f"config {header}\nplayer am\n", encoding="utf-8")
@@ -462,6 +469,18 @@ MALFORMED_STEPS = [
     "offer o briber=am proposal=p choice=1 price=1 escrow=-1gwei",
     "spawn w actor=am node=n controller=am until=-5",
     "spawn w actor=am node=n controller=am until=+-5",
+    # nor do counts, nonces, gas, fees, snapshot heights and choices
+    "proposal q dao=main close=+100 snapshot=-3",
+    "proposal q dao=main close=+100 snapshot=+3",
+    "sign w player=am to=shop value=1wei fee=-3",
+    "sign w player=am to=shop value=1wei gas=-5",
+    "sign w player=am to=shop value=1wei nonce=-1",
+    "build w to=shop value=1wei nonce=+0 as=t",
+    "vote gov player=voter proposal=p choice=-1",
+    "recover shares=+3",
+    # int() skips white space before a sign
+    "fund shop \t-3",
+    "sign w player=am to=shop value=1wei fee=\t-3",
 ]
 
 

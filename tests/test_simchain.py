@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import math
 import random
 import statistics
 
@@ -15,10 +16,10 @@ from encumbra.merkle import merkle_levels, merkle_path, merkle_root
 from encumbra.messages import ChainTx, signing_digest
 from encumbra.reports import latency_report
 from encumbra.simchain import FEE_SINK, InclusionProof, SignedTx, SimChain, mode_delays
+from tests.oracles.oracleref import DenseOracle
 
 SEED = crypto.digest(b"simchain-tests")
-# Later than any height's confirmation: a read at this time draws every
-# block the chain has.
+# Later than any height's confirmation.
 FAR_FUTURE = 10**12
 
 
@@ -324,9 +325,9 @@ def test_snapshot_digest_tracks_state():
     assert run(False) != run(True)
 
 
-def _finalized_prefixes(chain):
-    chain.confirmed_height("finalized", at_time=FAR_FUTURE)
-    return list(chain._prefix_times["finalized"])
+def _finalized_answers(oracle):
+    """The finalized height every 5 s, past the last confirmation."""
+    return [oracle.confirmed_height("finalized", at_time=t) for t in range(0, 2400, 5)]
 
 
 def test_seed_and_label_steer_the_delay_draws():
@@ -343,57 +344,68 @@ def test_seed_and_label_steer_the_delay_draws():
 
     assert delays(SEED, "a") != delays(SEED, "b")
     assert delays(SEED, "a") != delays(crypto.digest(b"other"), "a")
-    times_a = _finalized_prefixes(a)
-    assert times_a != _finalized_prefixes(b)
-    assert times_a != _finalized_prefixes(c)
+    answers_a = _finalized_answers(a)
+    assert answers_a != _finalized_answers(b)
+    assert answers_a != _finalized_answers(c)
     # and the same construction replays identically
     again = SimChain(SEED, label="a")
     again.advance(120)
-    assert times_a == _finalized_prefixes(again)
+    assert answers_a == _finalized_answers(again) == _finalized_answers(DenseOracle(again))
     assert delays(SEED, "a") == delays(SEED, "a")
 
 
-def _oracle_call(chain, op, *args):
+def _oracle_call(oracle, op, *args):
     try:
-        return ("ok", getattr(chain, op)(*args))
+        return ("ok", getattr(oracle, op)(*args))
     except Exception as error:  # compared, not swallowed
         return (type(error).__name__, str(error))
 
 
-def _oracle_lists(chain):
-    return {m: list(chain._prefix_times[m]) for m in ORACLE_MODES}
+# (block interval, delay models) the oracle must answer under: intervals
+# shorter and longer than any delay, negative and zero deviations, and
+# negative means.
+ORACLE_CONFIGS = {
+    "default": (12, None),
+    "interval-1": (1, None),
+    "interval-7": (
+        7, {"latest": (30.0, -12.0), "justified": (200.0, -80.0), "finalized": (260.0, 40.0)}
+    ),
+    "interval-600": (600, None),
+    "fixed": (12, {"latest": (5.0, 0.0), "justified": (-40.0, 0.0), "finalized": (90.0, 0.0)}),
+    "negative-mean": (
+        12, {"latest": (-20.0, 3.0), "justified": (-5.0, -30.0), "finalized": (15.0, 60.0)}
+    ),
+}
 
 
+@pytest.mark.parametrize("config", ORACLE_CONFIGS)
 @pytest.mark.parametrize("seed", range(4))
-def test_lazy_oracle_matches_eager_order(seed):
-    """Drawing on first read gives the answers of drawing every block
-    when it is produced: same values, same exceptions, same lists."""
+def test_oracle_matches_the_dense_reference(seed, config):
+    """Answering from the delay bound gives the answers of drawing every
+    height in order from genesis: same values, same exceptions, at past,
+    present and future times, and no height drawn that the dense oracle
+    does not draw."""
+    interval, models = ORACLE_CONFIGS[config]
     rng = random.Random(seed)
-    lazy = SimChain(SEED, label="diff")
-    eager = SimChain(SEED, label="diff")
-
-    def fill_to_tip(chain):
-        chain.confirmed_height("latest", at_time=FAR_FUTURE)
-        assert len(chain._prefix_times[ORACLE_MODES[0]]) == len(chain.blocks)
+    chain = SimChain(SEED, block_interval=interval, delay_models=models, label="diff")
+    reference = DenseOracle(chain)
 
     for _ in range(300):
         roll = rng.random()
         if roll < 0.25:
             seconds = rng.choice([0, rng.randrange(1, 40), rng.randrange(40, 2000)])
-            lazy.advance(seconds)
-            eager.advance(seconds)
-            fill_to_tip(eager)
+            chain.advance(seconds * interval // 12)
             continue
-        mode = rng.choice(ORACLE_MODES)
-        tip = lazy.tip().height
+        mode = rng.choice(ORACLE_MODES + ("bogus",))
+        tip = chain.tip().height
         if roll < 0.65:
             at_time = rng.choice([
                 None,
-                lazy.time,
-                rng.randrange(0, lazy.time + 1),
-                lazy.time + rng.randrange(1, 5000),
+                chain.time,
+                rng.randrange(0, chain.time + 1),
+                chain.time + rng.randrange(1, 5000),
+                -rng.randrange(1, 100),
             ])
-            call = ("confirmed_height", mode, at_time)
         else:
             # a time around some height's confirmation, past the tip too
             height = rng.choice([
@@ -402,64 +414,62 @@ def test_lazy_oracle_matches_eager_order(seed):
                 rng.randrange(0, tip + 1),
                 -1,
             ])
-            at_time = height * lazy.block_interval + rng.randrange(0, 2500)
-            call = ("confirmed_height", mode, at_time)
-        assert _oracle_call(lazy, *call) == _oracle_call(eager, *call), call
+            at_time = height * interval + rng.randrange(0, 2500)
+        call = ("confirmed_height", mode, at_time)
+        assert _oracle_call(chain, *call) == _oracle_call(reference, *call), call
 
-    assert lazy.tip().height > 100
-    drawn = _oracle_lists(lazy)
-    full = _oracle_lists(eager)
-    for mode in ORACLE_MODES:
-        assert drawn[mode] == full[mode][: len(drawn[mode])]
-    fill_to_tip(lazy)
-    assert _oracle_lists(lazy) == _oracle_lists(eager)
+    assert chain.tip().height > 100
+    assert set(chain._drawn) <= set(reference.drawn())
 
 
-def test_oracle_draws_only_what_is_read(monkeypatch):
+def test_oracle_draws_only_inside_the_window(monkeypatch):
     draws = []
-    real = simchain.sample_delay
+    real = simchain.mode_delays
 
-    def counting(seed, label, mode, height, mean, stddev):
-        draws.append((mode, height))
-        return real(seed, label, mode, height, mean, stddev)
+    def counting(seed, label, models, height):
+        draws.append(height)
+        return real(seed, label, models, height)
 
-    monkeypatch.setattr(simchain, "sample_delay", counting)
+    monkeypatch.setattr(simchain, "mode_delays", counting)
     chain = SimChain(SEED)
+    reference = DenseOracle(chain)
     chain.advance(12 * 500)
     assert draws == []
     # the first read at time 0 draws height 1 only: it confirms after 12
     assert chain.confirmed_height("latest", at_time=0) == 0
-    assert draws == [(m, 1) for m in ORACLE_MODES]
-    chain.confirmed_height("latest", at_time=12 * 5)
-    drawn = len(draws) // len(ORACLE_MODES)
-    assert draws == [(m, h) for h in range(1, drawn + 1) for m in ORACLE_MODES]
-    assert chain._prefix_times["latest"][drawn] > 12 * 5
-    assert chain._prefix_times["latest"][drawn - 1] <= 12 * 5
-    confirmed = chain.confirmed_height("finalized", at_time=2000)
-    drawn = len(draws) // len(ORACLE_MODES)
-    assert confirmed < drawn < 500
-    # the last drawn height is the first whose prefix confirms after t
-    assert chain._prefix_times["finalized"][drawn] > 2000
-    assert chain._prefix_times["finalized"][drawn - 1] <= 2000
-    # a read past every confirmation draws up to the tip and no further
-    assert chain.confirmed_height("finalized", at_time=FAR_FUTURE) == 500
-    assert chain.confirmed_height("latest", at_time=FAR_FUTURE) == 500
-    assert len(draws) == 500 * len(ORACLE_MODES)
+    assert draws == [1]
+    for now in (12 * 5, 2000, 3000, chain.time - 100, chain.time):
+        for mode in ORACLE_MODES:
+            answer = chain.confirmed_height(mode, at_time=now)
+            assert answer == reference.confirmed_height(mode, at_time=now)
+    # each height is drawn at most once, and only heights the dense
+    # oracle draws too, and fewer of them
+    assert len(draws) == len(set(draws))
+    assert set(draws) < set(reference.drawn())
+    # a read past every confirmation is settled by the bound
+    fresh = SimChain(SEED)
+    fresh.advance(12 * 500)
+    del draws[:]
+    for mode in ORACLE_MODES:
+        assert fresh.confirmed_height(mode, at_time=FAR_FUTURE) == 500
+    assert draws == []
 
 
-def test_prefixes_and_latency_report_read_one_source():
-    """The chain's prefix times and the latency report both come from
-    ``mode_delays``: a prefix is the running max of timestamp + delay,
-    and a report mean is the mean of the drawn delays."""
+def test_answers_and_latency_report_read_one_source():
+    """The chain's answers and the latency report both come from
+    ``mode_delays``: a prefix is confirmed at the running max of
+    timestamp + delay, and a report mean is the mean of the drawn
+    delays."""
     chain = SimChain(SEED, label="tie")
     chain.advance(12 * 200)
-    chain.confirmed_height("finalized", at_time=FAR_FUTURE)
     for mode in ORACLE_MODES:
         expected = [0]
         for height in range(1, 201):
             delay = mode_delays(SEED, "tie", chain.delay_models, height)[mode]
             expected.append(max(expected[-1], height * 12 + delay))
-        assert chain._prefix_times[mode] == expected
+        for now in range(-12, expected[-1] + 24, 7):
+            answer = chain.confirmed_height(mode, at_time=now)
+            assert answer == bisect.bisect_right(expected, now) - 1
 
     config = Config({"engine.seed": 5, "oracle.trials": 40})
     _, data = latency_report(config)
@@ -472,6 +482,45 @@ def test_prefixes_and_latency_report_read_one_source():
         assert data["modes"][mode]["trials"] == 40
         assert data["modes"][mode]["mean_s"] == round(statistics.fmean(delays), 2)
         assert data["modes"][mode]["stddev_s"] == round(statistics.stdev(delays), 2)
+
+
+class _Fixed(random.Random):
+    """A ``random.Random`` whose ``random()`` returns the given values."""
+
+    def __init__(self, *values):
+        super().__init__(0)
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def test_the_delay_bound_covers_every_draw():
+    # ``random()`` lies in [0, 1 - 2**-53]; gauss's radius is largest at
+    # the top, and its angle term at 0.0 gives the whole radius.
+    top = math.nextafter(1.0, 0.0)
+    assert top == 1 - 2**-53
+    assert _Fixed(0.0, top).gauss(0.0, 1.0) == simchain.GAUSS_Z_MAX
+    assert _Fixed(0.0, 0.0).gauss(0.0, 1.0) == 0.0
+    assert math.isclose(simchain.GAUSS_Z_MAX, math.sqrt(106 * math.log(2)))
+    for angle in (0.125, 0.25, 0.5, 0.75, top):
+        assert abs(_Fixed(angle, top).gauss(0.0, 1.0)) <= simchain.GAUSS_Z_MAX
+
+    defaults = Config()
+    default_models = {mode: defaults.delay_model(mode) for mode in ORACLE_MODES}
+    # 2014 s, or 168 blocks of 12 s, for finalized under the default config
+    assert simchain.delay_bounds(default_models)["finalized"] == 2014
+    below_zero = {mode: (-500.0, 1.0) for mode in ORACLE_MODES}
+    assert simchain.delay_bounds(below_zero) == {mode: 1 for mode in ORACLE_MODES}
+    for models in [default_models, below_zero] + [
+        m for _, m in ORACLE_CONFIGS.values() if m
+    ]:
+        bounds = simchain.delay_bounds(models)
+        assert list(bounds.values()) == sorted(bounds.values())
+        for label in ("target", "reliable"):
+            for height in range(1, 700):
+                delays = mode_delays(SEED, label, models, height)
+                assert all(delays[m] <= bounds[m] for m in ORACLE_MODES), (models, height)
 
 
 def test_conservation_over_random_traffic():
