@@ -30,6 +30,7 @@ from .errors import (
     NotDelegatee,
     NotExpired,
     ProposalClosed,
+    StepFailure,
     UnknownOffer,
     UnknownProposal,
     UnknownWallet,
@@ -134,6 +135,13 @@ class DarkDao:
         snapshot_height: int,
         close_time: int,
     ) -> Proposal:
+        """Register a proposal.  A taken id is refused, or re-adding a
+        closed proposal would reopen it; so is a snapshot above the
+        chain height, whose balances could still move after a vote."""
+        if proposal_id in self.proposals:
+            raise StepFailure(f"proposal {proposal_id.hex()} already exists")
+        if not 0 <= snapshot_height <= self.chain.height:
+            raise StepFailure(f"snapshot {snapshot_height} outside 0..{self.chain.height}")
         proposal = Proposal(proposal_id, domain_hash, snapshot_height, close_time)
         self.proposals[proposal_id] = proposal
         return proposal

@@ -170,7 +170,7 @@ def ledger_report(engine: Engine) -> Tuple[str, Dict[str, Any]]:
     data = {
         "banner": BANNER,
         "time": engine.time,
-        "height": engine.chain.tip().height,
+        "height": engine.chain.height,
         "wallets": wallets,
     }
 

@@ -344,7 +344,7 @@ def _cmd_fund(r: ScenarioRunner, pos, kw) -> str:
 @command("advance", "seconds")
 def _cmd_advance(r: ScenarioRunner, pos, kw) -> str:
     r.engine.advance(parse_amount(pos[0]))
-    return f"t={r.engine.time} height={r.engine.chain.tip().height}"
+    return f"t={r.engine.time} height={r.engine.chain.height}"
 
 
 @command("spawn", "wallet", "actor node", f"parent controller program {GRANT_KEYS}")
@@ -493,7 +493,7 @@ def _cmd_prove_tx(r: ScenarioRunner, pos, kw) -> str:
 def _cmd_proposal(r: ScenarioRunner, pos, kw) -> str:
     snapshot = kw.get("snapshot", "tip")
     height = (
-        r.engine.chain.tip().height
+        r.engine.chain.height
         if snapshot == "tip"
         else parse_int(snapshot, "snapshot")
     )

@@ -8,6 +8,12 @@ conserved to the wei: minted == circulating + fees.  There are no
 reorgs; a transaction is included at most once, and a nonce is consumed
 exactly once.
 
+One ``advance`` sweeps the pool once, for its first due height: the
+pool that sweep leaves can include nothing until the next ``submit`` or
+``fund``, so every later height of the call is empty.  An empty height
+is stored as its header hash alone, and ``header`` builds its ``Block``
+on request; only the blocks that hold txs are kept.
+
 The confirmation oracle gives each height three delays (latest /
 justified / finalized), ``mode_delays``: seeded draws from per-mode
 Gaussian delay models, clamped to be monotone across modes.  They are a
@@ -33,7 +39,7 @@ its public key when it is built, so submission and every sweep of block
 production read a stored digest and sender.  Producing a block of n txs
 makes one Merkle build (about 2n hashes), and the block keeps its
 levels, so an inclusion proof reads log2(n) stored siblings and hashes
-nothing.
+nothing.  An empty height costs one header hash.
 """
 
 from __future__ import annotations
@@ -54,7 +60,15 @@ from .errors import (
     NotYetConfirmed,
     UnknownTx,
 )
-from .merkle import Levels, MerklePath, merkle_levels, merkle_path, merkle_root, verify_path
+from .merkle import (
+    EMPTY_ROOT,
+    Levels,
+    MerklePath,
+    merkle_levels,
+    merkle_path,
+    merkle_root,
+    verify_path,
+)
 from .messages import ChainTx, signing_digest
 
 FEE_SINK = b"\xfe" * 20
@@ -78,6 +92,17 @@ class SignedTx:
         object.__setattr__(self, "sender", crypto.address_of(self.signature.public_key))
 
 
+def block_hash(height: int, parent_hash: bytes, tx_root: bytes, timestamp: int) -> bytes:
+    """The header hash, layout ``block-v1`` (docs/encoding.md)."""
+    return crypto.digest(
+        b"block-v1"
+        + height.to_bytes(8, "big")
+        + parent_hash
+        + tx_root
+        + timestamp.to_bytes(8, "big")
+    )
+
+
 @dataclass(frozen=True)
 class Block:
     height: int
@@ -94,12 +119,8 @@ class Block:
     block_hash: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "block_hash", crypto.digest(
-            b"block-v1"
-            + self.height.to_bytes(8, "big")
-            + self.parent_hash
-            + self.tx_root
-            + self.timestamp.to_bytes(8, "big")
+        object.__setattr__(self, "block_hash", block_hash(
+            self.height, self.parent_hash, self.tx_root, self.timestamp
         ))
 
 
@@ -130,8 +151,11 @@ class SimChain:
             delay_models = {mode: defaults.delay_model(mode) for mode in ORACLE_MODES}
         self.delay_models = delay_models
         self.time = 0
-        genesis = Block(0, 0, b"\x00" * 32, merkle_root(()), (), ())
-        self.blocks: List[Block] = [genesis]
+        genesis = Block(0, 0, b"\x00" * 32, EMPTY_ROOT, (), ())
+        # One header hash per height, genesis at 0; the blocks that hold
+        # txs, and genesis, by height.
+        self._hashes: List[bytes] = [genesis.block_hash]
+        self._blocks: Dict[int, Block] = {0: genesis}
         self.pending: List[SignedTx] = []
         self.balances: Dict[bytes, int] = {}
         self.nonces: Dict[bytes, int] = {}
@@ -169,7 +193,7 @@ class SimChain:
         return history[idx][1] if idx >= 0 else 0
 
     def _record_balance(self, address: bytes) -> None:
-        height = self.blocks[-1].height
+        height = self.height
         history = self._balance_history.setdefault(address, [])
         value = self.balances.get(address, 0)
         if history and history[-1][0] == height:
@@ -177,23 +201,35 @@ class SimChain:
         else:
             history.append((height, value))
 
+    @property
+    def height(self) -> int:
+        return len(self._hashes) - 1
+
     def header(self, height: int) -> Block:
-        if not 0 <= height < len(self.blocks):
+        """The block at ``height``.  An empty height's block is built on
+        each call, from its height and its parent's hash."""
+        if not 0 <= height < len(self._hashes):
             raise UnknownTx(f"no block at height {height}")
-        return self.blocks[height]
+        block = self._blocks.get(height)
+        if block is None:
+            block = Block(
+                height, height * self.block_interval, self._hashes[height - 1], EMPTY_ROOT, (), ()
+            )
+        return block
 
     def tip(self) -> Block:
-        return self.blocks[-1]
+        return self.header(self.height)
 
-    def recent_block_hashes(self, count: int = 8) -> Tuple[bytes, ...]:
-        return tuple(b.block_hash for b in self.blocks[-count:])
+    def recent_block_hashes(self) -> Tuple[bytes, ...]:
+        """The hashes of the newest eight heights, oldest first."""
+        return tuple(self._hashes[-8:])
 
     def tx(self, tx_digest: bytes) -> SignedTx:
         location = self._tx_index.get(tx_digest)
         if location is None:
             raise UnknownTx(tx_digest.hex())
         height, index = location
-        return self.blocks[height].txs[index]
+        return self._blocks[height].txs[index]
 
     def includes(self, tx_digest: bytes) -> bool:
         return tx_digest in self._tx_index
@@ -209,18 +245,32 @@ class SimChain:
         self.pending.append(signed)
         return signed.digest
 
-    def advance(self, seconds: int) -> List[Block]:
-        """Move time forward, producing every block that comes due."""
+    def advance(self, seconds: int) -> range:
+        """Move time forward, producing every height that comes due;
+        returns the heights produced.
+
+        Only the first due height sweeps the pool.  Its last sweep
+        includes nothing, and nothing changes a nonce or a balance
+        before the next height of the same call, so every later height
+        would include nothing and drop nothing: each is stored as its
+        header hash alone.
+        """
         if seconds < 0:
             raise ValueError("time moves forward")
         self.time += seconds
-        produced = []
-        while (self.blocks[-1].height + 1) * self.block_interval <= self.time:
-            produced.append(self._produce_block())
+        produced = range(len(self._hashes), self.time // self.block_interval + 1)
+        if produced:
+            self._produce_block(produced[0])
+            for height in produced[1:]:
+                self._append_empty(height)
         return produced
 
-    def _produce_block(self) -> Block:
-        height = self.blocks[-1].height + 1
+    def _append_empty(self, height: int) -> None:
+        self._hashes.append(
+            block_hash(height, self._hashes[-1], EMPTY_ROOT, height * self.block_interval)
+        )
+
+    def _produce_block(self, height: int) -> None:
         included: List[SignedTx] = []
         survivors: List[SignedTx] = []
         changed = True
@@ -251,23 +301,25 @@ class SimChain:
                 changed = True
             pool = survivors
         self.pending = survivors
+        if not included:
+            self._append_empty(height)
+            return
         levels = merkle_levels([s.digest for s in included])
         block = Block(
             height=height,
             timestamp=height * self.block_interval,
-            parent_hash=self.blocks[-1].block_hash,
+            parent_hash=self._hashes[-1],
             tx_root=merkle_root(levels),
             txs=tuple(included),
             levels=levels,
         )
-        self.blocks.append(block)
+        self._blocks[height] = block
+        self._hashes.append(block.block_hash)
         for index, signed in enumerate(included):
             self._tx_index[signed.digest] = (height, index)
             self._record_balance(signed.sender)
             self._record_balance(signed.tx.to)
-        if included:
-            self._record_balance(FEE_SINK)
-        return block
+        self._record_balance(FEE_SINK)
 
     # ------------------------------------------------------------------
     # confirmation oracle
@@ -288,7 +340,7 @@ class SimChain:
         if now < 0:
             return -1
         interval = self.block_interval
-        tip = len(self.blocks) - 1
+        tip = self.height
         # Every height at least the bound older than ``now`` is confirmed.
         height = min(tip, max(0, (now - bound) // interval))
         if known_time <= now:
@@ -314,13 +366,13 @@ class SimChain:
         confirmed = self.confirmed_height(mode or self.proof_mode)
         if height > confirmed:
             raise NotYetConfirmed(f"height {height} above confirmed {confirmed}")
-        path = merkle_path(self.blocks[height].levels, index)
+        path = merkle_path(self._blocks[height].levels, index)
         return InclusionProof(tx_digest=tx_digest, block_height=height, path=path)
 
     def verify_proof(self, proof: InclusionProof) -> bool:
-        if not 0 <= proof.block_height < len(self.blocks):
+        if not 0 <= proof.block_height <= self.height:
             return False
-        root = self.blocks[proof.block_height].tx_root
+        root = self.header(proof.block_height).tx_root
         return verify_path(proof.tx_digest, proof.path, root)
 
     def check_proof(self, proof: InclusionProof) -> SignedTx:
@@ -330,7 +382,7 @@ class SimChain:
         height, index = self._tx_index[proof.tx_digest]
         if height != proof.block_height:
             raise BadProof("proof cites the wrong block")
-        return self.blocks[height].txs[index]
+        return self._blocks[height].txs[index]
 
     # ------------------------------------------------------------------
     # invariant helpers
@@ -339,7 +391,7 @@ class SimChain:
         return sum(self.balances.values())
 
     def snapshot_digest(self) -> bytes:
-        parts = [self.tip().block_hash, self.time.to_bytes(8, "big")]
+        parts = [self._hashes[-1], self.time.to_bytes(8, "big")]
         for address in sorted(self.balances):
             parts.append(address)
             parts.append(self.balances[address].to_bytes(16, "big"))

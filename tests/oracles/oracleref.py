@@ -6,7 +6,7 @@ max of timestamp + delay) and draws every height from 1 up, in order,
 until the last drawn prefix lies after the asked time.  It knows nothing
 of the delay bound, the window or the memo, so agreement between the
 two is evidence rather than tautology.  It reads the chain it shadows
-for its blocks, its clock, its seed, its label and its delay models.
+for its headers, its clock, its seed, its label and its delay models.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class DenseOracle:
     def _draw_next(self) -> None:
         """Draw the prefix times of the lowest undrawn height."""
         chain = self.chain
-        block = chain.blocks[len(self._prefix_times[ORACLE_MODES[0]])]
+        block = chain.header(len(self._prefix_times[ORACLE_MODES[0]]))
         delays = mode_delays(chain._seed, chain.label, chain.delay_models, block.height)
         for mode in ORACLE_MODES:
             prefix = self._prefix_times[mode]
@@ -45,6 +45,6 @@ class DenseOracle:
         prefix = self._prefix_times[mode]
         # Prefix times never decrease, so once the last drawn one lies
         # after ``now`` no later height can be confirmed by then.
-        while prefix[-1] <= now and len(prefix) < len(self.chain.blocks):
+        while prefix[-1] <= now and len(prefix) <= self.chain.height:
             self._draw_next()
         return bisect.bisect_right(prefix, now) - 1

@@ -8,7 +8,8 @@ import pytest
 
 from encumbra import crypto, simchain
 from encumbra.config import ORACLE_MODES
-from encumbra.simchain import SimChain, delay_bounds
+from encumbra.messages import ChainTx, signing_digest
+from encumbra.simchain import SignedTx, SimChain, delay_bounds
 
 SEED = crypto.digest(b"cost-contracts")
 INTERVAL = 12
@@ -82,3 +83,47 @@ def test_a_later_read_resumes_from_the_last_answer(mode, monkeypatch):
         del examined[:]
         previous, answer = answer, chain.confirmed_height(mode)
         assert len(examined) <= answer - previous + 1
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("pool", ["empty", "waiting"])
+def test_an_advance_sweeps_once_and_hashes_each_later_height(pool, monkeypatch):
+    """An advance over 100 or 1,000 intervals builds at most one
+    ``Block`` and at most one set of Merkle levels, and hashes once per
+    height; a pool whose txs wait on a nonce gap changes none of that."""
+    key = crypto.derive_signing_key(SEED, "acct", "payer")
+
+    def signed(nonce):
+        tx = ChainTx(1, nonce, 0, 0, b"\x01" * 20, 1)
+        return SignedTx(tx=tx, signature=key.sign(signing_digest(tx)))
+
+    counts = dict.fromkeys(("Block", "merkle_levels", "digest"), 0)
+    _count_calls(monkeypatch, simchain, "Block", counts)
+    _count_calls(monkeypatch, simchain, "merkle_levels", counts)
+    _count_calls(monkeypatch, crypto, "digest", counts)
+    for intervals in (100, 1000):
+        chain = SimChain(SEED, block_interval=INTERVAL)
+        chain.fund(key.address, 10**6)
+        if pool == "waiting":
+            chain.submit(signed(0))
+            for nonce in range(2, 50):
+                chain.submit(signed(nonce))  # nonce 1 never comes
+        for name in counts:
+            counts[name] = 0
+        assert len(chain.advance(INTERVAL * intervals)) == intervals
+        if pool == "waiting":
+            # the first height holds nonce 0: one block, one Merkle build
+            # over one leaf (one hash), and a header hash per height
+            assert counts == {"Block": 1, "merkle_levels": 1, "digest": intervals + 1}
+            assert len(chain.pending) == 48
+        else:
+            assert counts == {"Block": 0, "merkle_levels": 0, "digest": intervals}

@@ -113,8 +113,8 @@ def _advance_by_steps(engine, seconds):
 def _observe(engine):
     return (
         engine.time,
-        len(engine.chain.blocks),
-        len(engine.reliable.blocks),
+        engine.chain.height,
+        engine.reliable.height,
         engine.trigger.state,
         dict(engine.trigger.payouts),
         _pings(engine),

@@ -2,9 +2,11 @@
 
 import bisect
 import dataclasses
+import json
 import math
 import random
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from encumbra.merkle import merkle_levels, merkle_path, merkle_root
 from encumbra.messages import ChainTx, signing_digest
 from encumbra.reports import latency_report
 from encumbra.simchain import FEE_SINK, InclusionProof, SignedTx, SimChain, mode_delays
+from tests.oracles.chainref import ChainRef
 from tests.oracles.oracleref import DenseOracle
 
 SEED = crypto.digest(b"simchain-tests")
@@ -44,14 +47,14 @@ def test_funding_and_balances():
 
 def test_blocks_come_due_on_the_interval():
     chain = SimChain(SEED, block_interval=12)
-    assert chain.tip().height == 0
+    assert chain.height == chain.tip().height == 0
     produced = chain.advance(11)
-    assert produced == []
+    assert list(produced) == []
     produced = chain.advance(1)
-    assert [b.height for b in produced] == [1]
+    assert list(produced) == [1]
     produced = chain.advance(36)
-    assert [b.height for b in produced] == [2, 3, 4]
-    assert chain.tip().height == 4
+    assert list(produced) == [2, 3, 4]
+    assert chain.height == chain.tip().height == 4
     assert chain.header(3).timestamp == 36
     assert chain.header(4).parent_hash == chain.header(3).block_hash
     with pytest.raises(ValueError):
@@ -64,10 +67,14 @@ def test_block_hash_is_cached_header_digest():
     chain.fund(alice.address, 10**18)
     chain.submit(_signed(alice, 0, bob.address, 1))
     chain.advance(36)
-    for block in chain.blocks:
+    for height in range(chain.height + 1):
+        block = chain.header(height)
         first = block.block_hash
         assert block.block_hash is first  # computed once per block
-        assert first == crypto.digest(
+        assert chain.header(height) == block and chain.header(height).block_hash == first
+        assert first == simchain.block_hash(
+            block.height, block.parent_hash, block.tx_root, block.timestamp
+        ) == crypto.digest(
             b"block-v1"
             + block.height.to_bytes(8, "big")
             + block.parent_hash
@@ -82,7 +89,9 @@ def test_block_hash_is_cached_header_digest():
         assert bare == block and hash(bare) == hash(block) and repr(bare) == repr(block)
         assert bare.block_hash == first
         assert dataclasses.replace(block, timestamp=block.timestamp + 1).block_hash != first
-    assert len(chain.blocks[1].txs) == 1
+    assert len(chain.header(1).txs) == 1
+    assert chain.header(2).parent_hash == chain.header(1).block_hash
+    assert chain.tip().block_hash == chain.recent_block_hashes()[-1]
 
 
 def test_signed_tx_derives_digest_and_sender_once():
@@ -176,8 +185,8 @@ def test_nonce_gap_fills_within_one_block():
     first = _signed(alice, 0, b"\x01" * 20, 1)
     chain.submit(later)
     chain.submit(first)
-    (block,) = chain.advance(12)
-    assert [s.tx.nonce for s in block.txs] == [0, 1]
+    (height,) = chain.advance(12)
+    assert [s.tx.nonce for s in chain.header(height).txs] == [0, 1]
     assert chain.pending == []
 
 
@@ -397,7 +406,7 @@ def test_oracle_matches_the_dense_reference(seed, config):
             chain.advance(seconds * interval // 12)
             continue
         mode = rng.choice(ORACLE_MODES + ("bogus",))
-        tip = chain.tip().height
+        tip = chain.height
         if roll < 0.65:
             at_time = rng.choice([
                 None,
@@ -418,7 +427,7 @@ def test_oracle_matches_the_dense_reference(seed, config):
         call = ("confirmed_height", mode, at_time)
         assert _oracle_call(chain, *call) == _oracle_call(reference, *call), call
 
-    assert chain.tip().height > 100
+    assert chain.height > 100
     assert set(chain._drawn) <= set(reference.drawn())
 
 
@@ -541,6 +550,143 @@ def test_conservation_over_random_traffic():
         chain.submit(signed)
         chain.advance(rng.choice([0, 12, 24]))
         assert chain.total_circulating() == chain.minted
-    assert chain.recent_block_hashes(4) == tuple(
-        b.block_hash for b in chain.blocks[-4:]
+    assert chain.height > 8
+    assert chain.recent_block_hashes() == tuple(
+        chain.header(h).block_hash for h in range(chain.height - 7, chain.height + 1)
     )
+
+
+VECTOR_SEED = crypto.digest(b"block-vectors")
+
+
+def _vector_chain():
+    """The seeded chain of ``tests/fixtures/block_vectors.json``: txs at
+    some heights, with advances of 0, 1 and many intervals (and parts of
+    one) between them."""
+    chain = SimChain(VECTOR_SEED, block_interval=12)
+    alice, bob, carol = (crypto.derive_signing_key(VECTOR_SEED, "acct", n) for n in "abc")
+    chain.fund(alice.address, 10**18)
+    chain.advance(0)
+    chain.submit(_signed(alice, 0, bob.address, 5 * 10**17, fee=10**9, gas=21000))
+    chain.advance(12)  # height 1 holds it
+    chain.advance(60)  # heights 2-6 are empty
+    # bob pays from what alice sent; carol's nonce 1 waits for nonce 0
+    chain.submit(_signed(bob, 0, carol.address, 10**17))
+    chain.submit(_signed(carol, 1, alice.address, 3))
+    chain.submit(_signed(alice, 1, carol.address, 7, fee=10**9, gas=21000))
+    chain.advance(7)  # no height due yet
+    chain.advance(5)  # height 7
+    chain.submit(_signed(carol, 0, bob.address, 11))
+    chain.advance(12 * 30 + 5)  # heights 8-37, carol's pair lands at 8
+    chain.fund(carol.address, 13)
+    chain.submit(_signed(carol, 2, bob.address, 10**19))  # cannot pay
+    chain.submit(_signed(carol, 4, bob.address, 1))  # waits on a gap forever
+    chain.advance(24)  # heights 38-39
+    chain.advance(12 * 100)  # heights 40-139
+    for nonce in (3, 2):
+        chain.submit(_signed(alice, nonce, bob.address, nonce))
+    chain.advance(12)  # height 140 holds both, in nonce order
+    return chain
+
+
+def test_block_header_vectors():
+    """Every height's header hash, empty heights included, matches the
+    vectors pinned before empty heights were stored as hashes."""
+    data = json.loads((Path(__file__).parent / "fixtures" / "block_vectors.json").read_text())
+    chain = _vector_chain()
+    assert chain.block_interval == data["block_interval"]
+    headers = [chain.header(h) for h in range(chain.height + 1)]
+    assert [b.block_hash.hex() for b in headers] == data["block_hashes_hex"]
+    assert {str(b.height): len(b.txs) for b in headers if b.txs} == data["heights_with_txs"]
+    assert {str(b.height): b.tx_root.hex() for b in headers if b.txs} == data["tx_roots_hex"]
+    assert chain.recent_block_hashes() == tuple(
+        bytes.fromhex(h) for h in data["block_hashes_hex"][-8:]
+    )
+
+
+def _assert_same_ledger(chain, ref):
+    assert chain.time == ref.time and chain.height == ref.blocks[-1].height
+    assert chain.tip() == ref.blocks[-1]
+    assert chain.recent_block_hashes() == tuple(b.block_hash for b in ref.blocks[-8:])
+    assert chain.balances == ref.balances and chain.nonces == ref.nonces
+    assert chain.minted == ref.minted
+    assert chain.pending == ref.pending
+    assert chain._tx_index == ref._tx_index
+
+
+def _assert_same_chain(chain, ref):
+    """Everything block production writes, at every height."""
+    _assert_same_ledger(chain, ref)
+    assert len(chain._hashes) == len(ref.blocks)
+    for block in ref.blocks:
+        mine = chain.header(block.height)
+        assert mine == block and mine.levels == block.levels
+        assert mine.block_hash == block.block_hash == chain._hashes[block.height]
+    with pytest.raises(UnknownTx):
+        chain.header(chain.height + 1)
+    with pytest.raises(UnknownTx):
+        chain.header(-1)
+    assert chain._balance_history == ref._balance_history
+    for address in ref._balance_history:
+        for height in range(-1, chain.height + 2):
+            assert chain.balance_at(address, height) == ref.balance_at(address, height)
+    for digest, (height, index) in ref._tx_index.items():
+        block = ref.blocks[height]
+        assert chain.tx(digest) is block.txs[index]
+        proof = InclusionProof(digest, height, merkle_path(block.levels, index))
+        assert chain.verify_proof(proof)
+        assert chain.check_proof(proof) is block.txs[index]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chain_matches_the_per_height_reference(seed):
+    """Sweeping the pool once per advance and storing later heights as
+    hashes gives what sweeping at every height gave: the same hash at
+    every height, headers, balances, nonces, pending pool, tx locations
+    and balance history, over seeded pools with nonce gaps, duplicates,
+    txs that cannot pay and transfers that fund a later sender."""
+    rng = random.Random(seed)
+    interval = rng.choice([1, 5, 12])
+    chain = SimChain(SEED, block_interval=interval)
+    ref = ChainRef(block_interval=interval)
+    keys = [_key(f"diff{i}") for i in range(5)]
+    # the last two start empty: only transfers (or a later fund) pay for them
+    for key in keys[:3]:
+        amount = rng.randrange(10**6, 10**8)
+        chain.fund(key.address, amount)
+        ref.fund(key.address, amount)
+    sent = []
+    for _ in range(150):
+        roll = rng.random()
+        if roll < 0.55:
+            if sent and rng.random() < 0.15:
+                signed = rng.choice(sent)  # the same tx again
+            else:
+                sender = rng.choice(keys)
+                expected = chain.nonce(sender.address)
+                nonce = max(0, expected + rng.choice([-1, 0, 0, 0, 1, 2, 3]))
+                value = rng.choice([0, rng.randrange(1, 10**6), rng.randrange(10**7, 10**9)])
+                fee = rng.choice([0, 0, 7])
+                signed = _signed(
+                    sender, nonce, rng.choice(keys).address, value, fee=fee, gas=fee and 3
+                )
+            sent.append(signed)
+            chain.submit(signed)
+            ref.submit(signed)
+        elif roll < 0.65:
+            address, amount = rng.choice(keys).address, rng.randrange(0, 10**8)
+            chain.fund(address, amount)
+            ref.fund(address, amount)
+        else:
+            seconds = rng.choice([
+                0,
+                rng.randrange(1, interval + 1),
+                interval,
+                interval * rng.randrange(2, 40) + rng.randrange(0, interval),
+            ])
+            produced = chain.advance(seconds)
+            assert list(produced) == [b.height for b in ref.advance(seconds)]
+            _assert_same_ledger(chain, ref)
+        assert chain.total_circulating() == chain.minted
+    assert len(ref._tx_index) > 10 and chain.pending
+    _assert_same_chain(chain, ref)
