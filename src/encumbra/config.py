@@ -44,7 +44,7 @@ DEFAULTS: Dict[str, Any] = {
     "reliable_chain.block_interval_s": 12,
 }
 
-_MODES = ("latest", "justified", "finalized")
+ORACLE_MODES = ("latest", "justified", "finalized")
 # The least value an integer key can run with: a chain with an interval
 # under 1 s never stops producing blocks, and the latency report needs two
 # trials for a deviation.
@@ -120,7 +120,7 @@ class Config:
         return self._values[key]
 
     def delay_model(self, mode: str) -> tuple[float, float]:
-        if mode not in _MODES:
+        if mode not in ORACLE_MODES:
             raise KeyError(f"unknown oracle mode: {mode}")
         return (self[f"oracle.{mode}.mean_s"], self[f"oracle.{mode}.stddev_s"])
 
@@ -135,6 +135,3 @@ class Config:
         config = cls()
         config.apply(loaded)
         return config
-
-
-ORACLE_MODES = _MODES

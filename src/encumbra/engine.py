@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import crypto
 from .config import Config, ORACLE_MODES
 from .darkdao import DarkDao
-from .errors import StepFailure, UnknownAccount, UnknownWallet
+from .errors import EngineError, StepFailure, UnknownAccount, UnknownWallet
 from .fallback.system import FallbackSystem, verify_released_key
 from .fallback.trigger import TriggerContract, TriggerState, ping_message
 from .manager import Wallet, WalletManager
@@ -338,7 +338,7 @@ class Engine:
             raise StepFailure(f"shares={count} outside 0..{len(self.fallback.shares)}")
         shares = self.fallback.shares[:count]
         reliable = self.reliable
-        finalized = reliable.header(reliable.confirmed_height("finalized")).timestamp
+        finalized = reliable.confirmed_height("finalized") * reliable.block_interval
         released = self.fallback.execute(shares, self.trigger, finalized)
         for pairs in released.values():
             for wallet_id, seed in pairs:
@@ -350,6 +350,28 @@ class Engine:
     # ------------------------------------------------------------------
     # invariants
 
-    def conservation_gap(self) -> int:
-        """minted - circulating on the target chain; zero when conserved."""
-        return self.chain.minted - self.chain.total_circulating()
+    def check_invariants(self) -> List[str]:
+        """The violations, none when all hold, of: both chains conserve
+        value, each ledger's books balance, every tree is valid, and each
+        offer's reservations add up to ``reserved``, which escrow covers."""
+        problems = []
+        for chain in (self.chain, self.reliable):
+            gap = chain.minted - chain.total_circulating()
+            if gap:
+                problems.append(f"{chain.label} chain conservation gap {gap}")
+        for wallet_id, ledger in self.ledgers.items():
+            books = ledger.total_proven - ledger.total_deducted
+            if books != sum(ledger.ether_sub.values()):
+                problems.append(f"{wallet_id} ledger books off: {books}")
+        for wallet in self.manager.wallets():
+            tree = getattr(wallet.policy, "tree", None)
+            try:
+                if tree is not None:
+                    tree.validate_structure(self.time)
+            except EngineError as error:
+                problems.append(f"{wallet.wallet_id} tree invalid: {error.code} {error.detail}")
+        for offer in self.dao.offers.values():
+            reserved = sum(offer.reservations.values())
+            if offer.reserved != reserved or reserved > offer.escrow:
+                problems.append(f"offer {offer.offer_id} escrow off")
+        return problems

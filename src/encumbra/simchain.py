@@ -10,36 +10,27 @@ exactly once.
 
 One ``advance`` sweeps the pool once, for its first due height: the
 pool that sweep leaves can include nothing until the next ``submit`` or
-``fund``, so every later height of the call is empty.  An empty height
-is stored as its header hash alone, and ``header`` builds its ``Block``
-on request; only the blocks that hold txs are kept.
+``fund``, so every later height of the call is empty, and only blocks
+that hold txs are kept.  A header is hashed on first read, so an advance
+hashes no empty height.  A block of n txs costs one Merkle build (about
+2n hashes) and keeps its levels, so an inclusion proof hashes nothing.
 
-The confirmation oracle gives each height three delays (latest /
-justified / finalized), ``mode_delays``: seeded draws from per-mode
-Gaussian delay models, clamped to be monotone across modes.  They are a
-pure function of the seed, the chain label and the height.  A prefix
-0..h is confirmed once every height in it is: at the running max of
-``timestamp + delay``.  Inclusion proofs are only issued for blocks at
-or below the confirmed height of the chain's configured proof mode.
+The oracle gives each height three delays (latest / justified /
+finalized), ``mode_delays``: rounded Gaussian draws per mode, a pure
+function of the seed, the chain label and the height, clamped to be at
+least 1 and monotone across modes.  A prefix 0..h is confirmed at the
+running max of ``timestamp + delay``, and proofs are only issued at or
+below the confirmed height of the proof mode.
 
-A read draws only inside its confirmation window.  ``random.gauss``
-takes ``sqrt(-2 log(1 - random()))`` and ``random()`` is at most
-1 - 2**-53, so a draw lies within ``GAUSS_Z_MAX`` (about 8.57) standard
-deviations of its mean, and a mode's delay never exceeds its bound D
-(``delay_bounds``).  A height whose timestamp is at least D before the
-asked time is confirmed whatever it draws, so a read starts at the
-newest such height and walks up while the next height confirms by
-then; the first that does not ends the walk.  Drawn delays are kept
-sparsely by height, each height drawn at most once, and each mode
-remembers its last answer: a later read starts from it, so reads at a
-clock that only moves forward cost amortised O(1).
-
-Derived values are computed once.  A ``SignedTx`` hashes its tx and
-its public key when it is built, so submission and every sweep of block
-production read a stored digest and sender.  Producing a block of n txs
-makes one Merkle build (about 2n hashes), and the block keeps its
-levels, so an inclusion proof reads log2(n) stored siblings and hashes
-nothing.  An empty height costs one header hash.
+A mode is drawn only where its bound cannot decide.  ``random.gauss``
+lies within ``GAUSS_Z_MAX`` (about 8.57) deviations of its mean, which
+bounds each mode's draw (``raw_bound``) and delay (``delay_bounds``).
+A read starts at the newest height its delay bound settles and walks up
+while the slack (asked time minus the next height's timestamp) is at
+least 1 and no draw of the mode, drawn first, or of a lower mode
+exceeds it; a mode whose raw bound is within the slack is not drawn.
+Draws are kept by (height, mode), and a mode resumes from its last
+answer, so reads at a forward-moving clock cost amortised O(1).
 """
 
 from __future__ import annotations
@@ -48,6 +39,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -72,6 +64,7 @@ from .merkle import (
 from .messages import ChainTx, signing_digest
 
 FEE_SINK = b"\xfe" * 20
+Models = Dict[str, Tuple[float, float]]  # per mode, its delay's (mean, stddev) in s
 
 # The largest |z| that ``random.gauss`` returns: its radius at the
 # largest ``random()``, 1 - 2**-53, computed as gauss computes it.
@@ -82,8 +75,7 @@ GAUSS_Z_MAX = math.sqrt(-2.0 * math.log(2.0**-53))
 class SignedTx:
     tx: ChainTx
     signature: crypto.Signature
-    # Derived once, at construction; equality, hashing and repr ignore
-    # them.
+    # Derived once, at construction; equality, hashing and repr ignore them.
     digest: bytes = field(init=False, repr=False, compare=False)
     sender: bytes = field(init=False, repr=False, compare=False)
 
@@ -110,12 +102,9 @@ class Block:
     parent_hash: bytes
     tx_root: bytes
     txs: Tuple[SignedTx, ...]
-    # The Merkle levels over the txs' digests, built with ``tx_root``
-    # and kept so that proofs read their siblings; equality, hashing and
-    # repr ignore them.
+    # Ignored by equality, hashing and repr: the Merkle levels built with
+    # ``tx_root``, whose siblings proofs read, and the header hash.
     levels: Levels = field(repr=False, compare=False)
-    # Derived from the header fields once, at construction; equality,
-    # hashing and repr ignore it.
     block_hash: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -138,7 +127,7 @@ class SimChain:
         chain_id: int = 1,
         block_interval: int = 12,
         proof_mode: str = "finalized",
-        delay_models: Optional[Dict[str, Tuple[float, float]]] = None,
+        delay_models: Optional[Models] = None,
         label: str = "target",
     ):
         self.chain_id = chain_id
@@ -147,13 +136,13 @@ class SimChain:
         self.label = label
         self._seed = seed
         if not delay_models:
-            defaults = Config()
-            delay_models = {mode: defaults.delay_model(mode) for mode in ORACLE_MODES}
+            delay_models = {mode: Config().delay_model(mode) for mode in ORACLE_MODES}
         self.delay_models = delay_models
         self.time = 0
+        self.height = 0
         genesis = Block(0, 0, b"\x00" * 32, EMPTY_ROOT, (), ())
-        # One header hash per height, genesis at 0; the blocks that hold
-        # txs, and genesis, by height.
+        # The header hashes of heights 0..len - 1, the prefix read so
+        # far; the blocks that hold txs, and genesis, by height.
         self._hashes: List[bytes] = [genesis.block_hash]
         self._blocks: Dict[int, Block] = {0: genesis}
         self.pending: List[SignedTx] = []
@@ -162,9 +151,10 @@ class SimChain:
         self.minted = 0
         self._tx_index: Dict[bytes, Tuple[int, int]] = {}
         self._balance_history: Dict[bytes, List[Tuple[int, int]]] = {}
-        # No mode's delay exceeds its bound; drawn delays by height.
+        # Bounds on each mode's draw and on its delay; draws by (height, mode).
+        self._raw_bounds = {m: raw_bound(*delay_models[m]) for m in ORACLE_MODES}
         self._bounds = delay_bounds(delay_models)
-        self._drawn: Dict[int, Dict[str, int]] = {}
+        self._drawn: Dict[Tuple[int, str], int] = {}
         # Per mode, the last answer: (time asked, confirmed height).
         self._known: Dict[str, Tuple[int, int]] = {m: (0, 0) for m in ORACLE_MODES}
 
@@ -175,7 +165,7 @@ class SimChain:
         """Mint simulation funds to an address (setup convenience)."""
         self.balances[address] = self.balances.get(address, 0) + amount
         self.minted += amount
-        self._record_balance(address)
+        self._record_balance(address, self.height)
 
     def balance(self, address: bytes) -> int:
         return self.balances.get(address, 0)
@@ -192,8 +182,7 @@ class SimChain:
         idx = bisect.bisect_right(history, height, key=itemgetter(0)) - 1
         return history[idx][1] if idx >= 0 else 0
 
-    def _record_balance(self, address: bytes) -> None:
-        height = self.height
+    def _record_balance(self, address: bytes, height: int) -> None:
         history = self._balance_history.setdefault(address, [])
         value = self.balances.get(address, 0)
         if history and history[-1][0] == height:
@@ -201,28 +190,29 @@ class SimChain:
         else:
             history.append((height, value))
 
-    @property
-    def height(self) -> int:
-        return len(self._hashes) - 1
+    def _hash(self, height: int) -> bytes:
+        """The header hash of ``height``; unread empty heights up to it are hashed now."""
+        hashes = self._hashes
+        for empty in range(len(hashes), height + 1):
+            hashes.append(block_hash(empty, hashes[-1], EMPTY_ROOT, empty * self.block_interval))
+        return hashes[height]
 
     def header(self, height: int) -> Block:
         """The block at ``height``.  An empty height's block is built on
         each call, from its height and its parent's hash."""
-        if not 0 <= height < len(self._hashes):
+        if not 0 <= height <= self.height:
             raise UnknownTx(f"no block at height {height}")
-        block = self._blocks.get(height)
-        if block is None:
-            block = Block(
-                height, height * self.block_interval, self._hashes[height - 1], EMPTY_ROOT, (), ()
-            )
-        return block
+        return self._blocks.get(height) or Block(
+            height, height * self.block_interval, self._hash(height - 1), EMPTY_ROOT, (), ()
+        )
 
     def tip(self) -> Block:
         return self.header(self.height)
 
     def recent_block_hashes(self) -> Tuple[bytes, ...]:
         """The hashes of the newest eight heights, oldest first."""
-        return tuple(self._hashes[-8:])
+        self._hash(self.height)
+        return tuple(self._hashes[max(0, self.height - 7) : self.height + 1])
 
     def tx(self, tx_digest: bytes) -> SignedTx:
         location = self._tx_index.get(tx_digest)
@@ -252,23 +242,16 @@ class SimChain:
         Only the first due height sweeps the pool.  Its last sweep
         includes nothing, and nothing changes a nonce or a balance
         before the next height of the same call, so every later height
-        would include nothing and drop nothing: each is stored as its
-        header hash alone.
+        is empty, and no header is hashed until it is read.
         """
         if seconds < 0:
             raise ValueError("time moves forward")
         self.time += seconds
-        produced = range(len(self._hashes), self.time // self.block_interval + 1)
+        produced = range(self.height + 1, self.time // self.block_interval + 1)
         if produced:
             self._produce_block(produced[0])
-            for height in produced[1:]:
-                self._append_empty(height)
+            self.height = produced[-1]
         return produced
-
-    def _append_empty(self, height: int) -> None:
-        self._hashes.append(
-            block_hash(height, self._hashes[-1], EMPTY_ROOT, height * self.block_interval)
-        )
 
     def _produce_block(self, height: int) -> None:
         included: List[SignedTx] = []
@@ -302,13 +285,12 @@ class SimChain:
             pool = survivors
         self.pending = survivors
         if not included:
-            self._append_empty(height)
             return
         levels = merkle_levels([s.digest for s in included])
         block = Block(
             height=height,
             timestamp=height * self.block_interval,
-            parent_hash=self._hashes[-1],
+            parent_hash=self._hash(height - 1),
             tx_root=merkle_root(levels),
             txs=tuple(included),
             levels=levels,
@@ -317,39 +299,44 @@ class SimChain:
         self._hashes.append(block.block_hash)
         for index, signed in enumerate(included):
             self._tx_index[signed.digest] = (height, index)
-            self._record_balance(signed.sender)
-            self._record_balance(signed.tx.to)
-        self._record_balance(FEE_SINK)
+            self._record_balance(signed.sender, height)
+            self._record_balance(signed.tx.to, height)
+        self._record_balance(FEE_SINK, height)
 
     # ------------------------------------------------------------------
     # confirmation oracle
 
-    def _delays(self, height: int) -> Dict[str, int]:
-        """The height's ``mode_delays``, drawn on first use."""
-        delays = self._drawn.get(height)
-        if delays is None:
-            delays = mode_delays(self._seed, self.label, self.delay_models, height)
-            self._drawn[height] = delays
-        return delays
+    def _confirms(self, height: int, mode: str, now: int) -> bool:
+        """Whether the height's ``mode_delays[mode]`` is at most the slack
+        ``now`` - timestamp, drawing only the modes a raw bound leaves open."""
+        slack = now - height * self.block_interval
+        if slack < 1:
+            return False
+        for m in ORACLE_MODES[ORACLE_MODES.index(mode) :: -1]:
+            if self._raw_bounds[m] <= slack:
+                continue
+            delay = self._drawn.get((height, m))
+            if delay is None:
+                delay = sample_delay(self._seed, self.label, m, height, *self.delay_models[m])
+                self._drawn[height, m] = delay
+            if delay > slack:
+                return False
+        return True
 
     def confirmed_height(self, mode: str, at_time: Optional[int] = None) -> int:
         """Highest height whose whole prefix is confirmed for the mode."""
         now = self.time if at_time is None else at_time
-        bound = self._bounds[mode]
         known_time, known_height = self._known[mode]
         if now < 0:
             return -1
-        interval = self.block_interval
         tip = self.height
         # Every height at least the bound older than ``now`` is confirmed.
-        height = min(tip, max(0, (now - bound) // interval))
+        height = min(tip, max(0, (now - self._bounds[mode]) // self.block_interval))
         if known_time <= now:
             height = max(height, known_height)
         # Prefix times never decrease, so the first height that confirms
         # after ``now`` ends the prefix.
-        while height < tip:
-            if (height + 1) * interval + self._delays(height + 1)[mode] > now:
-                break
+        while height < tip and self._confirms(height + 1, mode, now):
             height += 1
         if known_time <= now:
             self._known[mode] = (now, height)
@@ -372,7 +359,8 @@ class SimChain:
     def verify_proof(self, proof: InclusionProof) -> bool:
         if not 0 <= proof.block_height <= self.height:
             return False
-        root = self.header(proof.block_height).tx_root
+        block = self._blocks.get(proof.block_height)
+        root = EMPTY_ROOT if block is None else block.tx_root
         return verify_path(proof.tx_digest, proof.path, root)
 
     def check_proof(self, proof: InclusionProof) -> SignedTx:
@@ -391,7 +379,7 @@ class SimChain:
         return sum(self.balances.values())
 
     def snapshot_digest(self) -> bytes:
-        parts = [self._hashes[-1], self.time.to_bytes(8, "big")]
+        parts = [self._hash(self.height), self.time.to_bytes(8, "big")]
         for address in sorted(self.balances):
             parts.append(address)
             parts.append(self.balances[address].to_bytes(16, "big"))
@@ -399,39 +387,32 @@ class SimChain:
         return crypto.digest(b"chain-snap-v1" + b"".join(parts))
 
 
-def mode_delays(
-    seed: bytes, label: str, models: Dict[str, Tuple[float, float]], height: int
-) -> Dict[str, int]:
-    """One height's delay per mode, in whole seconds: at least 1, and
-    latest <= justified <= finalized."""
-    delays = {}
-    previous = 1
-    for mode in ORACLE_MODES:
-        mean, stddev = models[mode]
-        raw = sample_delay(seed, label, mode, height, mean, stddev)
-        previous = max(previous, round(raw))
-        delays[mode] = previous
-    return delays
+def mode_delays(seed: bytes, label: str, models: Models, height: int) -> Dict[str, int]:
+    """One height's delay per mode, in whole seconds: the running max of
+    the rounded draws, at least 1, so latest <= justified <= finalized."""
+    draws = (max(1, sample_delay(seed, label, m, height, *models[m])) for m in ORACLE_MODES)
+    return dict(zip(ORACLE_MODES, accumulate(draws, max)))
 
 
-def delay_bounds(models: Dict[str, Tuple[float, float]]) -> Dict[str, int]:
+def raw_bound(mean: float, stddev: float) -> int:
+    """Whole seconds that a mode's ``sample_delay`` never exceeds:
+    ``ceil(mean + GAUSS_Z_MAX * |stddev|) + 1`` (the 1 covers rounding)."""
+    return math.ceil(mean + GAUSS_Z_MAX * abs(stddev)) + 1
+
+
+def delay_bounds(models: Models) -> Dict[str, int]:
     """Per mode, a whole number of seconds that ``mode_delays`` never
-    exceeds: the running max, over the mode and the modes it is clamped
-    above, of ``ceil(mean + GAUSS_Z_MAX * |stddev|) + 1`` (the 1 covers
-    rounding), and at least 1."""
-    bounds = {}
-    previous = 1
-    for mode in ORACLE_MODES:
-        mean, stddev = models[mode]
-        previous = max(previous, math.ceil(mean + GAUSS_Z_MAX * abs(stddev)) + 1)
-        bounds[mode] = previous
-    return bounds
+    exceeds: the running max of ``raw_bound`` over the mode and the
+    modes below it, and at least 1."""
+    raw = (max(1, raw_bound(*models[m])) for m in ORACLE_MODES)
+    return dict(zip(ORACLE_MODES, accumulate(raw, max)))
 
 
 def sample_delay(
     seed: bytes, label: str, mode: str, height: int, mean: float, stddev: float
-) -> float:
-    """One deterministic draw from the mode's delay model."""
+) -> int:
+    """One deterministic draw from the mode's delay model, rounded to
+    whole seconds."""
     raw = Drbg(seed, "oracle-delay", label, mode, height).bytes(8)
     rng = random.Random(int.from_bytes(raw, "big"))
-    return rng.gauss(mean, stddev)
+    return round(rng.gauss(mean, stddev))

@@ -1,12 +1,15 @@
 """Engine clock: ``advance`` and the sentinel's answer to a challenge."""
 
 import random
+from dataclasses import replace
+from importlib import resources
 
 import pytest
 
 from encumbra.config import Config
 from encumbra.engine import SENTINEL_OPERATOR, SENTINEL_WALLET, Engine
 from encumbra.fallback.trigger import TriggerState, ping_message
+from encumbra.scenario import ScenarioRunner, parse_scenario
 
 WINDOW = 100
 
@@ -138,3 +141,40 @@ def test_advance_matches_a_leg_by_leg_walk(seed):
             engines[0].advance(seconds)
             _advance_by_steps(engines[1], seconds)
             assert _observe(engines[0]) == _observe(engines[1])
+
+
+def _bundled_engine(name):
+    text = resources.files("encumbra.scenarios").joinpath(f"{name}.scn").read_text()
+    runner = ScenarioRunner(parse_scenario(text, name=name))
+    runner.run()
+    return runner.engine
+
+
+def test_check_invariants_names_each_violation():
+    """A finished bundled run violates nothing; each broken invariant is
+    reported on its own line, and the tree's reason reaches the operator."""
+    engine = _bundled_engine("txcycle")
+    assert engine.check_invariants() == []
+    engine.chain.minted += 5
+    engine.reliable.minted += 3
+    ledger = engine.ledgers["vault"]
+    ledger.total_proven += 7
+    tree = engine.manager.tree_of("vault")
+    tree.nodes["twin"] = replace(tree.nodes["n1"], node_id="twin")
+    problems = engine.check_invariants()
+    assert problems[:3] == [
+        "target chain conservation gap 5",
+        "reliable chain conservation gap 3",
+        f"vault ledger books off: {ledger.total_proven - ledger.total_deducted}",
+    ] and len(problems) == 4
+    assert problems[3].startswith("vault tree invalid: UpdateRefused ")
+    assert problems[3] != "vault tree invalid: UpdateRefused "
+
+    engine = _bundled_engine("darkdao")
+    assert engine.check_invariants() == []
+    offer = engine.dao.offers["o1"]
+    offer.reserved += 1
+    assert engine.check_invariants() == ["offer o1 escrow off"]
+    offer.reserved = offer.escrow + 1
+    offer.reservations = {"gov": offer.reserved}
+    assert engine.check_invariants() == ["offer o1 escrow off"]

@@ -160,13 +160,13 @@ def test_enroll_registers_its_program():
 
 
 def _run_checking_trees(runner, after_step=None):
-    """Run each step, then check every wallet's whole tree and the books.
+    """Run each step, then check every engine invariant.
 
     ``check_update`` checks only what an update touches, relying on the
-    old tree being valid at the engine's time; this checks that
-    precondition after every step.  It also checks that the target chain
-    conserves value and that each ledger's sub-balances add up to what
-    it proved minus what it deducted.  Returns each step's outcome.
+    old tree being valid at the engine's time; ``check_invariants``
+    checks that precondition after every step, with both chains'
+    conservation, each ledger's books and each offer's escrow.  Returns
+    each step's outcome.
     """
     outcomes = []
     for step in runner.scenario.steps:
@@ -177,13 +177,7 @@ def _run_checking_trees(runner, after_step=None):
             outcomes.append((step, "refused"))
         if after_step is not None:
             after_step(step)
-        for wallet in runner.engine.manager.wallets():
-            tree = getattr(wallet.policy, "tree", None)
-            if tree is not None:
-                tree.validate_structure(runner.engine.time)
-        assert runner.engine.conservation_gap() == 0
-        for ledger in runner.engine.ledgers.values():
-            assert ledger.total_proven - ledger.total_deducted == sum(ledger.ether_sub.values())
+        assert runner.engine.check_invariants() == [], step
     return outcomes
 
 

@@ -428,33 +428,82 @@ def test_oracle_matches_the_dense_reference(seed, config):
         assert _oracle_call(chain, *call) == _oracle_call(reference, *call), call
 
     assert chain.height > 100
-    assert set(chain._drawn) <= set(reference.drawn())
+    assert {height for height, _ in chain._drawn} <= set(reference.drawn())
+
+
+# Delay models for the per-mode check: the defaults, zero and negative
+# deviations, negative means (where the clamp to 1 decides), and a
+# justified raw bound above the finalized one.
+CHECK_MODELS = {
+    "default": None,
+    "deviations": {"latest": (30.0, 0.0), "justified": (200.0, -80.0), "finalized": (260.0, -4.0)},
+    "negative-mean": {"latest": (-20.0, 3.0), "justified": (-5.0, -30.0), "finalized": (-50.0, 1.0)},
+    "justified-above": {
+        "latest": (49.0, 7.4), "justified": (900.0, 200.0), "finalized": (1036.9, 20.0)
+    },
+}
+
+
+@pytest.mark.parametrize("name", CHECK_MODELS)
+def test_the_per_mode_check_agrees_with_mode_delays(name):
+    """A height confirms for a mode at a slack exactly when its clamped
+    ``mode_delays`` entry is at most that slack, at slacks on each raw
+    bound and each delay and one either side, on a fresh chain and on
+    one that kept its draws."""
+    kept = SimChain(SEED, delay_models=CHECK_MODELS[name], label="check")
+    models = kept.delay_models
+    raw = [simchain.raw_bound(*models[mode]) for mode in ORACLE_MODES]
+    if name == "justified-above":
+        assert raw[1] > raw[2]
+    rng = random.Random(5)
+    for height in [1, 2] + rng.sample(range(3, 10**6), 30):
+        delays = mode_delays(SEED, "check", models, height)
+        for mode in ORACLE_MODES:
+            slacks = {-3, 0, 1, 2}
+            for at in raw + list(delays.values()):
+                slacks |= {at - 1, at, at + 1}
+            for slack in sorted(slacks):
+                now = height * kept.block_interval + slack
+                expected = delays[mode] <= slack
+                fresh = SimChain(SEED, delay_models=models, label="check")
+                assert fresh._confirms(height, mode, now) is expected, (height, mode, slack)
+                assert kept._confirms(height, mode, now) is expected, (height, mode, slack)
+    assert "bogus" not in ORACLE_MODES
+    for at_time in (None, -1, 0, 10**9):
+        with pytest.raises(KeyError):
+            kept.confirmed_height("bogus", at_time=at_time)
 
 
 def test_oracle_draws_only_inside_the_window(monkeypatch):
     draws = []
-    real = simchain.mode_delays
+    real = simchain.sample_delay
 
-    def counting(seed, label, models, height):
-        draws.append(height)
-        return real(seed, label, models, height)
+    def counting(seed, label, mode, height, mean, stddev):
+        draws.append((height, mode))
+        return real(seed, label, mode, height, mean, stddev)
 
-    monkeypatch.setattr(simchain, "mode_delays", counting)
+    monkeypatch.setattr(simchain, "sample_delay", counting)
     chain = SimChain(SEED)
     reference = DenseOracle(chain)
     chain.advance(12 * 500)
     assert draws == []
-    # the first read at time 0 draws height 1 only: it confirms after 12
+    # a read at time 0 draws nothing: height 1 confirms after 12, and a
+    # slack below 1 decides without a draw
     assert chain.confirmed_height("latest", at_time=0) == 0
-    assert draws == [1]
+    assert draws == []
+    # a read 5 s after height 1 draws height 1's latest delay only
+    assert chain.confirmed_height("latest", at_time=17) == 0
+    assert draws == [(1, "latest")]
     for now in (12 * 5, 2000, 3000, chain.time - 100, chain.time):
         for mode in ORACLE_MODES:
             answer = chain.confirmed_height(mode, at_time=now)
+            mine = len(draws)
             assert answer == reference.confirmed_height(mode, at_time=now)
-    # each height is drawn at most once, and only heights the dense
-    # oracle draws too, and fewer of them
+            del draws[mine:]  # the reference's own draws
+    # each height's mode is drawn at most once, and only at heights the
+    # dense oracle draws too, and fewer of them
     assert len(draws) == len(set(draws))
-    assert set(draws) < set(reference.drawn())
+    assert {height for height, _ in draws} < set(reference.drawn())
     # a read past every confirmation is settled by the bound
     fresh = SimChain(SEED)
     fresh.advance(12 * 500)
