@@ -5,7 +5,8 @@ use nesting or dotted keys; both flatten to the same mapping.  Unknown
 keys and values that do not parse as the key's type are rejected, so a
 typo in a scenario header fails loudly instead of silently running with
 defaults.  So are values the program cannot run with: a float that is
-not finite, a block interval under 1 s, and fewer than 2 latency trials.
+not finite, a block interval under 1 s, fewer than 2 latency trials, and
+an oracle mode outside ``ORACLE_MODES``.
 PyYAML is imported only when a YAML file is read.
 """
 
@@ -53,6 +54,8 @@ _AT_LEAST = {
     "reliable_chain.block_interval_s": 1,
     "oracle.trials": 2,
 }
+# The values a string key can run with.
+_ONE_OF = {"oracle.mode": ORACLE_MODES}
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
@@ -85,7 +88,7 @@ def _coerce(key: str, current: Any, value: Any) -> Any:
             number = float(value)
             if math.isfinite(number):
                 return number
-        else:
+        elif key not in _ONE_OF or value in _ONE_OF[key]:
             return value
     except (KeyError, TypeError, ValueError, OverflowError):
         pass

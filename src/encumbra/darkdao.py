@@ -13,7 +13,10 @@ reserved atomically with the delegation, the seller's payment becomes
 claimable when the proposal closes, and the buyer's exclusive signing
 right is enforced by the wallet policy, not by promises.  Voting
 weight is read from the chain balance at the proposal's snapshot
-height, so moving funds after accepting changes nothing.
+height, so moving funds after accepting changes nothing.  The program
+reads whether a proposal is open from the triple's ``st.ost.chain_time``;
+the market's accept and claim read it from the chain the DAO was built
+on, the same clock that fills the triple.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class DaoVoteProgram:
         self.dao = dao
         self.enrollment = enrollment
 
-    def allows(self, player: str, message, st: StateTriple, t: int) -> bool:
+    def allows(self, player: str, message, st: StateTriple) -> bool:
         if not isinstance(message, TypedData):
             return False
         hint = parse_vote_extst(st.extst)
@@ -102,7 +105,7 @@ class DaoVoteProgram:
         proposal = self.dao.proposals.get(proposal_id)
         if proposal is None or proposal.domain_hash != message.domain_hash:
             return False
-        if not proposal.open_at(t):
+        if not proposal.open_at(st.ost.chain_time):
             return False
         offer_id = self.dao.delegations.get((self.enrollment.wallet_id, proposal_id))
         if offer_id is None:
@@ -253,7 +256,7 @@ class DarkDao:
         self.offers[offer_id] = offer
         return offer
 
-    def accept_bribe(self, owner: str, wallet_id: str, offer_id: str, now: int) -> int:
+    def accept_bribe(self, owner: str, wallet_id: str, offer_id: str) -> int:
         """Sell the vote: delegate to the offer and reserve payment.
 
         Reservation and delegation commit together or not at all.
@@ -264,7 +267,7 @@ class DarkDao:
         proposal = self._proposal(offer.proposal_id)
         if owner != enrollment.owner:
             raise NotDelegatee(owner)
-        if not proposal.open_at(now):
+        if not proposal.open_at(self.chain.time):
             raise ProposalClosed(proposal.proposal_id.hex())
         key = (wallet_id, offer.proposal_id)
         if key in self.delegations:
@@ -289,11 +292,11 @@ class DarkDao:
             raise NotDelegatee(f"{wallet_id} not delegated to {offer_id}")
         return self.cast_vote(player, wallet_id, offer.proposal_id, offer.choice)
 
-    def claim_payment(self, wallet_id: str, offer_id: str, now: int) -> int:
+    def claim_payment(self, wallet_id: str, offer_id: str) -> int:
         """Collect the reserved payment once the proposal has closed."""
         offer = self._offer(offer_id)
         proposal = self._proposal(offer.proposal_id)
-        if proposal.open_at(now):
+        if proposal.open_at(self.chain.time):
             raise NotExpired(proposal.proposal_id.hex())
         payment = offer.reservations.pop(wallet_id, None)
         if payment is None:

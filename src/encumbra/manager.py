@@ -210,9 +210,7 @@ class WalletManager:
         if player not in self._players:
             raise UnknownPlayer(player)
         st = self._state_triple(wallet, extst)
-        approved, node_id = wallet.policy.approves(
-            player, message, st, st.ost.chain_time
-        )
+        approved, node_id = wallet.policy.approves(player, message, st)
         if not approved:
             raise PolicyRefusal()
         # Log first: a crash after this line loses a signature, never
@@ -268,15 +266,7 @@ class WalletManager:
         wallet = self.wallet(wallet_id)
         st = self._state_triple(wallet, b"")
         new_tree = tree_update.spawn(
-            self.tree_of(wallet_id),
-            actor,
-            parent_id,
-            node_id,
-            controller,
-            expiry,
-            grants,
-            st,
-            st.ost.chain_time,
+            self.tree_of(wallet_id), actor, parent_id, node_id, controller, expiry, grants, st
         )
         self._install_tree(wallet, new_tree, PRIVILEGE_INCREASE)
 
@@ -285,9 +275,7 @@ class WalletManager:
     ) -> None:
         wallet = self.wallet(wallet_id)
         st = self._state_triple(wallet, b"")
-        new_tree = tree_update.add_grants(
-            self.tree_of(wallet_id), actor, node_id, grants, st, st.ost.chain_time
-        )
+        new_tree = tree_update.add_grants(self.tree_of(wallet_id), actor, node_id, grants, st)
         self._install_tree(wallet, new_tree, PRIVILEGE_INCREASE)
 
     def seal_asset(self, actor: str, wallet_id: str, node_id: str, asset: AssetId) -> None:
@@ -380,11 +368,10 @@ class WalletManager:
         st: StateTriple,
     ) -> bool:
         name = predicate[0]
-        t = st.ost.chain_time
         if name == "approves-all":
-            return all(wallet.policy.approves(subject, m, st, t)[0] for m in messages)
+            return all(wallet.policy.approves(subject, m, st)[0] for m in messages)
         if name == "approves-none":
-            return not any(wallet.policy.approves(subject, m, st, t)[0] for m in messages)
+            return not any(wallet.policy.approves(subject, m, st)[0] for m in messages)
         if name == "log-contains-all":
             logged = {encode_message(e.message) for e in wallet.intst}
             return all(encode_message(m) in logged for m in messages)

@@ -5,7 +5,8 @@ exist for bootstrapping and for the recovery sentinel (approve-all,
 approve-none); real wallets use a delegation tree.  Policy objects are
 compiled into the engine and addressed by a registry name, so a policy
 update is a transition between registered behaviors, never the arrival
-of foreign code.
+of foreign code.  A policy decides from the state triple alone: the
+instant is ``st.ost.chain_time`` and the nonce ``st.ost.recognized_nonce``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class WalletPolicy:
     kind = "abstract"
 
     def approves(
-        self, player: str, message, st: StateTriple, t: int
+        self, player: str, message, st: StateTriple
     ) -> Tuple[bool, Optional[str]]:
         """Return (approved, node id that vouched or None)."""
         raise NotImplementedError
@@ -40,7 +41,7 @@ class AllowAllPolicy(WalletPolicy):
 
     kind = "allow-all"
 
-    def approves(self, player, message, st, t):
+    def approves(self, player, message, st):
         return True, None
 
 
@@ -49,7 +50,7 @@ class DenyAllPolicy(WalletPolicy):
 
     kind = "deny-all"
 
-    def approves(self, player, message, st, t):
+    def approves(self, player, message, st):
         return False, None
 
 
@@ -69,7 +70,7 @@ class TreeWalletPolicy(WalletPolicy):
         self.programs: Dict[str, DaoVoteProgram] = {}
         self.ledger: Optional[TxLedger] = None
 
-    def approves(self, player, message, st, t):
+    def approves(self, player, message, st):
         """The first vouching node decides.
 
         The nodes tried share the triple's seal map
@@ -79,9 +80,7 @@ class TreeWalletPolicy(WalletPolicy):
         whole log, so a sign still grows linearly with the log.
         """
         for node in self.tree.nodes_for_player(player):
-            if self.tree.evaluate(
-                node.node_id, player, message, st, t, self.programs, self.ledger
-            ):
+            if self.tree.evaluate(node.node_id, player, message, st, self.programs, self.ledger):
                 return True, node.node_id
         return False, None
 

@@ -284,7 +284,8 @@ class PolicyTree:
                 return grant
         return None
 
-    def available_native(self, node_id: str, t: int, st: StateTriple) -> int:
+    def available_native(self, node_id: str, st: StateTriple) -> int:
+        t = st.ost.chain_time
         if node_id == ROOT_ID:
             if self.native_capacity is None:
                 return 0
@@ -326,13 +327,8 @@ class PolicyTree:
                     return True
         return False
 
-    def _unit_satisfied(
-        self,
-        node_id: str,
-        demand: UnitDemand,
-        st: StateTriple,
-        t: int,
-    ) -> bool:
+    def _unit_satisfied(self, node_id: str, demand: UnitDemand, st: StateTriple) -> bool:
+        t = st.ost.chain_time
         node = self.nodes[node_id]
         for grant in node.grants:
             if grant.asset not in demand.options:
@@ -355,14 +351,16 @@ class PolicyTree:
         player: str,
         message,
         st: StateTriple,
-        t: int,
         programs: Optional[Dict[str, DaoVoteProgram]] = None,
         ledger: Optional[TxLedger] = None,
     ) -> bool:
         """Decide whether ``player`` may sign ``message`` through the node.
 
         Total over well-formed inputs: every reason to say no returns
-        False rather than raising, except an unknown node id.
+        False rather than raising, except an unknown node id.  The
+        decision reads its instant from ``st.ost.chain_time``, and the
+        seals and the ledger gate read the nonce from
+        ``st.ost.recognized_nonce``: nothing beside the triple.
 
         ``programs`` (name -> program) decides program-controlled nodes.
         With a ``ledger``, a chain transaction's spending power comes
@@ -372,7 +370,7 @@ class PolicyTree:
         node = self.node(node_id)
         if node_id == ROOT_ID:
             return False  # residual ownership never signs
-        if not node.active_at(t):
+        if not node.active_at(st.ost.chain_time):
             return False
         controller = node.controller
         if isinstance(controller, PlayerController):
@@ -380,19 +378,19 @@ class PolicyTree:
                 return False
         else:
             program = None if programs is None else programs.get(controller.name)
-            if program is None or not program.allows(player, message, st, t):
+            if program is None or not program.allows(player, message, st):
                 return False
         demands = demands_of(message, st.extst)
         if demands is None:
             return False
         for unit in demands.units:
-            if not self._unit_satisfied(node_id, unit, st, t):
+            if not self._unit_satisfied(node_id, unit, st):
                 return False
         if isinstance(message, ChainTx) and ledger is not None:
             if not ledger.approves_chain_tx(node_id, message, st):
                 return False
         elif demands.native > 0:
-            if demands.native > self.available_native(node_id, t, st):
+            if demands.native > self.available_native(node_id, st):
                 return False
         return True
 

@@ -3,7 +3,9 @@
 ``check_update`` validates a proposed tree against the current one and
 refuses anything that is not a clean spawn of new capacity out of the
 actor's own holdings, a re-grant of a node whose every holding has
-expired, or garbage collection of expired parts:
+expired, or garbage collection of expired parts.  The instant ``t`` of
+every rule below is the triple's ``st.ost.chain_time``, and the seals
+come from the same triple; the checks take no time beside it:
 
 * the new tree must itself be asset-time segmented; since the old tree
   already is, only the parts the update touched are checked (the added
@@ -86,24 +88,25 @@ def check_update(
     old: PolicyTree,
     new: PolicyTree,
     st: StateTriple,
-    t: int,
 ) -> None:
     """Raise unless ``old -> new`` is an admissible transition by ``actor``.
 
-    Precondition: ``old`` is valid at ``t`` (it passed this check when
-    it was admitted, and ``t`` never goes back since).  One linear diff
-    of ``old`` against ``new`` finds the removed nodes and the touched
-    ones: added nodes, and kept nodes whose parent, controller, expiry
-    or grant list changed.  ``PolicyTree.validate_parts`` then checks
-    only those parts: the touched nodes, their children, their sibling
-    groups and their parents' balance; under the precondition it raises
-    what a full ``validate_structure`` would.  The transition rules
+    Precondition: ``old`` is valid at ``t``, the triple's chain time (it
+    passed this check when it was admitted, and ``t`` never goes back
+    since).  One linear diff of ``old`` against ``new`` finds the
+    removed nodes and the touched ones: added nodes, and kept nodes
+    whose parent, controller, expiry or grant list changed.
+    ``PolicyTree.validate_parts`` then checks only those parts: the
+    touched nodes, their children, their sibling groups and their
+    parents' balance; under the precondition it raises what a full
+    ``validate_structure`` would.  The transition rules
     follow, on the removed and touched nodes only, plus for each added
     node the path up to its nearest old ancestor.  ``PolicyTree.clone``
     shares the nodes, which are immutable, so a node an update leaves
     alone is the same object in both trees and costs one identity test;
     a node that is a different object is compared field by field.
     """
+    t = st.ost.chain_time
     edits: List[Tuple[str, Node, Optional[Node]]] = []
     for node_id, old_node in old.nodes.items():
         new_node = new.nodes.get(node_id)
@@ -207,7 +210,7 @@ def check_update(
             )
 
     for source_id, amount in native_drawn.items():
-        if amount > old.available_native(source_id, t, st):
+        if amount > old.available_native(source_id, st):
             raise UpdateRefused(f"carve exceeds {source_id} available balance")
 
 
@@ -220,9 +223,10 @@ def spawn(
     expiry: int,
     grants: Sequence[Grant],
     st: StateTriple,
-    t: int,
 ) -> PolicyTree:
-    """Validated spawn; returns the successor tree, original untouched."""
+    """Validated spawn at the triple's chain time; returns the successor
+    tree, original untouched."""
+    t = st.ost.chain_time
     _live_node(tree, parent_id, t)
     if node_id in tree.nodes:
         raise UpdateRefused(f"node id {node_id} already in use")
@@ -235,7 +239,7 @@ def spawn(
         created_at=t,
         grants=grants,
     )
-    check_update(actor, tree, candidate, st, t)
+    check_update(actor, tree, candidate, st)
     return candidate
 
 
@@ -245,13 +249,12 @@ def add_grants(
     node_id: str,
     grants: Sequence[Grant],
     st: StateTriple,
-    t: int,
 ) -> PolicyTree:
     """Re-grant a live node whose previous holdings have all expired."""
-    node = _live_node(tree, node_id, t)
+    node = _live_node(tree, node_id, st.ost.chain_time)
     if not grants:
         raise UpdateRefused(f"grant on {node_id} adds nothing")
     candidate = tree.clone()
     candidate.nodes[node_id] = replace(node, grants=node.grants + tuple(grants))
-    check_update(actor, tree, candidate, st, t)
+    check_update(actor, tree, candidate, st)
     return candidate

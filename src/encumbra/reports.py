@@ -19,42 +19,9 @@ from typing import Any, Dict, List, Tuple
 from .config import Config, ORACLE_MODES
 from .engine import Engine, engine_seed
 from .simchain import mode_delays
-from .txpolicy import (
-    HOST_OPS,
-    OP_ADD_POLICY,
-    OP_ADD_SUB_POLICY,
-    OP_DEPLOY_POLICY,
-    OP_DEPOSIT_COMMITMENT,
-    OP_PROVE_DEPOSIT,
-    OP_PROVE_TX,
-    OP_TX_COMMITMENT,
-    simulated_gas,
-)
+from .txpolicy import HOST_OPS, REPORT_SIBLINGS, simulated_gas
 
 BANNER = "simulated — not a measurement"
-
-# Reference deployment gas, one figure per HOST_OPS entry, for scale.
-REFERENCE_GAS = (
-    7_777_890,
-    169_145,
-    87_162,
-    50_769,
-    364_429,
-    140_772,
-    395_679,
-)
-
-# Canonical argument shapes for the model column: storage words per
-# write-heavy op, Merkle siblings for a 256-leaf block.
-_MODEL_SHAPE = {
-    OP_DEPLOY_POLICY: dict(words=0),
-    OP_ADD_POLICY: dict(words=3),
-    OP_ADD_SUB_POLICY: dict(words=3),
-    OP_DEPOSIT_COMMITMENT: dict(),
-    OP_PROVE_DEPOSIT: dict(siblings=8),
-    OP_TX_COMMITMENT: dict(),
-    OP_PROVE_TX: dict(siblings=8),
-}
 
 
 def gas_to_usd(gas: int, config: Config) -> float:
@@ -65,8 +32,8 @@ def gas_to_usd(gas: int, config: Config) -> float:
 def costs_report(config: Config, engine: Engine | None = None) -> Tuple[str, Dict[str, Any]]:
     """Host operation costs under the simulated gas model."""
     rows: List[Dict[str, Any]] = []
-    for op, reference in zip(HOST_OPS, REFERENCE_GAS):
-        model = simulated_gas(op, **_MODEL_SHAPE[op])
+    for op, (_, _, reference) in HOST_OPS.items():
+        model = simulated_gas(op, REPORT_SIBLINGS)
         row = {
             "operation": op,
             "model_gas": model,

@@ -92,6 +92,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             tokens = tokens[1:]
             if not tokens:
                 raise ParseError(lineno, col0, "bare '?' with no command")
+            if tokens[0][1] == "config":
+                raise ParseError(lineno, col0, "'?' on a config line, which is not a step")
             col0, head = tokens[0]
         if head == "config":
             if seen_command:
@@ -531,9 +533,7 @@ def _cmd_offer(r: ScenarioRunner, pos, kw) -> str:
 
 @command("accept", "wallet", "owner offer")
 def _cmd_accept(r: ScenarioRunner, pos, kw) -> str:
-    payment = r.engine.dao.accept_bribe(
-        kw["owner"], pos[0], kw["offer"], r.engine.time
-    )
+    payment = r.engine.dao.accept_bribe(kw["owner"], pos[0], kw["offer"])
     return f"{pos[0]} reserved={payment}"
 
 
@@ -545,7 +545,7 @@ def _cmd_buy_vote(r: ScenarioRunner, pos, kw) -> str:
 
 @command("claim-payment", "wallet", "offer")
 def _cmd_claim_payment(r: ScenarioRunner, pos, kw) -> str:
-    paid = r.engine.dao.claim_payment(pos[0], kw["offer"], r.engine.time)
+    paid = r.engine.dao.claim_payment(pos[0], kw["offer"])
     return f"{pos[0]} +{paid}"
 
 

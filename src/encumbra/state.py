@@ -3,7 +3,10 @@
 Policies never see the outside world directly.  They see exactly one
 ``StateTriple``: the wallet's own append-only signing log (``intst``),
 an oracle snapshot supplied by the engine (``ost``), and whatever bytes
-the caller attached (``extst``, untrusted).
+the caller attached (``extst``, untrusted).  A decision reads its
+instant from ``ost.chain_time`` and the account nonce from
+``ost.recognized_nonce``, and from nowhere else: no policy takes a time
+or a nonce beside the triple.
 
 What the log seals is derived here, beside the log it reads: the
 triple's ``outstanding`` map is the one scan of the log for seals, run

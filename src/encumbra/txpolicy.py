@@ -51,49 +51,38 @@ OP_PROVE_DEPOSIT = "prove deposit inclusion"
 OP_TX_COMMITMENT = "transaction commitment"
 OP_PROVE_TX = "prove transaction inclusion"
 
-HOST_OPS = (
-    OP_DEPLOY_POLICY,
-    OP_ADD_POLICY,
-    OP_ADD_SUB_POLICY,
-    OP_DEPOSIT_COMMITMENT,
-    OP_PROVE_DEPOSIT,
-    OP_TX_COMMITMENT,
-    OP_PROVE_TX,
-)
-
 _BASE_TX = 21_000
 _STORE_WORD = 20_000
 _PER_SIBLING = 5_000
 _ACCOUNTING = 15_000
 
+# The one table of host operations, in cost-report order: op -> (gas
+# with no Merkle sibling, gas per sibling, reference deployment gas for
+# scale).  Each op's storage words are folded into its constant.  A
+# proof re-does its commitment's storage and adds accounting plus the
+# hashing of its leaf and each sibling, so it always prices above the
+# matching commitment.
+HOST_OPS: Dict[str, Tuple[int, int, int]] = {
+    OP_DEPLOY_POLICY: (_BASE_TX + 150 * _STORE_WORD, 0, 7_777_890),
+    OP_ADD_POLICY: (_BASE_TX + 7 * _STORE_WORD, 0, 169_145),
+    OP_ADD_SUB_POLICY: (_BASE_TX + 5 * _STORE_WORD, 0, 87_162),
+    OP_DEPOSIT_COMMITMENT: (_BASE_TX + 2 * _STORE_WORD, 0, 50_769),
+    OP_PROVE_DEPOSIT: (
+        _BASE_TX + 2 * _STORE_WORD + _ACCOUNTING + _PER_SIBLING, _PER_SIBLING, 364_429
+    ),
+    OP_TX_COMMITMENT: (_BASE_TX + 2 * _STORE_WORD, 0, 140_772),
+    OP_PROVE_TX: (
+        _BASE_TX + 3 * _STORE_WORD + 2 * _ACCOUNTING + _PER_SIBLING, _PER_SIBLING, 395_679
+    ),
+}
+# The cost report prices every op at the siblings of a 256-leaf block.
+REPORT_SIBLINGS = 8
 
-def simulated_gas(op: str, words: int = 0, siblings: int = 0) -> int:
-    """Deterministic host gas model.
 
-    Proof verification always prices above the matching commitment:
-    a proof re-does the commitment's storage and adds per-sibling
-    hashing plus accounting updates.
-    """
-    if op == OP_DEPLOY_POLICY:
-        return _BASE_TX + 150 * _STORE_WORD + words * _STORE_WORD
-    if op == OP_ADD_POLICY:
-        return _BASE_TX + 4 * _STORE_WORD + words * _STORE_WORD
-    if op == OP_ADD_SUB_POLICY:
-        return _BASE_TX + 2 * _STORE_WORD + words * _STORE_WORD
-    if op == OP_DEPOSIT_COMMITMENT:
-        return _BASE_TX + 2 * _STORE_WORD
-    if op == OP_PROVE_DEPOSIT:
-        return _BASE_TX + 2 * _STORE_WORD + _ACCOUNTING + _PER_SIBLING * (siblings + 1)
-    if op == OP_TX_COMMITMENT:
-        return _BASE_TX + 2 * _STORE_WORD
-    if op == OP_PROVE_TX:
-        return (
-            _BASE_TX
-            + 3 * _STORE_WORD
-            + 2 * _ACCOUNTING
-            + _PER_SIBLING * (siblings + 1)
-        )
-    raise KeyError(op)
+def simulated_gas(op: str, siblings: int = 0) -> int:
+    """Deterministic host gas model: ``op``'s row of ``HOST_OPS``."""
+    base, per_sibling, _ = HOST_OPS[op]
+    return base + per_sibling * siblings
 
 
 @dataclass(frozen=True)
@@ -153,7 +142,7 @@ class TxLedger:
         self.total_deducted = 0
         self.unattributed: List[bytes] = []
         self.gas_log: List[Tuple[str, int]] = []
-        self.meter(OP_ADD_POLICY, words=3)
+        self.meter(OP_ADD_POLICY)
 
     @property
     def tree(self) -> PolicyTree:
@@ -162,8 +151,8 @@ class TxLedger:
     # ------------------------------------------------------------------
     # gas metering
 
-    def meter(self, op: str, words: int = 0, siblings: int = 0) -> int:
-        gas = simulated_gas(op, words=words, siblings=siblings)
+    def meter(self, op: str, siblings: int = 0) -> int:
+        gas = simulated_gas(op, siblings)
         self.gas_log.append((op, gas))
         return gas
 
@@ -181,7 +170,7 @@ class TxLedger:
     def register_grant(self, node_id: str, dest: bytes) -> None:
         """A destination grant was spawned; holder starts limited."""
         self.unlimited[(node_id, dest)] = False
-        self.meter(OP_ADD_SUB_POLICY, words=3)
+        self.meter(OP_ADD_SUB_POLICY)
 
     def _active_dest_holders(self, t: int) -> Dict[bytes, str]:
         holders: Dict[bytes, str] = {}
@@ -200,9 +189,11 @@ class TxLedger:
     # signing gate
 
     def approves_chain_tx(self, node_id: str, tx: ChainTx, st: StateTriple) -> bool:
+        """The gate on a node's chain tx.  Its nonce must be the triple's
+        recognized nonce, which the engine fills from this ledger."""
         if tx.chain_id != self.chain.chain_id:
             return False
-        if tx.nonce != self.recognized_nonce:
+        if tx.nonce != st.ost.recognized_nonce:
             return False
         if tx.value + tx.fee_cap > self.ether_sub.get(node_id, 0):
             return False

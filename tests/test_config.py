@@ -73,6 +73,8 @@ def test_malformed_values_are_rejected_whole():
         ("engine.seed", "x"),
         ("engine.seed", None),
         ("oracle.latest.mean_s", "fast"),
+        ("oracle.mode", "finalised"),
+        ("oracle.mode", 3),
     ]:
         with pytest.raises(ValueError, match=key):
             config.apply({"oracle.mode": "latest", key: value})

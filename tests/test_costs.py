@@ -1,19 +1,34 @@
 """Cost contracts: the work a command does, counted rather than timed.
 
 Each contract runs one command against two sizes of history and asserts
-that the counted units do not grow with the history.
+that the counted units do not grow with the history.  Contracts on the
+wallet side (spawn checks, seal scans, escrow fragments) reuse the
+wallet and tree builders of the tests for those layers.
 """
 
+import collections
+from functools import cached_property
 from importlib import resources
 
 import pytest
 
 from encumbra import crypto, simchain
+from encumbra.assets import NATIVE, destination
 from encumbra.config import ORACLE_MODES
-from encumbra.merkle import EMPTY_ROOT, MerklePath
+from encumbra.errors import PolicyRefusal
+from encumbra.fallback.system import FallbackSystem
+from encumbra.manager import WalletManager
+from encumbra.merkle import EMPTY_ROOT, MerklePath, merkle_levels, merkle_path, verify_path
 from encumbra.messages import ChainTx, signing_digest
+from encumbra.policy.tree import ROOT_ID, Grant, PlayerController, PolicyTree
+from encumbra.policy.update import spawn
 from encumbra.scenario import ScenarioRunner, parse_scenario
 from encumbra.simchain import InclusionProof, SignedTx, SimChain, delay_bounds
+from encumbra.state import OracleState, StateTriple
+from tests.test_escrow_bytes import builds  # a fixture: pytest finds it by name
+from tests.test_manager import D1, ETH, _manager, _tree_wallet
+from tests.test_policy_update import D1 as TREE_DEST
+from tests.test_policy_update import _deep_tree, _pc, _st, _wide_tree
 
 SEED = crypto.digest(b"cost-contracts")
 INTERVAL = 12
@@ -192,3 +207,147 @@ def test_verifying_a_proof_at_an_empty_height_hashes_no_header(monkeypatch):
     assert not chain.verify_proof(proof)
     assert counts == {"block_hash": 0, "digest": 1}
     assert len(chain._hashes) == 1
+
+
+@pytest.mark.parametrize("leaves", [2, 300, 2000])
+def test_a_merkle_path_reads_log2_stored_siblings(leaves, monkeypatch):
+    """A proof out of stored levels hashes nothing and carries one
+    sibling per level below the root: ceil(log2 n) of them."""
+    levels = merkle_levels([i.to_bytes(32, "big") for i in range(leaves)])
+    counts = {"digest": 0}
+    _count_calls(monkeypatch, crypto, "digest", counts)
+    for index in (0, leaves // 2, leaves - 1):
+        path = merkle_path(levels, index)
+        assert len(path.siblings) == (leaves - 1).bit_length()
+    assert counts == {"digest": 0}
+    assert verify_path((leaves - 1).to_bytes(32, "big"), path, levels[-1][0])
+
+
+# ----------------------------------------------------------------------
+# the wallet side: update checks, seal scans, escrow fragments
+
+
+def test_spawn_checks_do_not_grow_with_the_tree(monkeypatch):
+    # A leaf spawn checks its own node and compares its grant with the
+    # sibling grant in its bucket, however large the tree around it.
+    counts = collections.Counter()
+    check_node, conflicts_with = PolicyTree._check_node, Grant.conflicts_with
+
+    def counted_check_node(self, node):
+        counts["node checks"] += 1
+        return check_node(self, node)
+
+    def counted_conflicts_with(self, other):
+        counts["conflicts_with"] += 1
+        return conflicts_with(self, other)
+
+    monkeypatch.setattr(PolicyTree, "_check_node", counted_check_node)
+    monkeypatch.setattr(Grant, "conflicts_with", counted_conflicts_with)
+
+    def leaf_spawn_costs(tree, parent, grants):
+        tree.validate_structure(0)
+        counts.clear()
+        spawn(tree, "am" if parent == ROOT_ID else "ann", parent, "leaf",
+              _pc("lee"), 200, grants, _st())
+        return dict(counts)
+
+    # beside c0's destination, on a later window: one comparison
+    wide = [Grant(NATIVE, ETH, 0, 200), Grant(destination((0).to_bytes(20, "big")), 1, 101, 200)]
+    costs = {size: leaf_spawn_costs(_wide_tree(size), ROOT_ID, wide) for size in (50, 300)}
+    assert costs[50] == costs[300] == {"node checks": 1, "conflicts_with": 1}, costs
+
+    # beside the tip, on a later window: one comparison
+    costs = {
+        size: leaf_spawn_costs(_deep_tree(size), f"c{size - 3}", [Grant(destination(TREE_DEST), 1, 101, 200)])
+        for size in (50, 300)
+    }
+    assert costs[50] == costs[300] == {"node checks": 1, "conflicts_with": 1}, costs
+
+
+def _count_seal_scans(monkeypatch):
+    """Record the log length each time a triple derives its seals."""
+    calls = []
+    derive = StateTriple.outstanding.func
+
+    def counted(st):
+        calls.append(len(st.intst))
+        return derive(st)
+
+    patched = cached_property(counted)
+    patched.__set_name__(StateTriple, "outstanding")
+    monkeypatch.setattr(StateTriple, "outstanding", patched)
+    return calls
+
+
+def test_a_sign_derives_seals_at_most_once(monkeypatch):
+    """Cost guard: a sign scans the log for seals once however many of
+    the player's nodes it tries, and not at all when every node is
+    refused before the seal check."""
+    manager = _manager()
+    manager.lw_gen(
+        access_manager="am", wallet_id="w", policy_kind="tree",
+        update_rule="tree", native_capacity=10 * ETH,
+    )
+    for node_id, to in (("n1", b"\x72" * 20), ("n2", b"\x73" * 20), ("n3", D1)):
+        manager.spawn_node(
+            "am", "w", ROOT_ID, node_id, PlayerController("alice"), 1000,
+            [Grant(destination(to), 1, 0, 1000)],
+        )
+    calls = _count_seal_scans(monkeypatch)
+    manager.lw_sign("alice", "w", ChainTx(1, 0, 0, 0, D1, 0))
+    assert manager.wallet("w").intst[-1].node_id == "n3"  # the last one tried
+    assert calls == [0]
+
+    calls.clear()
+    manager.set_ost_provider(
+        lambda wallet_id: OracleState(chain_time=1001, block_hashes=(), recognized_nonce=0)
+    )
+    with pytest.raises(PolicyRefusal):
+        manager.lw_sign("alice", "w", ChainTx(1, 1, 0, 0, D1, 0))  # all expired
+    assert calls == []
+
+
+def test_a_verify_derives_seals_at_most_once(monkeypatch):
+    """Cost guard: approves-all and approves-none share their triple's
+    seal map across the messages of a call, however many there are."""
+    manager = _manager()
+    _tree_wallet(manager)
+    calls = _count_seal_scans(monkeypatch)
+    # within the cap: each message passes the seal check and is approved
+    inside = [ChainTx(1, n, 0, 0, D1, 1) for n in range(32)]
+    assert manager.lw_verify("w", "alice", inside, ("approves-all",))[0]
+    assert calls == [0]
+    # over the cap: each message passes the seal check and is refused
+    calls.clear()
+    over = [ChainTx(1, n, 0, 0, D1, 2 * ETH) for n in range(32)]
+    assert manager.lw_verify("w", "alice", over, ("approves-none",))[0]
+    assert calls == [0]
+
+
+def test_a_flush_builds_fragments_only_for_new_nodes(builds):
+    manager = WalletManager(crypto.digest(b"escrow-reuse"))
+    manager.register_player("am")
+    fallback = FallbackSystem(manager, crypto.digest(b"escrow-reuse-seed"))
+    manager.lw_gen("am", "w", policy_kind="tree", update_rule="tree")
+    assert builds == [ROOT_ID]
+
+    def spawn(names):
+        for name in names:
+            manager.spawn_node("am", "w", ROOT_ID, name, PlayerController("renter"), 10**9, [])
+
+    spawn(["a", "b", "c"])
+    builds.clear()
+    assert fallback.flush(now=3600)
+    assert sorted(builds) == ["a", "b", "c"]
+
+    for k in (1, 4):
+        builds.clear()
+        fresh = [f"k{k}.{i}" for i in range(k)]
+        spawn(fresh)
+        assert fallback.flush(now=3600 * (k + 1))
+        assert sorted(builds) == fresh
+
+    builds.clear()
+    manager.seal_asset("am", "w", "a", destination(b"\x51" * 20))
+    assert builds == []  # a seal write rebuilds no node
+    assert fallback.version == 5

@@ -180,35 +180,6 @@ def builds(monkeypatch):
     return built
 
 
-def test_a_flush_builds_fragments_only_for_new_nodes(builds):
-    manager = WalletManager(crypto.digest(b"escrow-reuse"))
-    manager.register_player("am")
-    fallback = FallbackSystem(manager, crypto.digest(b"escrow-reuse-seed"))
-    manager.lw_gen("am", "w", policy_kind="tree", update_rule="tree")
-    assert builds == [ROOT_ID]
-
-    def spawn(names):
-        for name in names:
-            manager.spawn_node("am", "w", ROOT_ID, name, PlayerController("renter"), 10**9, [])
-
-    spawn(["a", "b", "c"])
-    builds.clear()
-    assert fallback.flush(now=3600)
-    assert sorted(builds) == ["a", "b", "c"]
-
-    for k in (1, 4):
-        builds.clear()
-        fresh = [f"k{k}.{i}" for i in range(k)]
-        spawn(fresh)
-        assert fallback.flush(now=3600 * (k + 1))
-        assert sorted(builds) == fresh
-
-    builds.clear()
-    manager.seal_asset("am", "w", "a", destination(b"\x51" * 20))
-    assert builds == []  # a seal write rebuilds no node
-    assert fallback.version == 5
-
-
 def test_a_replaced_node_builds_a_fresh_fragment(builds):
     node = Node("n", ROOT_ID, PlayerController("p"), 10, 0)
     fragment = node.json_fragment()

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,7 @@ from encumbra.errors import (
 from encumbra.manager import WalletManager, attestation_digest
 from encumbra.messages import ChainTx, PersonalSign, decode_message, signing_digest
 from encumbra.policy.tree import Grant, PlayerController, ROOT_ID
-from encumbra.state import OracleState, StateTriple
+from encumbra.state import OracleState
 
 SEED = crypto.digest(b"manager-tests")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -120,66 +119,6 @@ def test_tree_wallet_logs_the_vouching_node():
     with pytest.raises(PolicyRefusal):
         manager.lw_sign("bob", "w", tx)
     assert len(wallet.intst) == 1  # refusals never touch the log
-
-
-def _count_seal_scans(monkeypatch):
-    """Record the log length each time a triple derives its seals."""
-    calls = []
-    derive = StateTriple.outstanding.func
-
-    def counted(st):
-        calls.append(len(st.intst))
-        return derive(st)
-
-    patched = cached_property(counted)
-    patched.__set_name__(StateTriple, "outstanding")
-    monkeypatch.setattr(StateTriple, "outstanding", patched)
-    return calls
-
-
-def test_a_sign_derives_seals_at_most_once(monkeypatch):
-    """Cost guard: a sign scans the log for seals once however many of
-    the player's nodes it tries, and not at all when every node is
-    refused before the seal check."""
-    manager = _manager()
-    manager.lw_gen(
-        access_manager="am", wallet_id="w", policy_kind="tree",
-        update_rule="tree", native_capacity=10 * ETH,
-    )
-    for node_id, to in (("n1", b"\x72" * 20), ("n2", b"\x73" * 20), ("n3", D1)):
-        manager.spawn_node(
-            "am", "w", ROOT_ID, node_id, PlayerController("alice"), 1000,
-            [Grant(destination(to), 1, 0, 1000)],
-        )
-    calls = _count_seal_scans(monkeypatch)
-    manager.lw_sign("alice", "w", ChainTx(1, 0, 0, 0, D1, 0))
-    assert manager.wallet("w").intst[-1].node_id == "n3"  # the last one tried
-    assert calls == [0]
-
-    calls.clear()
-    manager.set_ost_provider(
-        lambda wallet_id: OracleState(chain_time=1001, block_hashes=(), recognized_nonce=0)
-    )
-    with pytest.raises(PolicyRefusal):
-        manager.lw_sign("alice", "w", ChainTx(1, 1, 0, 0, D1, 0))  # all expired
-    assert calls == []
-
-
-def test_a_verify_derives_seals_at_most_once(monkeypatch):
-    """Cost guard: approves-all and approves-none share their triple's
-    seal map across the messages of a call, however many there are."""
-    manager = _manager()
-    _tree_wallet(manager)
-    calls = _count_seal_scans(monkeypatch)
-    # within the cap: each message passes the seal check and is approved
-    inside = [ChainTx(1, n, 0, 0, D1, 1) for n in range(32)]
-    assert manager.lw_verify("w", "alice", inside, ("approves-all",))[0]
-    assert calls == [0]
-    # over the cap: each message passes the seal check and is refused
-    calls.clear()
-    over = [ChainTx(1, n, 0, 0, D1, 2 * ETH) for n in range(32)]
-    assert manager.lw_verify("w", "alice", over, ("approves-none",))[0]
-    assert calls == [0]
 
 
 def test_refusals_are_uniform():

@@ -48,7 +48,7 @@ def _tx(to, value, nonce=0, fee=0, gas=0):
 def _spawn(tree, actor, parent, node_id, controller, expiry, grants, t=0):
     return spawn(
         tree, actor, parent, node_id, PlayerController(controller), expiry,
-        grants, _st(t), t,
+        grants, _st(t),
     )
 
 
@@ -80,39 +80,39 @@ def test_fungible_split_honors_exact_caps():
     fee, gas = 10**9, 21000
     cap = fee * gas
     exactly_five = _tx(D1, 5 * ETH - cap, fee=fee, gas=gas)
-    assert tree.evaluate("alice", "alice", exactly_five, st, 0)
+    assert tree.evaluate("alice", "alice", exactly_five, st)
     one_wei_over = _tx(D1, 5 * ETH - cap + 1, fee=fee, gas=gas)
-    assert not tree.evaluate("alice", "alice", one_wei_over, st, 0)
-    assert tree.evaluate("bob", "bob", _tx(D2, 10 * ETH), st, 0)
-    assert not tree.evaluate("bob", "bob", _tx(D2, 10 * ETH + 1), st, 0)
+    assert not tree.evaluate("alice", "alice", one_wei_over, st)
+    assert tree.evaluate("bob", "bob", _tx(D2, 10 * ETH), st)
+    assert not tree.evaluate("bob", "bob", _tx(D2, 10 * ETH + 1), st)
 
 
 def test_players_cannot_reach_across_nodes():
     tree = _shared_wallet()
     st = _st()
-    assert not tree.evaluate("alice", "bob", _tx(D1, ETH), st, 0)
-    assert not tree.evaluate("alice", "alice", _tx(D2, ETH), st, 0)
-    assert not tree.evaluate("bob", "mallory", _tx(D2, ETH), st, 0)
+    assert not tree.evaluate("alice", "bob", _tx(D1, ETH), st)
+    assert not tree.evaluate("alice", "alice", _tx(D2, ETH), st)
+    assert not tree.evaluate("bob", "mallory", _tx(D2, ETH), st)
     # the root node holds capacity, never signing power
-    assert not tree.evaluate(ROOT_ID, "am", _tx(D1, 0), st, 0)
+    assert not tree.evaluate(ROOT_ID, "am", _tx(D1, 0), st)
     with pytest.raises(UnknownNode):
-        tree.evaluate("ghost", "alice", _tx(D1, 0), st, 0)
+        tree.evaluate("ghost", "alice", _tx(D1, 0), st)
 
 
 def test_windows_are_inclusive_on_both_ends():
     tree = _shared_wallet()
     probe = _tx(D1, ETH)
-    assert tree.evaluate("alice", "alice", probe, _st(WEEK), WEEK)
-    assert not tree.evaluate("alice", "alice", probe, _st(WEEK + 1), WEEK + 1)
+    assert tree.evaluate("alice", "alice", probe, _st(WEEK))
+    assert not tree.evaluate("alice", "alice", probe, _st(WEEK + 1))
     later = _spawn(
         _shared_wallet(), "am", ROOT_ID, "carol", "carol", WEEK,
         [Grant(destination(b"\x33" * 20), 1, 100, 200)],
     )
     touch = _tx(b"\x33" * 20, 0)
-    assert not later.evaluate("carol", "carol", touch, _st(99), 99)
-    assert later.evaluate("carol", "carol", touch, _st(100), 100)
-    assert later.evaluate("carol", "carol", touch, _st(200), 200)
-    assert not later.evaluate("carol", "carol", touch, _st(201), 201)
+    assert not later.evaluate("carol", "carol", touch, _st(99))
+    assert later.evaluate("carol", "carol", touch, _st(100))
+    assert later.evaluate("carol", "carol", touch, _st(200))
+    assert not later.evaluate("carol", "carol", touch, _st(201))
 
 
 def test_expired_asset_only_affects_messages_that_spend_it():
@@ -129,16 +129,16 @@ def test_expired_asset_only_affects_messages_that_spend_it():
         ],
     )
     at_fifty = _st(50)
-    assert tree.evaluate("carol", "carol", PersonalSign(payload), at_fifty, 50)
-    assert not tree.evaluate("carol", "carol", _tx(D1, 0), at_fifty, 50)
-    assert not tree.evaluate("carol", "carol", PersonalSign(b"other"), at_fifty, 50)
+    assert tree.evaluate("carol", "carol", PersonalSign(payload), at_fifty)
+    assert not tree.evaluate("carol", "carol", _tx(D1, 0), at_fifty)
+    assert not tree.evaluate("carol", "carol", PersonalSign(b"other"), at_fifty)
 
 
 def test_zero_value_tx_still_needs_the_destination():
     tree = _shared_wallet()
     st = _st()
-    assert not tree.evaluate("alice", "alice", _tx(b"\x44" * 20, 0), st, 0)
-    assert tree.evaluate("alice", "alice", _tx(D1, 0), st, 0)
+    assert not tree.evaluate("alice", "alice", _tx(b"\x44" * 20, 0), st)
+    assert tree.evaluate("alice", "alice", _tx(D1, 0), st)
 
 
 def test_spent_native_shrinks_the_allowance():
@@ -153,8 +153,8 @@ def test_spent_native_shrinks_the_allowance():
     # the outstanding signature seals D1, but only against other nodes
     st = _st(0, entries=[entry])
     left = 5 * ETH - 2 * ETH - cap
-    assert tree.evaluate("alice", "alice", _tx(D1, left, nonce=1), st, 0)
-    assert not tree.evaluate("alice", "alice", _tx(D1, left + 1, nonce=1), st, 0)
+    assert tree.evaluate("alice", "alice", _tx(D1, left, nonce=1), st)
+    assert not tree.evaluate("alice", "alice", _tx(D1, left + 1, nonce=1), st)
     assert tree.spent_native("alice", st) == 2 * ETH + cap
 
 
@@ -166,12 +166,12 @@ def test_outstanding_signature_seals_for_others():
     )
     payload = b"contested"
     key = personal_payload_key(payload)
-    assert tree.evaluate("p", "pat", PersonalSign(payload), _st(), 0)
+    assert tree.evaluate("p", "pat", PersonalSign(payload), _st())
     tree.seal("elsewhere", capability(key))
-    assert not tree.evaluate("p", "pat", PersonalSign(payload), _st(), 0)
-    assert tree.evaluate("p", "pat", PersonalSign(b"uncontested"), _st(), 0)
+    assert not tree.evaluate("p", "pat", PersonalSign(payload), _st())
+    assert tree.evaluate("p", "pat", PersonalSign(b"uncontested"), _st())
     tree.unseal(capability(key))
-    assert tree.evaluate("p", "pat", PersonalSign(payload), _st(), 0)
+    assert tree.evaluate("p", "pat", PersonalSign(payload), _st())
 
 
 def test_log_seal_lifts_when_the_nonce_passes():
@@ -207,18 +207,18 @@ def test_platform_grant_shadowed_by_carved_proposal():
 
     msg1, hint1 = ballot(p1)
     msg2, hint2 = ballot(p2)
-    st1 = StateTriple(intst=(), ost=OracleState(0, (), 0), extst=hint1)
-    st2 = StateTriple(intst=(), ost=OracleState(0, (), 0), extst=hint2)
-    assert not tree.evaluate("seller", "seller", msg1, st1, 10)
-    assert tree.evaluate("buyer", "buyer", msg1, st1, 10)
-    assert tree.evaluate("seller", "seller", msg2, st2, 10)
-    assert not tree.evaluate("buyer", "buyer", msg2, st2, 10)
+    st1 = StateTriple(intst=(), ost=OracleState(10, (), 0), extst=hint1)
+    st2 = StateTriple(intst=(), ost=OracleState(10, (), 0), extst=hint2)
+    assert not tree.evaluate("seller", "seller", msg1, st1)
+    assert tree.evaluate("buyer", "buyer", msg1, st1)
+    assert tree.evaluate("seller", "seller", msg2, st2)
+    assert not tree.evaluate("buyer", "buyer", msg2, st2)
     # the carve expires, authority returns to the platform holder
-    assert tree.evaluate("seller", "seller", msg1, _relabel(st1, 51), 51)
-    assert not tree.evaluate("buyer", "buyer", msg1, _relabel(st1, 51), 51)
+    assert tree.evaluate("seller", "seller", msg1, _relabel(st1, 51))
+    assert not tree.evaluate("buyer", "buyer", msg1, _relabel(st1, 51))
     # a ballot whose hint disagrees with the struct hash is unclassifiable
-    bad = StateTriple(intst=(), ost=OracleState(0, (), 0), extst=vote_extst(p1, 2))
-    assert not tree.evaluate("buyer", "buyer", msg1, bad, 10)
+    bad = StateTriple(intst=(), ost=OracleState(10, (), 0), extst=vote_extst(p1, 2))
+    assert not tree.evaluate("buyer", "buyer", msg1, bad)
 
 
 def _relabel(st, t):
@@ -233,22 +233,22 @@ def test_reserved_capacity_and_availability():
     tree = _shared_wallet()
     st = _st()
     assert tree.reserved_native(ROOT_ID, 0) == 15 * ETH
-    assert tree.available_native(ROOT_ID, 0, st) == 0
-    assert tree.available_native("alice", 0, st) == 5 * ETH
+    assert tree.available_native(ROOT_ID, st) == 0
+    assert tree.available_native("alice", st) == 5 * ETH
     # child carve out of alice reserves her balance until the window ends
     tree2 = _spawn(
         tree, "alice", "alice", "kid", "kid", WEEK,
         [Grant(NATIVE, 2 * ETH, 100, 200)],
     )
     assert tree2.reserved_native("alice", 0) == 2 * ETH
-    assert tree2.available_native("alice", 0, st) == 3 * ETH
+    assert tree2.available_native("alice", st) == 3 * ETH
     assert tree2.reserved_native("alice", 201) == 0
     # a node with no native grant has nothing available
     tree3 = _spawn(
         tree, "am", ROOT_ID, "unit", "uma", WEEK,
         [Grant(destination(b"\x55" * 20), 1, 0, WEEK)],
     )
-    assert tree3.available_native("unit", 0, st) == 0
+    assert tree3.available_native("unit", st) == 0
 
 
 def test_validate_structure_error_catalogue():
@@ -458,7 +458,7 @@ def test_evaluate_agrees_with_reference_interpreter():
                 stx = StateTriple(intst=st.intst, ost=st.ost, extst=extst)
                 for player in built.players + [gen.OUTSIDER]:
                     got = any(
-                        built.tree.evaluate(nid, player, message, stx, t)
+                        built.tree.evaluate(nid, player, message, stx)
                         for nid in built.tree.nodes
                         if nid != ROOT_ID
                     )
@@ -469,11 +469,11 @@ def test_evaluate_agrees_with_reference_interpreter():
                         (
                             node.node_id
                             for node in built.tree.nodes_for_player(player)
-                            if built.tree.evaluate(node.node_id, player, message, stx, t)
+                            if built.tree.evaluate(node.node_id, player, message, stx)
                         ),
                         None,
                     )
-                    approved, vouched = policy.approves(player, message, stx, t)
+                    approved, vouched = policy.approves(player, message, stx)
                     if got != want or approved != want or vouched != first:
                         mismatches += 1
         assert treeref.scan_violations(

@@ -266,7 +266,7 @@ def _collect_expired(engine, wallet_id):
     for node_id, node in tree.nodes.items():
         if t > node.expiry:
             del candidate.nodes[node_id]
-    check_update("am", tree, candidate, st, t)
+    check_update("am", tree, candidate, st)
     wallet.policy.tree = candidate
     return len(tree.nodes) - len(candidate.nodes)
 
@@ -364,6 +364,7 @@ def test_documented_commands_match_their_declarations():
         ("player am\n? fund am\n", 2, 3, "fund needs <amount>"),
         ("spawn w actor=am\n", 1, 1, "spawn needs node="),
         ("wallet w am=am colour=red\n", 1, 16, "wallet takes no key 'colour'"),
+        ("? config engine.seed=3\nplayer am\n", 1, 1, "'?' on a config line, which is not a step"),
     ],
 )
 def test_a_step_that_breaks_its_declaration_is_a_parse_error(script, line, col, reason):
@@ -421,6 +422,7 @@ def test_cli_exit_codes(case, tmp_path, capsys):
     "reliable_chain.block_interval_s=-12",
     "oracle.finalized.mean_s=inf",
     "oracle.trials=1",
+    "oracle.mode=finalised",
 ])
 def test_cli_reports_a_malformed_config_value(header, tmp_path, capsys):
     path = tmp_path / "bad.scn"

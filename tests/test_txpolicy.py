@@ -71,7 +71,7 @@ def _build(commit_required=True, reimburse_wei=5 * 10**15):
 def _carve(box, ledger, node_id="n1", player="renter", dest=D1, t=0):
     box["tree"] = spawn(
         box["tree"], "am", ROOT_ID, node_id, PlayerController(player), FAR,
-        [Grant(destination(dest), 1, 0, FAR)], _st(t), t,
+        [Grant(destination(dest), 1, 0, FAR)], _st(t),
     )
     ledger.register_grant(node_id, dest)
 
@@ -97,9 +97,8 @@ def _finalized_proof(chain, digest):
 
 def test_gas_model_values():
     assert simulated_gas(OP_DEPLOY_POLICY) == 3_021_000
-    assert simulated_gas(OP_DEPLOY_POLICY, words=3) == 3_081_000
-    assert simulated_gas(OP_ADD_POLICY, words=3) == 161_000
-    assert simulated_gas(OP_ADD_SUB_POLICY, words=3) == 121_000
+    assert simulated_gas(OP_ADD_POLICY) == 161_000
+    assert simulated_gas(OP_ADD_SUB_POLICY) == 121_000
     assert simulated_gas(OP_DEPOSIT_COMMITMENT) == 61_000
     assert simulated_gas(OP_PROVE_DEPOSIT, siblings=0) == 81_000
     assert simulated_gas(OP_TX_COMMITMENT) == 61_000
@@ -264,14 +263,13 @@ def test_evaluate_routes_chain_tx_through_the_ledger():
     st = _st()
     tx = ChainTx(1, 0, FEE, GAS, D1, ETH // 2)
     ledger.commit_request("n1", signing_digest(tx))
-    assert box["tree"].evaluate("n1", "renter", tx, st, 0, ledger=ledger)
+    assert box["tree"].evaluate("n1", "renter", tx, st, ledger=ledger)
     # destination demand still applies: D2 was never carved to n1
     stray = ChainTx(1, 0, FEE, GAS, D2, ETH // 2)
     ledger.commit_request("n1", signing_digest(stray))
-    assert not box["tree"].evaluate("n1", "renter", stray, st, 0, ledger=ledger)
-    # ledger says no once the nonce moves on
-    ledger.recognized_nonce = 1
-    assert not box["tree"].evaluate("n1", "renter", tx, st, 0, ledger=ledger)
+    assert not box["tree"].evaluate("n1", "renter", stray, st, ledger=ledger)
+    # ledger says no once the recognized nonce moves on
+    assert not box["tree"].evaluate("n1", "renter", tx, _st(nonce=1), ledger=ledger)
 
 
 def test_the_ledger_gates_signing_across_tree_swaps():
@@ -415,7 +413,7 @@ def test_sub_balances_are_book_entries_not_grants():
     chain, wallet, box, ledger = _build()
     box["tree"] = spawn(
         box["tree"], "am", ROOT_ID, "n1", PlayerController("renter"), 100,
-        [Grant(destination(D1), 1, 0, 100)], _st(), 0,
+        [Grant(destination(D1), 1, 0, 100)], _st(),
     )
     ledger.register_grant("n1", D1)
     ledger.ether_sub["n1"] = ETH
