@@ -5,8 +5,10 @@ use nesting or dotted keys; both flatten to the same mapping.  Unknown
 keys and values that do not parse as the key's type are rejected, so a
 typo in a scenario header fails loudly instead of silently running with
 defaults.  So are values the program cannot run with: a float that is
-not finite, a block interval under 1 s, fewer than 2 latency trials, and
-an oracle mode outside ``ORACLE_MODES``.
+not finite, a block interval under 1 s, fewer than 2 latency trials, an
+engine seed or a chain id outside [0, 2**64) (both are encoded as
+unsigned 64-bit integers), no storage repository for the fallback's
+escrow, and an oracle mode outside ``ORACLE_MODES``.
 PyYAML is imported only when a YAML file is read.
 """
 
@@ -46,14 +48,19 @@ DEFAULTS: Dict[str, Any] = {
 }
 
 ORACLE_MODES = ("latest", "justified", "finalized")
-# The least value an integer key can run with: a chain with an interval
-# under 1 s never stops producing blocks, and the latency report needs two
-# trials for a deviation.
-_AT_LEAST = {
-    "chain.block_interval_s": 1,
-    "reliable_chain.block_interval_s": 1,
-    "oracle.trials": 2,
+# The range [least, bound) an integer key can run with: a chain with an
+# interval under 1 s never stops producing blocks, the latency report needs
+# two trials for a deviation, the seed and the chain id are encoded as
+# unsigned 64-bit integers, and escrow with no repository never replicates.
+_RANGES = {
+    "engine.seed": (0, 2**64),
+    "chain.chain_id": (0, 2**64),
+    "chain.block_interval_s": (1, math.inf),
+    "reliable_chain.block_interval_s": (1, math.inf),
+    "oracle.trials": (2, math.inf),
+    "fallback.repos": (1, math.inf),
 }
+_ANY_INT = (-math.inf, math.inf)
 # The values a string key can run with.
 _ONE_OF = {"oracle.mode": ORACLE_MODES}
 _BOOLEANS = {
@@ -82,7 +89,8 @@ def _coerce(key: str, current: Any, value: Any) -> Any:
                 return bool(value)
         elif isinstance(current, int) and not isinstance(value, bool):
             number = int(value)
-            if number >= _AT_LEAST.get(key, number):
+            least, bound = _RANGES.get(key, _ANY_INT)
+            if least <= number < bound:
                 return number
         elif isinstance(current, float):
             number = float(value)

@@ -19,11 +19,12 @@ manual seals.  The programs that control program nodes and the
 transaction ledger belong to the wallet's policy, which hands them to
 ``evaluate``.  Nodes are values (frozen, with their grants in a tuple),
 and an installed tree never changes: every update clones the tree,
-which copies the table and shares every node, changes only the clone
-(a spawn builds one node, a re-grant replaces one, a seal edits the
-clone's seals), and has the manager install the clone.  Since no node
-changes in place, the update check treats a node that is the same
-object in both trees as untouched, without comparing its fields.
+which copies the table and its indexes and shares every node, changes
+only the clone (a spawn puts one node, a re-grant replaces one, a seal
+edits the clone's seals), and has the manager install the clone.  The
+table is written only through ``put`` and ``remove``, which keep the
+indexes and record the ids written since the clone; the update check
+diffs only those ids.
 
 A node's canonical JSON is built the first time an escrow write
 serialises it and kept on the node, so a write re-serialises only the
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Collection, Container, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Collection, Container, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import crypto
 from ..assets import AssetId, AssetKind, UnitDemand, capability, demands_of
@@ -195,9 +196,46 @@ def _node_json(node: Node) -> str:
     return json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
+def _holder(node: Node) -> Optional[str]:
+    """The ``_held`` key of a node: its player, or ``None`` for a program."""
+    controller = node.controller
+    return controller.player if isinstance(controller, PlayerController) else None
+
+
+def _insert(index: Dict, key, node_id: str, rank: Dict[str, int]) -> None:
+    """Add ``node_id`` to ``index[key]``, keeping the ids in table order."""
+    ids = index.get(key, ()) + (node_id,)
+    if len(ids) > 1 and rank[ids[-2]] > rank[node_id]:
+        ids = tuple(sorted(ids, key=rank.__getitem__))  # a kept node moved here
+    index[key] = ids
+
+
+def _drop(index: Dict, key, node_id: str) -> None:
+    ids = tuple(kept for kept in index[key] if kept != node_id)
+    if ids:
+        index[key] = ids
+    else:
+        del index[key]
+
+
 class PolicyTree:
     """Delegation tree for one wallet: a table of immutable nodes, its
-    native capacity and its manual seals.  Only a fresh clone changes."""
+    native capacity and its manual seals.  Only a fresh clone changes.
+
+    Every write to the node table goes through ``put`` and ``remove``,
+    which keep three indexes beside it, so no read walks the table:
+
+    * ``_children``: parent id -> the ids of its children, in table order
+      (a dangling parent id keeps its entry while its children do);
+    * ``_held``: player -> the ids of the nodes that player controls,
+      and ``None`` -> the ids of the program-controlled nodes;
+    * ``written``: the ids put or removed since the tree was cloned,
+      which is all ``check_update`` diffs.
+
+    Table order is kept as a rank per id (``_rank``): a new id ranks
+    after every other, a replaced node keeps its rank, and a removed id
+    that comes back ranks last, as in the table.
+    """
 
     def __init__(
         self,
@@ -205,17 +243,62 @@ class PolicyTree:
         root_expiry: int = INFINITE_EXPIRY,
         native_capacity: Optional[int] = None,
     ):
-        self.nodes: Dict[str, Node] = {
-            ROOT_ID: Node(
+        self.nodes: Dict[str, Node] = {}
+        self.native_capacity = native_capacity
+        self.manual_seals: Dict[bytes, str] = {}  # asset encoding -> sealing node
+        self._children: Dict[Optional[str], Tuple[str, ...]] = {}
+        self._held: Dict[Optional[str], Tuple[str, ...]] = {}
+        self._rank: Dict[str, int] = {}
+        self._next_rank = 0
+        self.written: Dict[str, None] = {}
+        self.put(
+            Node(
                 node_id=ROOT_ID,
                 parent=None,
                 controller=PlayerController(root_controller),
                 expiry=root_expiry,
                 created_at=0,
             )
-        }
-        self.native_capacity = native_capacity
-        self.manual_seals: Dict[bytes, str] = {}  # asset encoding -> sealing node
+        )
+
+    # ------------------------------------------------------------------
+    # the node table and its indexes
+
+    def put(self, node: Node) -> None:
+        """Install ``node`` under its id, replacing any node of that id.
+
+        A new id joins the end of the table; a replaced node keeps its
+        place, and its index entries move only if its parent or its
+        controller changed.
+        """
+        node_id = node.node_id
+        prior = self.nodes.get(node_id)
+        self.nodes[node_id] = node
+        self.written[node_id] = None
+        if prior is None:
+            self._rank[node_id] = self._next_rank
+            self._next_rank += 1
+        elif prior.parent == node.parent and _holder(prior) == _holder(node):
+            return
+        else:
+            self._unindex(prior)
+        _insert(self._children, node.parent, node_id, self._rank)
+        _insert(self._held, _holder(node), node_id, self._rank)
+
+    def remove(self, node_id: str) -> None:
+        """Drop the node ``node_id``; its children keep their parent id."""
+        node = self.nodes.pop(node_id)
+        del self._rank[node_id]
+        self._unindex(node)
+        self.written[node_id] = None
+
+    def _unindex(self, node: Node) -> None:
+        _drop(self._children, node.parent, node.node_id)
+        _drop(self._held, _holder(node), node.node_id)
+
+    def in_table_order(self, node_ids: Iterable[str]) -> List[str]:
+        """``node_ids``, all in the table, sorted into table order."""
+        return sorted(node_ids, key=self._rank.__getitem__)
 
     # ------------------------------------------------------------------
     # structure helpers
@@ -227,23 +310,19 @@ class PolicyTree:
         return found
 
     def children(self, node_id: str) -> List[Node]:
-        return [n for n in self.nodes.values() if n.parent == node_id]
+        """The children of ``node_id`` in table order, read from the index."""
+        return [self.nodes[child] for child in self._children.get(node_id, ())]
 
     def nodes_for_player(self, player: str) -> List[Node]:
         """Nodes the player might sign through, in creation order.
 
         Program-controlled nodes are included; the program decides at
-        evaluation time whether this player may act through them.
+        evaluation time whether this player may act through them.  The
+        index gives the candidates, so the cost grows with the player's
+        nodes and the program nodes, not with the tree.
         """
-        out = []
-        for node in self.nodes.values():
-            if node.node_id == ROOT_ID:
-                continue
-            if isinstance(node.controller, PlayerController):
-                if node.controller.player == player:
-                    out.append(node)
-            else:
-                out.append(node)
+        held = self._held.get(player, ()) + self._held.get(None, ())
+        out = [self.nodes[node_id] for node_id in held if node_id != ROOT_ID]
         out.sort(key=lambda n: (n.created_at, n.node_id))
         return out
 
@@ -251,12 +330,19 @@ class PolicyTree:
         """A twin whose node table and manual seals can change freely.
 
         Nodes are values, so the twin shares every one of them: the
-        cost is one copy of the node table, not a copy of each node.
+        cost is one copy of the node table and of each index (the index
+        entries are tuples, shared too), not a copy of each node.  The
+        twin starts with nothing written.
         """
         twin = PolicyTree.__new__(PolicyTree)
-        twin.nodes = dict(self.nodes)
+        twin.nodes = self.nodes.copy()
         twin.native_capacity = self.native_capacity
         twin.manual_seals = dict(self.manual_seals)
+        twin._children = self._children.copy()
+        twin._held = self._held.copy()
+        twin._rank = self._rank.copy()
+        twin._next_rank = self._next_rank
+        twin.written = {}
         return twin
 
     # ------------------------------------------------------------------
@@ -272,8 +358,8 @@ class PolicyTree:
     def reserved_native(self, node_id: str, t: int) -> int:
         """Capacity promised to children, held until each window ends."""
         total = 0
-        for child in self.children(node_id):
-            for grant in child.grants:
+        for child in self._children.get(node_id, ()):
+            for grant in self.nodes[child].grants:
                 if grant.asset.kind is AssetKind.NATIVE_BALANCE and grant.expiry >= t:
                     total += grant.cap
         return total
@@ -404,14 +490,15 @@ class PolicyTree:
         node's own rules in ``self.nodes`` order, then sibling
         disjointness under each parent in that order, then fungible
         conservation (the root's capacity, then each node in order).
-        Cost is linear in nodes and grants, plus one comparison per pair
-        of sibling unit grants that share a conflict bucket.  This is
-        ``validate_parts`` with every node touched.
+        Cost is one sort of the ids into table order, then linear in
+        nodes and grants, plus one comparison per pair of sibling unit
+        grants that share a conflict bucket.  This is ``validate_parts``
+        with every node touched.
         """
         self.validate_parts(self.nodes, (), t)
 
     def validate_parts(
-        self, touched: Collection[str], vacated: Container[str], t: int
+        self, touched: Collection[str], vacated: Iterable[str], t: int
     ) -> None:
         """Check the invariants that a change to ``touched`` can break.
 
@@ -427,46 +514,41 @@ class PolicyTree:
         * conservation on touched nodes and their parents, and the
           root's capacity when the root is one of them.
 
-        Cost is linear in nodes for gathering children, plus the rules
-        on those parts.  Precondition: before the change the tree was
-        valid at an instant not after ``t``.  A fungible carve reserves
-        balance only until it expires, so reservations only shrink as
-        ``t`` grows, and nothing the change did not touch can break.
-        The rules run in the order of ``validate_structure``, so under
-        the precondition the first violation raised is the one the full
-        check would raise.
+        The parts are read from the indexes, so the cost is the rules on
+        those parts: sorting them into table order, each node's own rules,
+        and a visit to each child of a gathered node (under the root,
+        every one of its children).  Precondition: before the change the
+        tree was valid at an instant not after ``t``.  A fungible carve
+        reserves balance only until it expires, so reservations only
+        shrink as ``t`` grows, and nothing the change did not touch can
+        break.  The rules run in the order of ``validate_structure``, so
+        under the precondition the first violation raised is the one the
+        full check would raise.
         """
         root = self.nodes.get(ROOT_ID)
         if root is None or root.parent is not None:
             raise UpdateRefused("missing root")
         parents = {self.nodes[node_id].parent for node_id in touched}
         parents.discard(None)
-        # Children are gathered, with the balance they reserve, under
-        # touched nodes and their parents, whose balances are checked.
+        checked = set(touched)
+        for node_id in (*touched, *vacated):
+            checked.update(self._children.get(node_id, ()))
+        for node_id in self.in_table_order(checked):
+            self._check_node(self.nodes[node_id])
+        # Every touched node's parent is in the table now: a dangling one
+        # was refused above.  The balances of touched nodes and their
+        # parents are checked against what their children reserve.
         gathered = parents.union(touched)
-        kids: Dict[str, List[Node]] = {}
-        reserved: Dict[str, int] = {}
-        order: List[str] = []
-        for node in self.nodes.values():
-            node_id, parent = node.node_id, node.parent
-            if node_id in touched or parent in touched or parent in vacated:
-                self._check_node(node)
-            if node_id in gathered:
-                order.append(node_id)
-            if parent in gathered:
-                kids.setdefault(parent, []).append(node)
-                for grant in node.grants:
-                    if grant.asset.kind is AssetKind.NATIVE_BALANCE and grant.expiry >= t:
-                        reserved[parent] = reserved.get(parent, 0) + grant.cap
+        order = self.in_table_order(gathered)
         for node_id in order:
             if node_id in parents:
-                self._check_siblings(kids[node_id], touched)
+                self._check_siblings(self.children(node_id), touched)
         if ROOT_ID in gathered and self.native_capacity is not None:
-            if reserved.get(ROOT_ID, 0) > self.native_capacity:
+            if self.reserved_native(ROOT_ID, t) > self.native_capacity:
                 raise UpdateRefused("root fungible capacity exceeded")
         for node_id in order:
             if node_id != ROOT_ID:
-                self._check_balance(node_id, reserved.get(node_id, 0))
+                self._check_balance(node_id, self.reserved_native(node_id, t))
 
     def _check_node(self, node: Node) -> None:
         """A node's own rules: its window, its grants and their source."""

@@ -27,11 +27,16 @@ Every refusal is one ``UpdateRefused`` whose reason is in ``.detail``
 only, so a player who controls nothing cannot tell from a refusal
 which assets, windows or node ids other players hold.
 
-Its cost is one linear diff of the two trees, at one identity test
-for each node the update left alone, plus the rules on the touched
-parts; a spawn into a large tree checks no more nodes and compares no
-more grants than one into a small tree of the same shape near the
-spawn.
+Its cost grows with what the update wrote, not with the tree.  The
+proposed tree is a clone of the current one changed through
+``PolicyTree.put`` and ``remove``, and it records the ids written since
+the clone, so only those are diffed; the rules then run on the touched
+parts, which the tree's indexes find.  A spawn into a large tree checks
+no more nodes and compares no more grants than one into a small tree of
+the same shape near the spawn.  A spawn still visits every child of its
+parent (their carves bound the parent's balance, and their grants are
+the new node's siblings), so a spawn under the root of a flat tree stays
+linear in the root's children.
 
 The checker is deliberately structural and at least as strict as those
 bullets: it refuses some semantically harmless edits (such as revoking
@@ -69,7 +74,8 @@ def _check_source(actor: str, source: Node, t: int) -> None:
     player controlling it."""
     if t > source.expiry:
         raise UpdateRefused(f"{source.node_id} has expired")
-    if source.controller != PlayerController(actor):
+    controller = source.controller
+    if not isinstance(controller, PlayerController) or controller.player != actor:
         raise UpdateRefused(f"actor does not control {source.node_id}")
 
 
@@ -91,25 +97,34 @@ def check_update(
 ) -> None:
     """Raise unless ``old -> new`` is an admissible transition by ``actor``.
 
-    Precondition: ``old`` is valid at ``t``, the triple's chain time (it
-    passed this check when it was admitted, and ``t`` never goes back
-    since).  One linear diff of ``old`` against ``new`` finds the
-    removed nodes and the touched ones: added nodes, and kept nodes
-    whose parent, controller, expiry or grant list changed.
-    ``PolicyTree.validate_parts`` then checks only those parts: the
-    touched nodes, their children, their sibling groups and their
-    parents' balance; under the precondition it raises what a full
-    ``validate_structure`` would.  The transition rules
-    follow, on the removed and touched nodes only, plus for each added
-    node the path up to its nearest old ancestor.  ``PolicyTree.clone``
-    shares the nodes, which are immutable, so a node an update leaves
-    alone is the same object in both trees and costs one identity test;
-    a node that is a different object is compared field by field.
+    Preconditions: ``new`` is a clone of ``old`` changed only through
+    ``PolicyTree.put`` and ``remove``, and ``old`` is valid at ``t``,
+    the triple's chain time (it passed this check when it was admitted,
+    and ``t`` never goes back since).  The ids ``new`` wrote since the
+    clone are diffed against ``old`` to find the removed nodes and the
+    touched ones: added nodes, and kept nodes whose parent, controller,
+    expiry or grant list changed.  Edits are visited in ``old``'s table
+    order and added nodes in ``new``'s, as a diff of the whole tables
+    would visit them.  ``PolicyTree.validate_parts`` then checks only
+    those parts: the touched nodes, their children, their sibling groups
+    and their parents' balance; under the preconditions it raises what a
+    full ``validate_structure`` would.  The transition rules follow, on
+    the removed and touched nodes only, plus for each added node the path
+    up to its nearest old ancestor.  A node written back unchanged (the
+    same object, or equal fields) is no edit.
     """
     t = st.ost.chain_time
+    kept: List[str] = []
+    fresh: List[str] = []
+    for node_id in new.written:
+        if node_id in old.nodes:
+            kept.append(node_id)
+        elif node_id in new.nodes:
+            fresh.append(node_id)
+    fresh = new.in_table_order(fresh)
     edits: List[Tuple[str, Node, Optional[Node]]] = []
-    for node_id, old_node in old.nodes.items():
-        new_node = new.nodes.get(node_id)
+    for node_id in old.in_table_order(kept):
+        old_node, new_node = old.nodes[node_id], new.nodes.get(node_id)
         if new_node is old_node:
             continue
         if (
@@ -120,7 +135,6 @@ def check_update(
             or new_node.grants != old_node.grants
         ):
             edits.append((node_id, old_node, new_node))
-    fresh = [node_id for node_id in new.nodes if node_id not in old.nodes]
     touched = {node_id for node_id, _, new_node in edits if new_node is not None}
     touched.update(fresh)
     if new.native_capacity != old.native_capacity:
@@ -130,11 +144,13 @@ def check_update(
 
     old_root = old.nodes[ROOT_ID]
     new_root = new.nodes.get(ROOT_ID)
-    if (
-        new_root is None
-        or new_root.controller != old_root.controller
-        or new_root.expiry != old_root.expiry
-        or new.native_capacity != old.native_capacity
+    if new.native_capacity != old.native_capacity or (
+        new_root is not old_root
+        and (
+            new_root is None
+            or new_root.controller != old_root.controller
+            or new_root.expiry != old_root.expiry
+        )
     ):
         raise UpdateRefused("root is immutable")
 
@@ -180,7 +196,7 @@ def check_update(
     if not added:
         return
 
-    sealed = old.sealed_assets(st)
+    sealed: Optional[Dict[bytes, str]] = None  # derived at the first unit grant
     native_drawn: Dict[str, int] = {}
     for node_id, grant in added:
         source = anchors.get(node_id)
@@ -198,6 +214,8 @@ def check_update(
                 raise UpdateRefused("grant added under a new parent")
             _check_source(actor, source, t)
         if grant.asset.kind is not AssetKind.NATIVE_BALANCE:
+            if sealed is None:
+                sealed = old.sealed_assets(st)
             if grant.asset.encode() in sealed:
                 raise UpdateRefused(f"{grant.asset.label()} is sealed")
         elif grant.expiry >= t and new.nodes[node_id].parent == source.node_id:
@@ -231,13 +249,15 @@ def spawn(
     if node_id in tree.nodes:
         raise UpdateRefused(f"node id {node_id} already in use")
     candidate = tree.clone()
-    candidate.nodes[node_id] = Node(
-        node_id=node_id,
-        parent=parent_id,
-        controller=controller,
-        expiry=expiry,
-        created_at=t,
-        grants=grants,
+    candidate.put(
+        Node(
+            node_id=node_id,
+            parent=parent_id,
+            controller=controller,
+            expiry=expiry,
+            created_at=t,
+            grants=grants,
+        )
     )
     check_update(actor, tree, candidate, st)
     return candidate
@@ -255,6 +275,6 @@ def add_grants(
     if not grants:
         raise UpdateRefused(f"grant on {node_id} adds nothing")
     candidate = tree.clone()
-    candidate.nodes[node_id] = replace(node, grants=node.grants + tuple(grants))
+    candidate.put(replace(node, grants=node.grants + tuple(grants)))
     check_update(actor, tree, candidate, st)
     return candidate

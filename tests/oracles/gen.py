@@ -279,14 +279,14 @@ def _spawn_node(
     expiry_floor = max((g.expiry for g in grants), default=max(t_now or 0, 0))
     expiry = min(parent.expiry, expiry_floor + rng.randint(0, 8))
     controller = PlayerController(rng.choice(built.players))
-    tree.nodes[child_id] = Node(
+    tree.put(Node(
         node_id=child_id,
         parent=parent_id,
         controller=controller,
         expiry=expiry,
         created_at=t_now if t_now is not None else 0,
         grants=grants,
-    )
+    ))
     built.depth[child_id] = built.depth[parent_id] + 1
     built.slots.extend(new_slots)
     for grant in grants:
@@ -444,7 +444,7 @@ def build_tree(
 
 def edit_node(tree: PolicyTree, node_id: str, **changes) -> None:
     """Install in ``tree`` a copy of one of its nodes with ``changes``."""
-    tree.nodes[node_id] = replace(tree.nodes[node_id], **changes)
+    tree.put(replace(tree.nodes[node_id], **changes))
 
 
 def _without(grants: Sequence[Grant], grant: Grant) -> List[Grant]:
@@ -550,7 +550,7 @@ def benign_gc(rng: random.Random, built: BuiltTree, t: int):
         seed = rng.choice(expired)
         doomed = {seed} | treeref.descendants(candidate, seed)
         for nid in doomed:
-            candidate.nodes.pop(nid, None)
+            candidate.remove(nid)
     pruned_grant = None
     if stale_grants and rng.random() < 0.7:
         nid, grant = rng.choice(stale_grants)
@@ -633,7 +633,7 @@ def adv_remove_live(rng: random.Random, built: BuiltTree, t: int):
     nid = rng.choice(live)
     candidate = built.tree.clone()
     for gone in {nid} | treeref.descendants(candidate, nid):
-        candidate.nodes.pop(gone, None)
+        candidate.remove(gone)
     actor = treeref.controller_player(built.tree.nodes[ROOT_ID])
     return "remove-live", actor, candidate
 
@@ -675,14 +675,14 @@ def adv_sealed_carve(rng: random.Random, built: BuiltTree, t: int):
     candidate = built.tree.clone()
     child_id = built.fresh_id()
     hi = min(node.expiry, t + rng.randint(0, 4))
-    candidate.nodes[child_id] = Node(
+    candidate.put(Node(
         node_id=child_id,
         parent=owner,
         controller=PlayerController(rng.choice(built.players)),
         expiry=hi,
         created_at=t,
         grants=[Grant(asset, 1, t, hi)],
-    )
+    ))
     return "sealed-carve", actor, candidate
 
 
@@ -733,14 +733,14 @@ def adv_over_carve(rng: random.Random, built: BuiltTree, t: int):
         hi = min(node.expiry, window[1])
         lo = min(t, hi)
         grants = [Grant(NATIVE, amount, lo, hi)]
-        candidate.nodes[child_id] = Node(
+        candidate.put(Node(
             node_id=child_id,
             parent=nid,
             controller=PlayerController(rng.choice(built.players)),
             expiry=hi,
             created_at=t,
             grants=grants,
-        )
+        ))
         return "over-carve", actor, candidate
     return None
 
@@ -759,14 +759,14 @@ def adv_expiry_exceeds(rng: random.Random, built: BuiltTree, t: int):
         return None
     candidate = built.tree.clone()
     child_id = built.fresh_id()
-    candidate.nodes[child_id] = Node(
+    candidate.put(Node(
         node_id=child_id,
         parent=nid,
         controller=PlayerController(rng.choice(built.players)),
         expiry=node.expiry + rng.randint(1, 9),
         created_at=t,
         grants=[],
-    )
+    ))
     return "expiry-exceeds", actor, candidate
 
 
@@ -788,14 +788,14 @@ def adv_sibling_overlap(rng: random.Random, built: BuiltTree, t: int):
     candidate = built.tree.clone()
     child_id = built.fresh_id()
     hi = min(parent.expiry, grant.expiry)
-    candidate.nodes[child_id] = Node(
+    candidate.put(Node(
         node_id=child_id,
         parent=parent_id,
         controller=PlayerController(rng.choice(built.players)),
         expiry=hi,
         created_at=t,
         grants=[Grant(grant.asset, 1, t, hi, platform=grant.platform)],
-    )
+    ))
     return "sibling-overlap", actor, candidate
 
 
@@ -867,7 +867,7 @@ def adv_orphan_children(rng: random.Random, built: BuiltTree, t: int):
     if not parents:
         return None
     candidate = tree.clone()
-    del candidate.nodes[rng.choice(parents)]
+    candidate.remove(rng.choice(parents))
     actor = treeref.controller_player(tree.nodes[ROOT_ID])
     return "orphan-children", actor, candidate
 
@@ -940,14 +940,14 @@ def adv_wide_siblings(rng: random.Random, built: BuiltTree, t: int):
             expiry = start + rng.randint(0, 4)
         expiry = min(expiry, parent.expiry)
         child_id = built.fresh_id()
-        candidate.nodes[child_id] = Node(
+        candidate.put(Node(
             node_id=child_id,
             parent=parent_id,
             controller=PlayerController(rng.choice(built.players)),
             expiry=max(expiry, t),
             created_at=t,
             grants=[Grant(asset, 1, min(start, expiry), expiry, platform=platform)],
-        )
+        ))
     return "wide-siblings", actor, candidate
 
 

@@ -75,6 +75,13 @@ def test_malformed_values_are_rejected_whole():
         ("oracle.latest.mean_s", "fast"),
         ("oracle.mode", "finalised"),
         ("oracle.mode", 3),
+        # the seed and the chain id are encoded as unsigned 64-bit integers
+        ("engine.seed", -1),
+        ("engine.seed", 2**64),
+        ("chain.chain_id", -1),
+        ("chain.chain_id", str(2**64)),
+        # escrow with no repository never replicates
+        ("fallback.repos", 0),
     ]:
         with pytest.raises(ValueError, match=key):
             config.apply({"oracle.mode": "latest", key: value})
@@ -82,6 +89,11 @@ def test_malformed_values_are_rejected_whole():
     assert config["txpolicy.commit_required"] is True
     config.apply({"txpolicy.commit_required": 0})
     assert config["txpolicy.commit_required"] is False
+    # the ends of each range are accepted
+    config.apply({"engine.seed": 2**64 - 1, "chain.chain_id": 0, "fallback.repos": 1})
+    assert (config["engine.seed"], config["chain.chain_id"], config["fallback.repos"]) == (
+        2**64 - 1, 0, 1,
+    )
 
 
 @pytest.mark.parametrize("key", ["chain.block_interval_s", "reliable_chain.block_interval_s"])

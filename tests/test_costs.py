@@ -264,6 +264,65 @@ def test_spawn_checks_do_not_grow_with_the_tree(monkeypatch):
     assert costs[50] == costs[300] == {"node checks": 1, "conflicts_with": 1}, costs
 
 
+class _CountingTable(dict):
+    """A node table that records in ``seen`` each whole-table walk
+    (``iter``, ``keys``, ``values``, ``items``) and each copy.  Its copy,
+    the one ``PolicyTree.clone`` makes, records into the same list."""
+
+    def __init__(self, table, seen):
+        super().__init__(table)
+        self.seen = seen
+
+    def copy(self):
+        self.seen.append("copy")
+        return _CountingTable(dict.items(self), self.seen)
+
+    def __iter__(self):
+        self.seen.append("iter")
+        return super().__iter__()
+
+    def keys(self):
+        self.seen.append("keys")
+        return super().keys()
+
+    def values(self):
+        self.seen.append("values")
+        return super().values()
+
+    def items(self):
+        self.seen.append("items")
+        return super().items()
+
+
+def test_spawns_and_index_reads_walk_no_node_table():
+    # A spawn, a children() read and a nodes_for_player() read find their
+    # nodes through the tree's indexes: none walks the node table, at 50
+    # nodes as at 300.  The spawn's clone still copies the table once, a
+    # dict copy that stays linear until a persistent map replaces it.
+    # The spawn under the wide tree's root walks no table either, yet it
+    # still visits every child of the root through the index: the root's
+    # capacity bounds the sum of every live carve under it, and the new
+    # grants are compared with the siblings' grants.  A spawn under a flat
+    # tree's root stays linear in the root's children.
+    wide = [Grant(NATIVE, ETH, 0, 200), Grant(destination((0).to_bytes(20, "big")), 1, 101, 200)]
+    cases = [
+        (_wide_tree, "am", lambda size: ROOT_ID, 200, wide),
+        (_wide_tree, "ann", lambda size: "c0", 100, [Grant(NATIVE, ETH // 2, 0, 100)]),
+        (_deep_tree, "ann", lambda size: f"c{size - 3}", 200, [Grant(destination(TREE_DEST), 1, 101, 200)]),
+    ]
+    for build, actor, parent_of, expiry, grants in cases:
+        for size in (50, 300):
+            tree, parent = build(size), parent_of(size)
+            seen = []
+            tree.nodes = _CountingTable(tree.nodes, seen)
+            grown = spawn(tree, actor, parent, "leaf", _pc("lee"), expiry, grants, _st())
+            assert seen == ["copy"], (build.__name__, parent, size, seen)
+            seen.clear()
+            assert grown.children(parent)[-1].node_id == "leaf"
+            assert [node.node_id for node in grown.nodes_for_player("lee")] == ["leaf"]
+            assert seen == [], (build.__name__, parent, size, seen)
+
+
 def _count_seal_scans(monkeypatch):
     """Record the log length each time a triple derives its seals."""
     calls = []

@@ -160,7 +160,7 @@ def test_check_invariants_names_each_violation():
     ledger = engine.ledgers["vault"]
     ledger.total_proven += 7
     tree = engine.manager.tree_of("vault")
-    tree.nodes["twin"] = replace(tree.nodes["n1"], node_id="twin")
+    tree.put(replace(tree.nodes["n1"], node_id="twin"))
     problems = engine.check_invariants()
     assert problems[:3] == [
         "target chain conservation gap 5",

@@ -109,7 +109,7 @@ def decorated_tree(rng: random.Random):
             gen.edit_node(tree, node_id, controller=ProgramController(rng.choice(["dao-vote", "vé"])))
     for odd in rng.sample(ODD_IDS, 3):
         parent = tree.nodes[rng.choice(sorted(tree.nodes))]
-        tree.nodes[odd] = Node(odd, parent.node_id, PlayerController(odd), parent.expiry, 0)
+        tree.put(Node(odd, parent.node_id, PlayerController(odd), parent.expiry, 0))
     owners = [*sorted(tree.nodes), ""]
     for _ in range(rng.randint(0, 3)):
         tree.seal(rng.choice(owners), destination(rng.randbytes(20)))

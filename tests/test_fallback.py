@@ -318,6 +318,20 @@ def test_privilege_decrease_rolls_back_when_replication_fails():
     assert manager.wallet("w1").policy_version == version_before
 
 
+def test_policy_swap_rolls_back_when_replication_fails():
+    # allow -> deny is a privilege decrease, so it must replicate before
+    # it stands; with no repository reachable the swap is undone whole
+    manager, system = _stack()
+    wallet = manager.lw_gen("am", "w1", policy_kind="allow", update_rule="any")
+    policy_before, version_before = wallet.policy, wallet.policy_version
+    for repo in system.repos:
+        repo.reachable = False
+    with pytest.raises(ReplicationTimeout):
+        manager.lw_update("am", "w1", "deny")
+    assert manager.wallet("w1").policy is policy_before
+    assert manager.wallet("w1").policy_version == version_before
+
+
 def test_flush_without_acks_keeps_the_queue():
     manager, system = _stack()
     manager.lw_gen("am", "w1", policy_kind="tree", update_rule="tree")

@@ -25,6 +25,7 @@ from encumbra.policy.tree import (
     Node,
     PlayerController,
     PolicyTree,
+    ProgramController,
 )
 from encumbra.policy.update import spawn
 from encumbra.state import GENESIS_ORACLE, OracleState, LogEntry, StateTriple
@@ -265,14 +266,14 @@ def test_validate_structure_error_catalogue():
 
     # missing root
     bad = fresh()
-    del bad.nodes[ROOT_ID]
+    bad.remove(ROOT_ID)
     with pytest.raises(UpdateRefused):
         bad.validate_structure(0)
 
     # dangling parent pointer
     bad = fresh()
-    bad.nodes["x"] = Node("x", "ghost", PlayerController("a"), 10, 0,
-                          [Grant(NATIVE, 1, 0, 10)])
+    bad.put(Node("x", "ghost", PlayerController("a"), 10, 0,
+                 [Grant(NATIVE, 1, 0, 10)]))
     with pytest.raises(UpdateRefused):
         bad.validate_structure(0)
 
@@ -280,7 +281,7 @@ def test_validate_structure_error_catalogue():
     good = _spawn(fresh(), "am", ROOT_ID, "a", "ann", 50, [Grant(NATIVE, ETH, 0, 50)])
     bad = good.clone()
     gen.edit_node(bad, "a", grants=[])
-    bad.nodes["b"] = Node("b", "a", PlayerController("b"), 60, 0, [])
+    bad.put(Node("b", "a", PlayerController("b"), 60, 0, []))
     with _refused("b outlives its parent"):
         bad.validate_structure(0)
 
@@ -324,8 +325,8 @@ def test_validate_coverage_and_conflicts():
 
     # a grandchild grant with no covering source upstream
     bad = base.clone()
-    bad.nodes["g"] = Node("g", "a", PlayerController("gary"), 50, 0,
-                          [Grant(destination(D2), 1, 0, 50)])
+    bad.put(Node("g", "a", PlayerController("gary"), 50, 0,
+                 [Grant(destination(D2), 1, 0, 50)]))
     with _refused(f"g grant on dest:{D2.hex()} has no source"):
         bad.validate_structure(0)
 
@@ -345,16 +346,16 @@ def test_validate_coverage_and_conflicts():
 
     # delegating from a node that holds no fungible grant
     bad = base.clone()
-    bad.nodes["k"] = Node("k", "a", PlayerController("kim"), 50, 0,
-                          [Grant(NATIVE, ETH, 0, 50)])
+    bad.put(Node("k", "a", PlayerController("kim"), 50, 0,
+                 [Grant(NATIVE, ETH, 0, 50)]))
     gen.edit_node(bad, "a", grants=[Grant(destination(D1), 1, 0, 100)])
     with _refused(f"k grant on {NATIVE.label()} has no source"):
         bad.validate_structure(0)
 
     # over-delegating a fungible slice
     bad = base.clone()
-    bad.nodes["k"] = Node("k", "a", PlayerController("kim"), 100, 0,
-                          [Grant(NATIVE, 5 * ETH, 0, 100)])
+    bad.put(Node("k", "a", PlayerController("kim"), 100, 0,
+                 [Grant(NATIVE, 5 * ETH, 0, 100)]))
     with _refused("a over-delegates balance"):
         bad.validate_structure(0)
 
@@ -388,8 +389,13 @@ def test_clone_isolation():
     twin.seal("x", destination(D1))
     assert len(tree.nodes["alice"].grants) == 2
     assert destination(D1).encode() not in tree.manual_seals
-    # a tree is plain data: programs and the ledger live on the wallet policy
-    assert set(vars(tree)) == set(vars(twin)) == {"nodes", "native_capacity", "manual_seals"}
+    # a tree is plain data: programs and the ledger live on the wallet policy;
+    # beside the table it keeps only the indexes its writes maintain
+    assert set(vars(tree)) == set(vars(twin)) == {
+        "nodes", "native_capacity", "manual_seals",
+        "_children", "_held", "_rank", "_next_rank", "written",
+    }
+    assert list(twin.written) == ["alice"]  # a clone starts with nothing written
 
 
 def test_nodes_are_values():
@@ -423,14 +429,63 @@ def test_nodes_for_player_ordering():
     assert tree.nodes_for_player("nobody") == []
 
 
+def test_indexes_agree_with_a_table_walk():
+    """After any run of puts and removes (new ids, replaced nodes, moves
+    to another parent or controller, removals and ids put back), the
+    indexes answer what a walk of the table would, in table order, and a
+    clone's ``written`` names exactly the ids written since the clone."""
+    players = ["ann", "bob", "cy"]
+    for trial in range(30):
+        rng = random.Random(8200 + trial)
+        tree = gen.build_tree(rng, max_nodes=16).tree.clone()
+        gone, written = [], set()
+        for _ in range(40):
+            ids = sorted(tree.nodes)
+            move = rng.random()
+            if move < 0.3 and len(ids) > 1:
+                node_id = rng.choice([i for i in ids if i != ROOT_ID])
+                gen.edit_node(tree, node_id, parent=rng.choice(ids + ["ghost"]))
+            elif move < 0.5 and len(ids) > 1:
+                node_id = rng.choice([i for i in ids if i != ROOT_ID])
+                controller = rng.choice([PlayerController(rng.choice(players)), ProgramController("p")])
+                gen.edit_node(tree, node_id, controller=controller)
+            elif move < 0.7 and len(ids) > 1:
+                node_id = rng.choice([i for i in ids if i != ROOT_ID])
+                gone.append(tree.nodes[node_id])
+                tree.remove(node_id)
+            elif move < 0.85 and gone:
+                node = gone.pop(rng.randrange(len(gone)))
+                node_id = node.node_id
+                tree.put(node)  # back at the end of the table
+            else:
+                node_id = f"x{trial}.{len(written)}"
+                parent = rng.choice(ids)
+                tree.put(Node(node_id, parent, PlayerController(rng.choice(players)), 10, rng.randint(0, 9)))
+            written.add(node_id)
+            parents = {node.parent for node in tree.nodes.values()} | set(tree.nodes)
+            for parent in parents:
+                want = [node for node in tree.nodes.values() if node.parent == parent]
+                assert tree.children(parent) == want, (trial, parent)
+            for player in players + ["nobody"]:
+                want = [
+                    node for node in tree.nodes.values()
+                    if node.node_id != ROOT_ID
+                    and node.controller in (PlayerController(player), ProgramController("p"))
+                ]
+                want.sort(key=lambda n: (n.created_at, n.node_id))
+                assert tree.nodes_for_player(player) == want, (trial, player)
+            assert tree.in_table_order(set(tree.nodes)) == list(tree.nodes)
+            assert set(tree.written) == written
+
+
 def test_snapshot_digest_ignores_insertion_order():
     def build(order):
         tree = PolicyTree("am", native_capacity=10 * ETH)
         for node_id in order:
-            tree.nodes[node_id] = Node(
+            tree.put(Node(
                 node_id, ROOT_ID, PlayerController(node_id), 100, 0,
                 [Grant(NATIVE, ETH, 0, 100)],
-            )
+            ))
         return tree
 
     one = build(["a", "b", "c"])

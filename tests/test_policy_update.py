@@ -91,7 +91,7 @@ def test_spawn_rejects_duplicate_ids_and_expired_parents():
 def test_live_nodes_cannot_be_removed():
     tree = _base()
     candidate = tree.clone()
-    del candidate.nodes["a"]
+    candidate.remove("a")
     with pytest.raises(UpdateRefused):
         check_update("am", tree, candidate, _st(50))
     # after expiry the same removal is routine garbage collection
@@ -182,7 +182,7 @@ def test_new_child_under_expired_parent_fails():
         [Grant(NATIVE, 4 * ETH, 0, 100)], _st(),
     )
     candidate = tree.clone()
-    candidate.nodes["kid"] = Node("kid", "a", _pc("kim"), 100, 101, [])
+    candidate.put(Node("kid", "a", _pc("kim"), 100, 101, []))
     with _refused("a has expired"):
         check_update("ann", tree, candidate, _st(101))
 
@@ -315,8 +315,8 @@ def test_refused_transitions_do_violate_something():
 
     # conjuring an unsourced grant breaks bullet (c)
     conjured = tree.clone()
-    conjured.nodes["e"] = Node("e", ROOT_ID, _pc("eve"), 100, 0,
-                               [Grant(destination(D2), 1, 0, 100)])
+    conjured.put(Node("e", ROOT_ID, _pc("eve"), 100, 0,
+                      [Grant(destination(D2), 1, 0, 100)]))
     with pytest.raises(UpdateRefused):
         check_update("eve", tree, conjured, _st())
     assert betaref.bullet_violations(
@@ -385,10 +385,10 @@ def test_check_update_agrees_with_full_rescan_reference():
 def test_sibling_unit_overlap_is_found_among_fungible_grants():
     tree = PolicyTree("am", native_capacity=10 * ETH)
     for node_id in ("a", "b"):
-        tree.nodes[node_id] = Node(
+        tree.put(Node(
             node_id, ROOT_ID, _pc(node_id), 100, 0,
             [Grant(NATIVE, ETH, 0, 100), Grant(destination(D1), 1, 50, 100)],
-        )
+        ))
     for check in (tree.validate_structure, lambda t: treeref.validate_structure_ref(tree, t)):
         with pytest.raises(UpdateRefused) as raised:
             check(0)
@@ -400,10 +400,10 @@ def _wide_tree(size):
     destination of its own."""
     tree = PolicyTree("am", native_capacity=size * ETH)
     for i in range(size - 1):
-        tree.nodes[f"c{i}"] = Node(
+        tree.put(Node(
             f"c{i}", ROOT_ID, _pc("ann"), 100, 0,
             [Grant(NATIVE, ETH, 0, 100), Grant(destination(i.to_bytes(20, "big")), 1, 0, 100)],
-        )
+        ))
     return tree
 
 
@@ -413,12 +413,12 @@ def _deep_tree(size):
     tree = PolicyTree("am", native_capacity=10 * ETH)
     parent = ROOT_ID
     for i in range(size - 2):
-        tree.nodes[f"c{i}"] = Node(
+        tree.put(Node(
             f"c{i}", parent, _pc("ann"), 1000, 0,
             [Grant(NATIVE, ETH, 0, 1000), Grant(destination(D1), 1, 0, 1000)],
-        )
+        ))
         parent = f"c{i}"
-    tree.nodes["tip"] = Node("tip", parent, _pc("ann"), 100, 0, [Grant(destination(D1), 1, 0, 100)])
+    tree.put(Node("tip", parent, _pc("ann"), 100, 0, [Grant(destination(D1), 1, 0, 100)]))
     return tree
 
 

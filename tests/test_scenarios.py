@@ -265,7 +265,7 @@ def _collect_expired(engine, wallet_id):
     candidate = tree.clone()
     for node_id, node in tree.nodes.items():
         if t > node.expiry:
-            del candidate.nodes[node_id]
+            candidate.remove(node_id)
     check_update("am", tree, candidate, st)
     wallet.policy.tree = candidate
     return len(tree.nodes) - len(candidate.nodes)
@@ -423,6 +423,10 @@ def test_cli_exit_codes(case, tmp_path, capsys):
     "oracle.finalized.mean_s=inf",
     "oracle.trials=1",
     "oracle.mode=finalised",
+    "engine.seed=-1",
+    "engine.seed=18446744073709551616",
+    "chain.chain_id=-1",
+    "fallback.repos=0",
 ])
 def test_cli_reports_a_malformed_config_value(header, tmp_path, capsys):
     path = tmp_path / "bad.scn"
