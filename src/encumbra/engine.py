@@ -3,9 +3,10 @@
 The engine owns the clock.  ``advance`` moves both chains forward in
 lockstep, flushes batched escrow replication, and (while the sentinel
 is marked up) answers any open liveness challenge at the moment it
-would otherwise lapse.  Everything else is a thin, deterministic
-facade over the subsystems: wallet manager, per-wallet transaction
-ledgers, the governance market, and the recovery fallback.
+would otherwise lapse.  Beyond that it is a thin, deterministic facade
+that spans the subsystems: it creates wallets with their funding and
+ledgers, builds transactions at the oracle's nonce, answers challenges,
+recovers keys and checks invariants.  Tree changes go to the manager.
 
 Determinism contract: two engines built from equal configs that
 execute equal call sequences produce byte-identical signatures, block
@@ -14,18 +15,16 @@ hashes, and report numbers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import crypto
 from .config import Config, ORACLE_MODES
 from .darkdao import DarkDao
-from .errors import EngineError, StepFailure, UnknownAccount, UnknownWallet
+from .errors import EngineError, StepFailure, UnknownAccount, UnknownPolicy, UnknownWallet
 from .fallback.system import FallbackSystem, verify_released_key
 from .fallback.trigger import TriggerContract, TriggerState, ping_message
 from .manager import Wallet, WalletManager
 from .messages import ChainTx, signing_digest
-from .policy.tree import Grant, PlayerController, ProgramController
-from .assets import AssetKind
 from .simchain import SignedTx, SimChain
 from .state import OracleState
 from .txpolicy import TxLedger
@@ -114,10 +113,7 @@ class Engine:
         if ledger is not None:
             nonce = ledger.recognized_nonce
         else:
-            try:
-                nonce = self.chain.nonce(self.manager.wallet(wallet_id).address)
-            except UnknownWallet:
-                nonce = 0
+            nonce = self.chain.nonce(self.manager.wallet(wallet_id).address)
         return OracleState(
             chain_time=self.chain.time,
             block_hashes=self.chain.recent_block_hashes(),
@@ -158,6 +154,8 @@ class Engine:
         fund_wei: int = 0,
         with_ledger: bool = False,
     ) -> Wallet:
+        if with_ledger and policy_kind != "tree":
+            raise UnknownPolicy("wallet has no delegation tree")
         wallet = self.manager.lw_gen(
             access_manager=access_manager,
             wallet_id=wallet_id,
@@ -254,6 +252,8 @@ class Engine:
     ) -> ChainTx:
         if nonce is None:
             nonce = self._oracle_state(wallet_id).recognized_nonce
+        else:
+            self.manager.wallet(wallet_id)  # refuses a wallet that does not exist
         return self.build_tx(to, value, nonce, gas_limit, fee_gwei)
 
     def signed_wallet_tx(
@@ -278,47 +278,6 @@ class Engine:
             fee_gwei=fee_gwei,
         )
         return SignedTx(tx=tx, signature=key.sign(signing_digest(tx)))
-
-    # ------------------------------------------------------------------
-    # policy-tree helpers
-
-    def spawn_node(
-        self,
-        actor: str,
-        wallet_id: str,
-        parent_id: str,
-        node_id: str,
-        controller_player: Optional[str],
-        expiry: int,
-        grants: Sequence[Grant],
-        program_name: Optional[str] = None,
-    ) -> None:
-        if (controller_player is None) == (program_name is None):
-            raise StepFailure("spawn needs exactly one of controller= and program=")
-        if program_name is not None:
-            controller = ProgramController(program_name)
-        else:
-            controller = PlayerController(controller_player)
-        self.manager.spawn_node(
-            actor, wallet_id, parent_id, node_id, controller, expiry, grants
-        )
-        self._register_dest_grants(wallet_id, node_id, grants)
-
-    def add_grants(
-        self, actor: str, wallet_id: str, node_id: str, grants: Sequence[Grant]
-    ) -> None:
-        self.manager.add_node_grants(actor, wallet_id, node_id, grants)
-        self._register_dest_grants(wallet_id, node_id, grants)
-
-    def _register_dest_grants(
-        self, wallet_id: str, node_id: str, grants: Sequence[Grant]
-    ) -> None:
-        ledger = self.ledgers.get(wallet_id)
-        if ledger is None:
-            return
-        for grant in grants:
-            if grant.asset.kind is AssetKind.DESTINATION_ADDRESS:
-                ledger.register_grant(node_id, grant.asset.address)
 
     # ------------------------------------------------------------------
     # liveness and recovery

@@ -7,14 +7,13 @@ entry *before* producing the signature — the log can over-approximate
 what escaped, never under-approximate.
 
 Policy objects are registry-compiled (approve-all, approve-none, or a
-delegation tree); updates are gated by the wallet's update rule.  Tree
-transitions go through the structural update predicate; registry swaps
-are only admitted under the permissive rule used in tests.
-
-Every tree change (spawn, re-grant, seal, unseal) is one swap: a
-successor built from a clone is installed on the wallet's tree policy,
-which keeps its programs and ledger.  An installed tree never changes,
-so undoing a change puts the previous tree back.
+delegation tree); registry swaps are only admitted under the ``any``
+update rule.  Every tree change (spawn, re-grant, seal, unseal) takes
+one path: a ``frozen`` wallet is refused first, ``policy.update``
+checks who may make the change and returns a successor tree, and
+``_install_tree`` swaps it onto the wallet's tree policy (which keeps
+its programs and ledger), then tells the ledger of each destination
+carved.  An installed tree never changes, so undo puts the old one back.
 
 Refusals are uniform: a caller learns that the policy said no, and
 nothing else.
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import crypto
-from .assets import AssetId
+from .assets import AssetId, AssetKind
 from .errors import (
     PolicyRefusal,
     UnknownPlayer,
@@ -46,7 +45,6 @@ from .policy.tree import (
     Controller,
     Grant,
     INFINITE_EXPIRY,
-    PlayerController,
     PolicyTree,
 )
 from .policy import update as tree_update
@@ -263,48 +261,49 @@ class WalletManager:
         expiry: int,
         grants: Sequence[Grant],
     ) -> None:
-        wallet = self.wallet(wallet_id)
+        wallet = self._changeable(wallet_id)
         st = self._state_triple(wallet, b"")
         new_tree = tree_update.spawn(
-            self.tree_of(wallet_id), actor, parent_id, node_id, controller, expiry, grants, st
+            wallet.policy.tree, actor, parent_id, node_id, controller, expiry, grants, st
         )
-        self._install_tree(wallet, new_tree, PRIVILEGE_INCREASE)
+        self._install_tree(wallet, new_tree, PRIVILEGE_INCREASE, node_id, grants)
 
     def add_node_grants(
         self, actor: str, wallet_id: str, node_id: str, grants: Sequence[Grant]
     ) -> None:
-        wallet = self.wallet(wallet_id)
+        wallet = self._changeable(wallet_id)
         st = self._state_triple(wallet, b"")
-        new_tree = tree_update.add_grants(self.tree_of(wallet_id), actor, node_id, grants, st)
-        self._install_tree(wallet, new_tree, PRIVILEGE_INCREASE)
+        new_tree = tree_update.add_grants(wallet.policy.tree, actor, node_id, grants, st)
+        self._install_tree(wallet, new_tree, PRIVILEGE_INCREASE, node_id, grants)
 
     def seal_asset(self, actor: str, wallet_id: str, node_id: str, asset: AssetId) -> None:
-        wallet = self.wallet(wallet_id)
-        tree = self.tree_of(wallet_id)
-        node = tree.nodes.get(node_id)
-        if node is None:
-            raise UpdateRefused(f"unknown node {node_id}")
-        if actor != wallet.access_manager and node.controller != PlayerController(actor):
-            raise UpdateRefused(f"actor may not seal for {node_id}")
-        sealed = tree.clone()
-        sealed.seal(node_id, asset)
-        self._install_tree(wallet, sealed, PRIVILEGE_DECREASE)
+        wallet = self._changeable(wallet_id)
+        new_tree = tree_update.seal(wallet.policy.tree, actor, node_id, asset)
+        self._install_tree(wallet, new_tree, PRIVILEGE_DECREASE)
 
     def unseal_asset(self, actor: str, wallet_id: str, asset: AssetId) -> None:
-        wallet = self.wallet(wallet_id)
-        if actor != wallet.access_manager:
-            raise UpdateRefused("only the access manager may unseal")
-        unsealed = self.tree_of(wallet_id).clone()
-        unsealed.unseal(asset)
-        self._install_tree(wallet, unsealed, PRIVILEGE_INCREASE)
+        wallet = self._changeable(wallet_id)
+        new_tree = tree_update.unseal(wallet.policy.tree, actor, asset)
+        self._install_tree(wallet, new_tree, PRIVILEGE_INCREASE)
 
-    def _install_tree(self, wallet: Wallet, tree: PolicyTree, change_class: str) -> None:
+    def _changeable(self, wallet_id: str) -> Wallet:
+        """The tree wallet ``wallet_id``, refused at once if ``frozen``."""
+        wallet = self.wallet(wallet_id)
+        if not isinstance(wallet.policy, TreeWalletPolicy):
+            raise UnknownPolicy("wallet has no delegation tree")
+        if wallet.update_rule == "frozen":
+            raise UpdateRefused(f"{wallet_id} is frozen")
+        return wallet
+
+    def _install_tree(
+        self, wallet: Wallet, tree: PolicyTree, change_class: str,
+        node_id: str = "", grants: Sequence[Grant] = (),
+    ) -> None:
         """Commit a tree change: the one place a wallet's tree is swapped.
 
-        A wallet created with the ``frozen`` update rule takes none.
+        Once it has replicated, the wallet's ledger, if any, learns each
+        destination in ``grants`` carved to ``node_id``.
         """
-        if wallet.update_rule == "frozen":
-            raise UpdateRefused(f"{wallet.wallet_id} is frozen")
         policy = wallet.policy
         old_tree = policy.tree
         policy.tree = tree
@@ -315,6 +314,11 @@ class WalletManager:
             wallet.policy_version -= 1
 
         self._notify(wallet.wallet_id, change_class, undo)
+        ledger = policy.ledger
+        if ledger is not None:
+            for grant in grants:
+                if grant.asset.kind is AssetKind.DESTINATION_ADDRESS:
+                    ledger.register_grant(node_id, grant.asset.address)
 
     def _notify(
         self,

@@ -394,7 +394,7 @@ class PolicyTree:
         ``StateTriple.outstanding`` records for a log entry with no
         node: it may name no live node (a seal outlives the garbage
         collection of its node).  Callers that take an owner from
-        outside validate it, as ``WalletManager.seal_asset`` does.
+        outside validate it, as ``policy.update.seal`` does.
         """
         self.manual_seals[asset.encode()] = node_id
 

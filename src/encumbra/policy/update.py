@@ -23,6 +23,14 @@ come from the same triple; the checks take no time beside it:
 * carved capacity must be unsealed — no outstanding signature may be
   able to spend what is being handed over.
 
+``seal`` and ``unseal`` touch only the manual seals and read no triple:
+the access manager (the root's controller) or a node's controller may
+seal for that node, and only the access manager may unseal.  After the
+permission checks, a change that changes nothing is refused: an empty
+re-grant, a seal already held by that node, an unseal of no seal.  Each
+change returns a successor tree for ``WalletManager`` to install, which
+refuses a ``frozen`` wallet before any rule here runs.
+
 Every refusal is one ``UpdateRefused`` whose reason is in ``.detail``
 only, so a player who controls nothing cannot tell from a refusal
 which assets, windows or node ids other players hold.
@@ -49,7 +57,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..assets import AssetKind
+from ..assets import AssetId, AssetKind
 from ..errors import UpdateRefused
 from ..state import StateTriple
 from .tree import Controller, Grant, Node, PlayerController, PolicyTree, ROOT_ID
@@ -277,4 +285,30 @@ def add_grants(
     candidate = tree.clone()
     candidate.put(replace(node, grants=node.grants + tuple(grants)))
     check_update(actor, tree, candidate, st)
+    return candidate
+
+
+def seal(tree: PolicyTree, actor: str, node_id: str, asset: AssetId) -> PolicyTree:
+    """Seal ``asset`` for every node but ``node_id``."""
+    node = tree.nodes.get(node_id)
+    if node is None:
+        raise UpdateRefused(f"unknown node {node_id}")
+    player = PlayerController(actor)
+    if player != tree.nodes[ROOT_ID].controller and player != node.controller:
+        raise UpdateRefused(f"actor may not seal for {node_id}")
+    if tree.manual_seals.get(asset.encode()) == node_id:
+        raise UpdateRefused(f"{asset.label()} is already sealed for {node_id}")
+    candidate = tree.clone()
+    candidate.seal(node_id, asset)
+    return candidate
+
+
+def unseal(tree: PolicyTree, actor: str, asset: AssetId) -> PolicyTree:
+    """Lift the manual seal on ``asset``."""
+    if PlayerController(actor) != tree.nodes[ROOT_ID].controller:
+        raise UpdateRefused("only the access manager may unseal")
+    if asset.encode() not in tree.manual_seals:
+        raise UpdateRefused(f"{asset.label()} holds no seal")
+    candidate = tree.clone()
+    candidate.unseal(asset)
     return candidate

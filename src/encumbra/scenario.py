@@ -26,7 +26,7 @@ from .engine import Engine, dao_domain, proposal_id_of
 from .errors import EngineError, ParseError, StepFailure
 from .fallback.trigger import TriggerState
 from .messages import ChainTx, PersonalSign, signing_digest
-from .policy.tree import Grant, INFINITE_EXPIRY
+from .policy.tree import Grant, INFINITE_EXPIRY, PlayerController, ProgramController
 from .simchain import SignedTx
 
 
@@ -212,11 +212,14 @@ class ScenarioRunner:
             raise StepFailure(f"unknown tx symbol {name!r}")
         return found
 
-    def _bind(self, kwargs: Dict[str, str], signed: SignedTx) -> str:
-        symbol = kwargs.get("as")
+    def _unbound(self, symbol: Optional[str]) -> Optional[str]:
+        """``symbol``, refused if bound; checked before a step signs."""
+        if symbol in self.symbols:
+            raise StepFailure(f"tx symbol {symbol!r} already bound")
+        return symbol
+
+    def _bind(self, symbol: Optional[str], signed: SignedTx) -> str:
         if symbol is not None:
-            if symbol in self.symbols:
-                raise StepFailure(f"tx symbol {symbol!r} already bound")
             self.symbols[symbol] = signed
         return signed.digest.hex()[:12]
 
@@ -352,15 +355,15 @@ def _cmd_advance(r: ScenarioRunner, pos, kw) -> str:
 @command("spawn", "wallet", "actor node", f"parent controller program {GRANT_KEYS}")
 def _cmd_spawn(r: ScenarioRunner, pos, kw) -> str:
     grants = r._grants_from(kw)
-    r.engine.spawn_node(
-        actor=kw["actor"],
-        wallet_id=pos[0],
-        parent_id=kw.get("parent", "root"),
-        node_id=kw["node"],
-        controller_player=kw.get("controller"),
-        expiry=r.parse_time(kw.get("expiry", "inf")),
-        grants=grants,
-        program_name=kw.get("program"),
+    if ("controller" in kw) == ("program" in kw):
+        raise StepFailure("spawn needs exactly one of controller= and program=")
+    if "program" in kw:
+        controller = ProgramController(kw["program"])
+    else:
+        controller = PlayerController(kw["controller"])
+    r.engine.manager.spawn_node(
+        kw["actor"], pos[0], kw.get("parent", "root"), kw["node"], controller,
+        r.parse_time(kw.get("expiry", "inf")), grants,
     )
     return f"{pos[0]}/{kw['node']} grants={len(grants)}"
 
@@ -368,7 +371,7 @@ def _cmd_spawn(r: ScenarioRunner, pos, kw) -> str:
 @command("grant", "wallet", "actor node", GRANT_KEYS)
 def _cmd_grant(r: ScenarioRunner, pos, kw) -> str:
     grants = r._grants_from(kw)
-    r.engine.add_grants(kw["actor"], pos[0], kw["node"], grants)
+    r.engine.manager.add_node_grants(kw["actor"], pos[0], kw["node"], grants)
     return f"{pos[0]}/{kw['node']} +{len(grants)}"
 
 
@@ -407,9 +410,7 @@ def _build_request(r: ScenarioRunner, wallet_id: str, kw) -> ChainTx:
 def _cmd_build(r: ScenarioRunner, pos, kw) -> str:
     """Prepare an unsigned request so its digest can be committed."""
     tx = _build_request(r, pos[0], kw)
-    if kw["as"] in r.symbols:
-        raise StepFailure(f"tx symbol {kw['as']!r} already bound")
-    r.symbols[kw["as"]] = Request(tx)
+    r.symbols[r._unbound(kw["as"])] = Request(tx)
     return f"{pos[0]} nonce={tx.nonce} {signing_digest(tx).hex()[:12]}"
 
 
@@ -421,8 +422,9 @@ def _cmd_sign(r: ScenarioRunner, pos, kw) -> str:
         tx = _build_request(r, pos[0], kw)
     else:
         raise StepFailure("sign needs tx= or both to= and value=")
+    symbol = r._unbound(kw.get("as"))
     signed = r.engine.signed_wallet_tx(kw["player"], pos[0], tx)
-    return f"{pos[0]} nonce={tx.nonce} {r._bind(kw, signed)}"
+    return f"{pos[0]} nonce={tx.nonce} {r._bind(symbol, signed)}"
 
 
 @command("sign-personal", "wallet", "player payload")
@@ -448,7 +450,7 @@ def _cmd_xfer(r: ScenarioRunner, pos, kw) -> str:
         to=r.engine.resolve_address(kw["to"]),
         value=parse_amount(kw["value"]),
     )
-    summary = r._bind(kw, signed)
+    summary = r._bind(r._unbound(kw.get("as")), signed)
     if kw.get("submit", "on") == "on":
         r.engine.chain.submit(signed)
     return f"{pos[0]} {summary}"

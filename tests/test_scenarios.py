@@ -137,6 +137,96 @@ def test_a_frozen_tree_wallet_takes_no_tree_change():
     assert manager.wallet("t").policy_version == 6
 
 
+def test_a_seal_or_unseal_that_changes_nothing_is_refused():
+    # A no-op would still commit a tree: it would bump policy_version
+    # and write escrow (a blocking write for a seal, a queued increase
+    # for an unseal).  Each refused step leaves the run as if it were
+    # not there.
+    head = (
+        "player am\nplayer alice\naccount shop\naccount cafe\n"
+        "wallet w am=am capacity=1eth\n"
+        "spawn w actor=am node=n controller=alice dest=shop\n"
+        "seal w actor=am node=n dest=shop\n"
+    )
+    noops = [
+        "? seal w actor=am node=n dest=shop\n",
+        "? seal w actor=alice node=n dest=shop\n",
+        "? unseal w actor=am dest=cafe\n",
+    ]
+    tail = "unseal w actor=am dest=shop\n"
+
+    def state(runner):
+        engine = runner.engine
+        wallet = engine.manager.wallet("w")
+        return (
+            wallet.policy_version,
+            engine.fallback.version,
+            list(engine.fallback.pending_increases),
+            dict(wallet.policy.tree.manual_seals),
+        )
+
+    assert state(_run(head)) == state(_run(head + "".join(noops)))
+    clean = _run(head + tail)
+    refused = _run(head + "".join(noops) + tail + "? unseal w actor=am dest=shop\n")
+    assert state(refused) == state(clean)
+    assert [line.split(" ", 2)[2] for line in refused.transcript if line.startswith("refused")] == [
+        "seal UpdateRefused", "seal UpdateRefused", "unseal UpdateRefused", "unseal UpdateRefused",
+    ]
+    # sealing the asset for another node is a change, not a no-op
+    moved = _run(head + "spawn w actor=am node=m controller=alice\nseal w actor=am node=m dest=shop\n")
+    assert set(moved.engine.manager.tree_of("w").manual_seals.values()) == {"m"}
+
+
+def test_a_refused_wallet_step_leaves_nothing_behind():
+    head = "player am\n"
+    tail = "wallet w am=am\nwallet v am=am\n"
+    clean = _run(head + tail)
+    refused = _run(head + "? wallet w am=am policy=allow fund=1eth ledger=on\n" + tail)
+    assert refused.transcript[1] == "refused L2 wallet UnknownPolicy"
+
+    def state(runner):
+        engine = runner.engine
+        return (
+            [wallet.wallet_id for wallet in engine.manager.wallets()],
+            engine.chain.minted,
+            engine.fallback.version,
+            engine.manager.wallet("w").address,
+            engine.manager.wallet("v").address,
+            engine.chain.balance(engine.manager.wallet("w").address),
+            dict(engine.ledgers),
+        )
+
+    assert state(refused) == state(clean)
+
+
+def test_a_refused_sign_to_a_bound_symbol_signs_nothing():
+    script = (
+        "player am\nplayer alice\naccount shop\nwallet w am=am capacity=10eth\n"
+        "spawn w actor=am node=n controller=alice native=1eth dest=shop\n"
+        "sign w player=alice to=shop value=1wei nonce=0 as=t\n"
+    )
+    clean = _run(script)
+    refused = _run(script + "? sign w player=alice to=shop value=1wei nonce=1 as=t\n")
+    assert refused.transcript[-1] == "refused L7 sign StepFailure"
+    for runner in (clean, refused):
+        wallet = runner.engine.manager.wallet("w")
+        assert (len(wallet.intst), wallet.policy_version) == (1, 1)
+    assert refused.symbols["t"].tx.nonce == 0  # the first binding stands
+
+
+@pytest.mark.parametrize("step", [
+    "build ghost to=shop value=1wei as=t",
+    "build ghost to=shop value=1wei nonce=3 as=t",
+    "sign ghost player=am to=shop value=1wei",
+    "sign ghost player=am to=shop value=1wei nonce=3",
+    "sign-personal ghost player=am payload=hi",
+])
+def test_a_step_on_an_unknown_wallet_is_refused(step):
+    runner = _run("player am\naccount shop\n? " + step + "\n")
+    assert runner.transcript[-1] == f"refused L3 {step.split()[0]} UnknownWallet"
+    assert runner.symbols == {}
+
+
 def test_a_ledger_wallet_swapped_off_its_tree_refuses_ledger_commands():
     runner = _run(
         "player am\naccount payer fund=1eth\n"

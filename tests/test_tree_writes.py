@@ -9,6 +9,11 @@ So outside ``PolicyTree``'s own methods no file in ``src/encumbra`` or
 ``tests`` (the oracles included) assigns or deletes an item of a
 ``.nodes`` attribute or calls a mutating method on one; ``put`` and
 ``remove`` do that work.
+
+A wallet's tree changes on one path, so the rules on who may change it
+live in one module: in ``src/encumbra`` only ``policy/update.py`` calls
+``.clone()`` (to build a successor tree), and only
+``WalletManager._install_tree`` assigns a policy's ``tree``.
 """
 
 import ast
@@ -40,6 +45,62 @@ def _writes(tree):
                 found.append(node.lineno)
         stack.extend(ast.iter_child_nodes(node))
     return sorted(found)
+
+
+def _is_policy(node):
+    return (isinstance(node, ast.Name) and node.id == "policy") or (
+        isinstance(node, ast.Attribute) and node.attr == "policy"
+    )
+
+
+def _tree_changes(tree, may_clone):
+    """The lines of ``tree`` that call ``.clone()`` (unless
+    ``may_clone``) or store to or delete a ``policy.tree`` outside the
+    body of ``_install_tree``."""
+    found = []
+    stack = [(tree, False)]
+    while stack:
+        node, installing = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "_install_tree":
+            installing = True
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "clone" and not may_clone:
+                found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if node.attr == "tree" and _is_policy(node.value) and not installing:
+                found.append(node.lineno)
+        stack.extend((child, installing) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_trees_change_only_through_the_update_module():
+    source = ROOT / "src" / "encumbra"
+    update = source / "policy" / "update.py"
+    changes = []
+    for path in sorted(source.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = _tree_changes(tree, may_clone=path == update)
+        changes += [f"{path.relative_to(ROOT)}:{line}" for line in lines]
+    assert changes == []
+
+
+def test_the_check_finds_each_tree_change():
+    source = (
+        "t2 = tree.clone()\n"
+        "wallet.policy.tree = t2\n"
+        "policy.tree = t2\n"
+        "del policy.tree\n"
+        "policy.tree, x = t2, 1\n"
+        "class WalletManager:\n"
+        "    def _install_tree(self, wallet, tree):\n"
+        "        policy.tree = tree\n"
+        "        def undo():\n"
+        "            policy.tree = None\n"
+        "self.tree = t2\n"
+        "x = policy.tree\n"
+    )
+    assert _tree_changes(ast.parse(source), may_clone=False) == [1, 2, 3, 4, 5]
+    assert _tree_changes(ast.parse(source), may_clone=True) == [2, 3, 4, 5]
 
 
 def test_node_tables_are_written_only_by_the_tree():

@@ -282,8 +282,8 @@ def test_the_ledger_gates_signing_across_tree_swaps():
     plain = engine.create_wallet("plain", "am", native_capacity=10 * ETH, fund_wei=10 * ETH)
     ledger = engine.attach_ledger("gated")
     for wallet in (gated, plain):
-        engine.spawn_node(
-            "am", wallet.wallet_id, ROOT_ID, "n1", "renter", FAR,
+        engine.manager.spawn_node(
+            "am", wallet.wallet_id, ROOT_ID, "n1", PlayerController("renter"), FAR,
             [Grant(NATIVE, ETH, 0, FAR), Grant(destination(D1), 1, 0, FAR)],
         )
         engine.manager.seal_asset("am", wallet.wallet_id, "n1", destination(D1))
@@ -295,6 +295,28 @@ def test_the_ledger_gates_signing_across_tree_swaps():
     # ... but n1 has no ledger balance, so the ledger refuses it
     with pytest.raises(PolicyRefusal):
         engine.signed_wallet_tx("renter", "gated", tx)
+
+
+def test_every_destination_carve_through_the_manager_reaches_the_ledger():
+    """The manager registers a carved destination when the change
+    commits, so a spawn or re-grant made straight through it (as
+    ``DarkDao.enroll`` does) reaches the ledger as a scenario step does."""
+    engine = Engine()
+    for name in ("am", "renter"):
+        engine.manager.register_player(name)
+    engine.create_wallet("w", "am", native_capacity=10 * ETH, with_ledger=True)
+    ledger = engine.ledger_of("w")
+    logged = len(ledger.gas_log)
+    engine.manager.spawn_node(
+        "am", "w", ROOT_ID, "n1", PlayerController("renter"), FAR,
+        [Grant(NATIVE, ETH, 0, FAR), Grant(destination(D1), 1, 0, FAR)],
+    )
+    assert ledger.unlimited == {("n1", D1): False}
+    assert ledger.gas_log[logged:] == [(OP_ADD_SUB_POLICY, simulated_gas(OP_ADD_SUB_POLICY))]
+    engine.manager.spawn_node("am", "w", ROOT_ID, "n2", PlayerController("renter"), FAR, [])
+    engine.manager.add_node_grants("am", "w", "n2", [Grant(destination(D2), 1, 0, FAR)])
+    assert ledger.unlimited == {("n1", D1): False, ("n2", D2): False}
+    assert [op for op, _ in ledger.gas_log[logged:]] == [OP_ADD_SUB_POLICY] * 2
 
 
 def test_commit_request_rules():
