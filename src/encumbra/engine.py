@@ -7,6 +7,8 @@ would otherwise lapse.  Beyond that it is a thin, deterministic facade
 that spans the subsystems: it creates wallets with their funding and
 ledgers, builds transactions at the oracle's nonce, answers challenges,
 recovers keys and checks invariants.  Tree changes go to the manager.
+A wallet's ledger lives on its tree policy, made once with the wallet;
+``ledgers`` is a view derived from the wallets, not a table of its own.
 
 Determinism contract: two engines built from equal configs that
 execute equal call sequences produce byte-identical signatures, block
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from . import crypto
 from .config import Config, ORACLE_MODES
 from .darkdao import DarkDao
-from .errors import EngineError, StepFailure, UnknownAccount, UnknownPolicy, UnknownWallet
+from .errors import BadProof, EngineError, StepFailure, UnknownAccount, UnknownPolicy, UnknownWallet
 from .fallback.system import FallbackSystem, verify_released_key
 from .fallback.trigger import TriggerContract, TriggerState, ping_message
 from .manager import Wallet, WalletManager
@@ -76,7 +78,6 @@ class Engine:
         )
 
         self.manager = WalletManager(self.seed, ost_provider=self._oracle_state)
-        self.ledgers: Dict[str, TxLedger] = {}
         self.fallback = FallbackSystem(
             self.manager,
             self.seed,
@@ -108,12 +109,9 @@ class Engine:
     # ------------------------------------------------------------------
     # oracle and clock
 
-    def _oracle_state(self, wallet_id: str) -> OracleState:
-        ledger = self.ledgers.get(wallet_id)
-        if ledger is not None:
-            nonce = ledger.recognized_nonce
-        else:
-            nonce = self.chain.nonce(self.manager.wallet(wallet_id).address)
+    def _oracle_state(self, wallet: Wallet) -> OracleState:
+        ledger = wallet.policy.ledger
+        nonce = self.chain.nonce(wallet.address) if ledger is None else ledger.recognized_nonce
         return OracleState(
             chain_time=self.chain.time,
             block_hashes=self.chain.recent_block_hashes(),
@@ -166,31 +164,29 @@ class Engine:
         if fund_wei:
             self.chain.fund(wallet.address, fund_wei)
         if with_ledger:
-            self.attach_ledger(wallet_id)
+            policy, cfg = wallet.policy, self.config
+            policy.ledger = TxLedger(
+                wallet_id=wallet_id,
+                wallet_address=wallet.address,
+                chain=self.chain,
+                tree=lambda: policy.tree,
+                commit_required=cfg["txpolicy.commit_required"],
+                reimburse_wei=cfg["host.reimburse_gas"] * cfg["host.gas_price_gwei"] * GWEI,
+            )
         return wallet
 
-    def attach_ledger(self, wallet_id: str) -> TxLedger:
-        wallet = self.manager.wallet(wallet_id)
-        self.manager.tree_of(wallet_id)  # must be a tree-policy wallet
-        reimburse = (
-            self.config["host.reimburse_gas"]
-            * self.config["host.gas_price_gwei"]
-            * GWEI
-        )
-        ledger = TxLedger(
-            wallet_id=wallet_id,
-            wallet_address=wallet.address,
-            chain=self.chain,
-            tree=lambda: self.manager.tree_of(wallet_id),
-            commit_required=self.config["txpolicy.commit_required"],
-            reimburse_wei=reimburse,
-        )
-        wallet.policy.ledger = ledger
-        self.ledgers[wallet_id] = ledger
-        return ledger
+    @property
+    def ledgers(self) -> Dict[str, TxLedger]:
+        """Wallet id -> ledger, in wallet creation order: a view of the
+        wallets' policies, which are the one store of each ledger."""
+        return {
+            wallet.wallet_id: wallet.policy.ledger
+            for wallet in self.manager.wallets()
+            if wallet.policy.ledger is not None
+        }
 
     def ledger_of(self, wallet_id: str) -> TxLedger:
-        ledger = self.ledgers.get(wallet_id)
+        ledger = self.manager.wallet(wallet_id).policy.ledger
         if ledger is None:
             raise UnknownWallet(f"{wallet_id} has no transaction ledger")
         return ledger
@@ -250,10 +246,9 @@ class Engine:
         gas_limit: int = DEFAULT_GAS_LIMIT,
         fee_gwei: Optional[int] = None,
     ) -> ChainTx:
+        wallet = self.manager.wallet(wallet_id)
         if nonce is None:
-            nonce = self._oracle_state(wallet_id).recognized_nonce
-        else:
-            self.manager.wallet(wallet_id)  # refuses a wallet that does not exist
+            nonce = self._oracle_state(wallet).recognized_nonce
         return self.build_tx(to, value, nonce, gas_limit, fee_gwei)
 
     def signed_wallet_tx(
@@ -283,7 +278,10 @@ class Engine:
     # liveness and recovery
 
     def respond_challenge(self, responder: str) -> None:
-        """Produce a fresh sentinel ping and defeat the open challenge."""
+        """Produce a fresh sentinel ping and defeat the open challenge;
+        refused, with nothing signed, while the sentinel is down."""
+        if not self.sentinel_up:
+            raise BadProof("the sentinel is down")
         ping = ping_message(self.time)
         signature = self.manager.lw_sign(SENTINEL_OPERATOR, SENTINEL_WALLET, ping)
         self.trigger.respond(responder, ping, signature, self.time)
@@ -311,8 +309,9 @@ class Engine:
 
     def check_invariants(self) -> List[str]:
         """The violations, none when all hold, of: both chains conserve
-        value, each ledger's books balance, every tree is valid, and each
-        offer's reservations add up to ``reserved``, which escrow covers."""
+        value, the books of each ledger a wallet's policy holds balance,
+        every tree is valid, and each offer's reservations add up to
+        ``reserved``, which escrow covers."""
         problems = []
         for chain in (self.chain, self.reliable):
             gap = chain.minted - chain.total_circulating()

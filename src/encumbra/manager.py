@@ -8,12 +8,16 @@ what escaped, never under-approximate.
 
 Policy objects are registry-compiled (approve-all, approve-none, or a
 delegation tree); registry swaps are only admitted under the ``any``
-update rule.  Every tree change (spawn, re-grant, seal, unseal) takes
-one path: a ``frozen`` wallet is refused first, ``policy.update``
-checks who may make the change and returns a successor tree, and
-``_install_tree`` swaps it onto the wallet's tree policy (which keeps
-its programs and ledger), then tells the ledger of each destination
-carved.  An installed tree never changes, so undo puts the old one back.
+update rule, which ``lw_gen`` refuses for a tree wallet.  A swap could
+only discard the tree with its programs and ledger, and with them what
+the owner has sold (a delegated vote), so a wallet keeps the policy
+kind it was made with.  Every tree change (spawn, re-grant, seal,
+unseal) takes one path: a ``frozen`` wallet is refused first,
+``policy.update`` checks who may make the change and returns a
+successor tree, and ``_install_tree`` swaps it onto the wallet's tree
+policy (which keeps its programs and ledger), then tells the ledger of
+each destination carved.  An installed tree never changes, so undo puts
+the old one back.
 
 Refusals are uniform: a caller learns that the policy said no, and
 nothing else.
@@ -105,12 +109,12 @@ class WalletManager:
     def __init__(
         self,
         seed: bytes,
-        ost_provider: Optional[Callable[[str], OracleState]] = None,
+        ost_provider: Optional[Callable[[Wallet], OracleState]] = None,
     ):
         self._seed = seed
         self._wallets: Dict[str, Wallet] = {}
         self._players: Set[str] = set()
-        self._ost_provider = ost_provider or (lambda wallet_id: GENESIS_ORACLE)
+        self._ost_provider = ost_provider or (lambda wallet: GENESIS_ORACLE)
         # Observer for the recovery subsystem; receives
         # (wallet_id, change_class) after each committed change.
         self.on_policy_change: Optional[Callable[[str, str], None]] = None
@@ -123,7 +127,7 @@ class WalletManager:
         self._players.add(name)
         return crypto.derive_signing_key(self._seed, "player-auth", name).public_key
 
-    def set_ost_provider(self, provider: Callable[[str], OracleState]) -> None:
+    def set_ost_provider(self, provider: Callable[[Wallet], OracleState]) -> None:
         self._ost_provider = provider
 
     # ------------------------------------------------------------------
@@ -143,6 +147,8 @@ class WalletManager:
             raise UpdateRefused(f"wallet id {wallet_id} already exists")
         if update_rule not in UPDATE_RULES:
             raise UnknownPolicy(update_rule)
+        if policy_kind == "tree" and update_rule == "any":
+            raise UnknownPolicy("a tree wallet takes no registry swap")
         # Key material depends only on the wallet's creation index,
         # so equal seeds mint equal wallets regardless of what other
         # commands ran in between.
@@ -177,6 +183,8 @@ class WalletManager:
             return TreeWalletPolicy(tree)
         if kind not in REGISTRY_POLICIES:
             raise UnknownPolicy(kind)
+        if native_capacity is not None:
+            raise UnknownPolicy(f"policy {kind} takes no capacity")
         return REGISTRY_POLICIES[kind]()
 
     def wallet(self, wallet_id: str) -> Wallet:
@@ -195,7 +203,7 @@ class WalletManager:
         return policy.tree
 
     def _state_triple(self, wallet: Wallet, extst: bytes) -> StateTriple:
-        ost = self._ost_provider(wallet.wallet_id)
+        ost = self._ost_provider(wallet)
         return StateTriple(intst=tuple(wallet.intst), ost=ost, extst=extst)
 
     # ------------------------------------------------------------------

@@ -5,8 +5,11 @@ exist for bootstrapping and for the recovery sentinel (approve-all,
 approve-none); real wallets use a delegation tree.  Policy objects are
 compiled into the engine and addressed by a registry name, so a policy
 update is a transition between registered behaviors, never the arrival
-of foreign code.  A policy decides from the state triple alone: the
-instant is ``st.ost.chain_time`` and the nonce ``st.ost.recognized_nonce``.
+of foreign code.  A tree wallet is never swapped: ``lw_gen`` refuses a
+tree under the ``any`` rule, so its tree policy, and the programs and
+transaction ledger it holds, last as long as the wallet.  A policy
+decides from the state triple alone: the instant is
+``st.ost.chain_time`` and the nonce ``st.ost.recognized_nonce``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ if TYPE_CHECKING:
 
 class WalletPolicy:
     kind = "abstract"
+    # The wallet's transaction ledger; only a tree policy ever holds one.
+    ledger: Optional[TxLedger] = None
 
     def approves(
         self, player: str, message, st: StateTriple
@@ -60,7 +65,8 @@ class TreeWalletPolicy(WalletPolicy):
 
     The manager replaces ``tree`` on every change; the policy keeps what
     the plain-data tree does not hold: the programs, by name, and the
-    transaction ledger once one is attached.
+    transaction ledger, which ``Engine.create_wallet`` sets when it makes
+    the wallet.  The policy is the one store of that ledger.
     """
 
     kind = "tree"
@@ -68,7 +74,6 @@ class TreeWalletPolicy(WalletPolicy):
     def __init__(self, tree: PolicyTree):
         self.tree = tree
         self.programs: Dict[str, DaoVoteProgram] = {}
-        self.ledger: Optional[TxLedger] = None
 
     def approves(self, player, message, st):
         """The first vouching node decides.
@@ -90,7 +95,8 @@ class TreeWalletPolicy(WalletPolicy):
 
 # The one table of policy and update-rule names.  A wallet is created
 # with ``tree`` or a registry policy; ``lw_update`` swaps between
-# registry policies only, and only under the ``any`` rule.
+# registry policies only, and only under the ``any`` rule, which a tree
+# wallet may not take.
 REGISTRY_POLICIES = {
     "allow": AllowAllPolicy,
     "deny": DenyAllPolicy,

@@ -184,6 +184,15 @@ def parse_amount(text: str) -> int:
     return parse_int(lowered, "amount")
 
 
+def parse_switch(kw: Dict[str, str], key: str, default: str) -> bool:
+    """Key ``key`` (else ``default``) as ``on`` or ``off``; any other
+    value fails the step."""
+    value = kw.get(key, default)
+    if value not in ("on", "off"):
+        raise StepFailure(f"bad {key} {value!r}")
+    return value == "on"
+
+
 class ScenarioRunner:
     """Executes a parsed scenario against a fresh engine."""
 
@@ -329,7 +338,7 @@ def _cmd_wallet(r: ScenarioRunner, pos, kw) -> str:
             parse_amount(kw["capacity"]) if "capacity" in kw else None
         ),
         fund_wei=parse_amount(kw.get("fund", "0")),
-        with_ledger=kw.get("ledger", "off") == "on",
+        with_ledger=parse_switch(kw, "ledger", "off"),
     )
     return f"{pos[0]} addr={wallet.address.hex()[:12]}"
 
@@ -445,13 +454,14 @@ def _cmd_submit(r: ScenarioRunner, pos, kw) -> str:
 
 @command("xfer", "account", "to value", "as submit")
 def _cmd_xfer(r: ScenarioRunner, pos, kw) -> str:
+    submit = parse_switch(kw, "submit", "on")
     signed = r.engine.account_tx(
         pos[0],
         to=r.engine.resolve_address(kw["to"]),
         value=parse_amount(kw["value"]),
     )
     summary = r._bind(r._unbound(kw.get("as")), signed)
-    if kw.get("submit", "on") == "on":
+    if submit:
         r.engine.chain.submit(signed)
     return f"{pos[0]} {summary}"
 

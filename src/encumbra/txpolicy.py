@@ -106,11 +106,14 @@ def _non_ownership_payload(
 
 
 class TxLedger:
-    """Per-wallet accounting attached to the wallet's tree policy.
+    """Per-wallet accounting held by the wallet's tree policy.
 
     It gates each chain transaction a node signs in place of the node's
     native grant, and calls ``tree`` on every use for the current tree:
-    each policy update installs a new one.
+    each policy update installs a new one.  ``Engine.create_wallet``
+    passes ``lambda: policy.tree`` of the policy that holds the ledger,
+    and a tree wallet is never swapped, so that is always the wallet's
+    tree.
     """
 
     def __init__(

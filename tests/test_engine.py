@@ -8,6 +8,7 @@ import pytest
 
 from encumbra.config import Config
 from encumbra.engine import SENTINEL_OPERATOR, SENTINEL_WALLET, Engine
+from encumbra.errors import BadProof
 from encumbra.fallback.trigger import TriggerState, ping_message
 from encumbra.scenario import ScenarioRunner, parse_scenario
 
@@ -86,6 +87,21 @@ def test_a_sentinel_that_is_down_never_answers():
     assert engine.time == 7 + 3 * WINDOW
     assert engine.trigger.state is TriggerState.CHALLENGED
     assert _pings(engine) == []
+
+
+def test_a_respond_while_the_sentinel_is_down_is_refused():
+    # Anyone may ask for a response, but only a live sentinel signs one:
+    # otherwise a dark host's key could never be recovered.
+    engine = _challenged()
+    engine.sentinel_up = False
+    with pytest.raises(BadProof):
+        engine.respond_challenge("eve")
+    assert engine.trigger.state is TriggerState.CHALLENGED
+    assert _pings(engine) == [] and engine.trigger.payouts == {}
+    engine.sentinel_up = True
+    engine.respond_challenge("eve")
+    assert engine.trigger.state is TriggerState.DEFEATED
+    assert _pings(engine) == [ping_message(engine.time)]
 
 
 def _advance_by_steps(engine, seconds):

@@ -156,7 +156,7 @@ def test_escrow_payload_equals_the_reference_dict():
     manager.lw_gen("am", "shut")
     rng = random.Random(7)
     for i in range(8):
-        wallet = manager.lw_gen('ä"m', f'w"{i}é', policy_kind="tree")
+        wallet = manager.lw_gen('ä"m', f'w"{i}é', policy_kind="tree", update_rule="tree")
         wallet.policy.tree = decorated_tree(rng)
         wallet.policy_version = rng.randint(0, 5)
         assert fallback._payload() == payload_ref(fallback), i

@@ -177,12 +177,19 @@ def test_a_seal_or_unseal_that_changes_nothing_is_refused():
     assert set(moved.engine.manager.tree_of("w").manual_seals.values()) == {"m"}
 
 
-def test_a_refused_wallet_step_leaves_nothing_behind():
+@pytest.mark.parametrize("keys, code", [
+    ("policy=allow fund=1eth ledger=on", "UnknownPolicy"),
+    # a tree under the swap rule could be swapped away with all it sold
+    ("update=any fund=1eth", "UnknownPolicy"),
+    ("policy=allow capacity=1eth fund=1eth", "UnknownPolicy"),
+    ("ledger=yes fund=1eth", "StepFailure"),
+])
+def test_a_refused_wallet_step_leaves_nothing_behind(keys, code):
     head = "player am\n"
     tail = "wallet w am=am\nwallet v am=am\n"
     clean = _run(head + tail)
-    refused = _run(head + "? wallet w am=am policy=allow fund=1eth ledger=on\n" + tail)
-    assert refused.transcript[1] == "refused L2 wallet UnknownPolicy"
+    refused = _run(head + f"? wallet w am=am {keys}\n" + tail)
+    assert refused.transcript[1] == f"refused L2 wallet {code}"
 
     def state(runner):
         engine = runner.engine
@@ -227,16 +234,71 @@ def test_a_step_on_an_unknown_wallet_is_refused(step):
     assert runner.symbols == {}
 
 
-def test_a_ledger_wallet_swapped_off_its_tree_refuses_ledger_commands():
+def test_a_seller_cannot_swap_its_tree_away_to_take_back_a_sold_vote():
+    # Were a tree wallet made under the swap rule, its owner could sell
+    # the vote, swap to `allow`, vote anyway and still be paid.
     runner = _run(
-        "player am\naccount payer fund=1eth\n"
-        "wallet w am=am update=any ledger=on\n"
-        "spawn w actor=am node=n controller=am\n"
-        "xfer payer to=w value=1wei as=d submit=off\n"
-        "update w player=am policy=allow\n"
-        "? claim w node=n tx=d\n"
+        "player voter\nplayer buyer\n"
+        "? wallet gov am=voter policy=tree update=any fund=5eth\n"
+        "wallet gov am=voter policy=tree update=tree fund=5eth\n"
+        "advance 60\n"
+        "proposal prop1 dao=main snapshot=tip close=+3600\n"
+        "enroll gov dao=main\n"
+        "offer o1 briber=buyer proposal=prop1 choice=2 price=0.001eth escrow=1eth\n"
+        "accept gov owner=voter offer=o1\n"
+        "? vote gov player=voter proposal=prop1 choice=1\n"
+        "? update gov player=voter policy=allow\n"
+        "? vote gov player=voter proposal=prop1 choice=1\n"
+        "buy-vote o1 wallet=gov player=buyer\n"
+        "advance 3700\n"
+        "claim-payment gov offer=o1\n"
+        "tally prop1\n"
     )
-    assert runner.transcript[-1] == "refused L7 claim UnknownPolicy"
+    refused = [line for line in runner.transcript if line.startswith("refused")]
+    assert refused == [
+        "refused L3 wallet UnknownPolicy",
+        "refused L10 vote PolicyRefusal",
+        "refused L11 update UpdateRefused",
+        "refused L12 vote PolicyRefusal",
+    ]
+    assert runner.transcript[-1] == "ok L16 tally prop1 {2:5000000000000000000}"
+
+
+def _ledger_script(seed):
+    """Seeded wallet steps over every policy, update rule and ledger
+    setting, with refused ones among them, then spawns and swaps."""
+    rng = random.Random(seed)
+    lines = ["player am", "player renter", "account shop"]
+    made = []
+    for n in range(12):
+        policy = rng.choice(["tree", "tree", "allow", "deny"])
+        update = rng.choice(["tree", "any", "frozen"])
+        ledger = rng.choice(["on", "off"])
+        keys = f"policy={policy} update={update} ledger={ledger}"
+        legal = update != "any" if policy == "tree" else ledger == "off"
+        lines.append(f"{'' if legal else '? '}wallet w{n} am=am {keys} fund=1eth")
+        if legal:
+            made.append((f"w{n}", policy, update))
+    for wallet, policy, update in made:
+        if (policy, update) == ("tree", "tree"):
+            lines.append(f"spawn {wallet} actor=am node=n controller=renter dest=shop")
+        elif update == "any":
+            lines.append(f"update {wallet} player=am policy={rng.choice(['allow', 'deny'])}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", ["txcycle", 1, 2, 3])
+def test_the_engine_ledgers_are_the_wallets_ledgers(source):
+    if source == "txcycle":
+        text = resources.files("encumbra.scenarios").joinpath("txcycle.scn").read_text()
+    else:
+        text = _ledger_script(source)
+    engine = _run(text).engine
+    held = [(w.wallet_id, w.policy.ledger) for w in engine.manager.wallets()]
+    held = [(wallet_id, ledger) for wallet_id, ledger in held if ledger is not None]
+    assert held and list(engine.ledgers.items()) == held
+    for wallet_id, ledger in held:
+        assert ledger.tree is engine.manager.tree_of(wallet_id)
 
 
 def test_enroll_registers_its_program():
@@ -566,6 +628,8 @@ MALFORMED_STEPS = [
     "sign w player=am to=shop value=1wei gas=-5",
     "sign w player=am to=shop value=1wei nonce=-1",
     "build w to=shop value=1wei nonce=+0 as=t",
+    # a switch is on or off, nothing else
+    "xfer shop to=w value=1wei as=t submit=yes",
     "vote gov player=voter proposal=p choice=-1",
     "recover shares=+3",
     # int() skips white space before a sign
@@ -588,6 +652,7 @@ def test_cli_reports_a_malformed_step_value(step, tmp_path, capsys):
 def test_a_tolerant_malformed_step_is_refused(step):
     runner = _run(MALFORMED_PRELUDE + "? " + step + "\n")
     assert runner.transcript[-1] == f"refused L8 {step.split()[0]} StepFailure"
+    assert runner.symbols == {}
 
 
 RECOVERY_PRELUDE = (

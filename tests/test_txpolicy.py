@@ -273,14 +273,16 @@ def test_evaluate_routes_chain_tx_through_the_ledger():
 
 
 def test_the_ledger_gates_signing_across_tree_swaps():
-    """The engine attaches the ledger to the wallet's tree policy, so it
+    """The engine gives the ledger to the wallet's tree policy, so it
     still gates a chain tx after a spawn and a seal install new trees."""
     engine = Engine()
     for name in ("am", "renter"):
         engine.manager.register_player(name)
-    gated = engine.create_wallet("gated", "am", native_capacity=10 * ETH, fund_wei=10 * ETH)
+    gated = engine.create_wallet(
+        "gated", "am", native_capacity=10 * ETH, fund_wei=10 * ETH, with_ledger=True
+    )
     plain = engine.create_wallet("plain", "am", native_capacity=10 * ETH, fund_wei=10 * ETH)
-    ledger = engine.attach_ledger("gated")
+    ledger = engine.ledger_of("gated")
     for wallet in (gated, plain):
         engine.manager.spawn_node(
             "am", wallet.wallet_id, ROOT_ID, "n1", PlayerController("renter"), FAR,
