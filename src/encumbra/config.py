@@ -41,7 +41,6 @@ DEFAULTS: Dict[str, Any] = {
     "fallback.min_deposit_wei": 10**17,
     "fallback.batch_interval_s": 3600,
     "fallback.repos": 3,
-    "fallback.repo_reachable": True,
     "fallback.committee": 5,
     "fallback.threshold": 3,
     "reliable_chain.block_interval_s": 12,

@@ -50,13 +50,6 @@ class Signature:
     def to_hex(self) -> str:
         return (self.public_key + self.data).hex()
 
-    @classmethod
-    def from_hex(cls, text: str) -> "Signature":
-        raw = bytes.fromhex(text)
-        if len(raw) != 32 + 64:
-            raise ValueError("signature hex must be 96 bytes")
-        return cls(public_key=raw[:32], data=raw[32:])
-
 
 class SigningKey:
     """Ed25519 signing key with raw-bytes export for escrow."""

@@ -85,7 +85,6 @@ class Engine:
             threshold=cfg["fallback.threshold"],
             repos=cfg["fallback.repos"],
             batch_interval=cfg["fallback.batch_interval_s"],
-            repo_reachable=cfg["fallback.repo_reachable"],
         )
 
         self.manager.register_player(SENTINEL_OPERATOR)

@@ -34,10 +34,6 @@ class MalformedMessage(EngineError):
     """A signable message violates a field bound or length constraint."""
 
 
-class UnknownVariant(EngineError):
-    """An encoded message begins with an unrecognized variant tag."""
-
-
 # --- wallet manager ---
 
 class UnknownWallet(EngineError):

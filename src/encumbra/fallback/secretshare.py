@@ -26,20 +26,6 @@ class Share:
     threshold: int
     total: int
 
-    def to_hex(self) -> str:
-        return f"{self.index:04x}{self.threshold:04x}{self.total:04x}{self.value:066x}"
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Share":
-        if len(text) != 4 + 4 + 4 + 66:
-            raise ValueError("share hex has wrong length")
-        return cls(
-            index=int(text[0:4], 16),
-            threshold=int(text[4:8], 16),
-            total=int(text[8:12], 16),
-            value=int(text[12:], 16),
-        )
-
 
 def _mod_inverse(a: int) -> int:
     return pow(a, PRIME - 2, PRIME)

@@ -5,7 +5,11 @@ encrypted replicas across independent storage repositories.  Updates
 that create wallets or reduce privileges replicate synchronously — the
 originating operation fails if no repository acknowledges — while
 privilege increases batch on a timer, so a crash between flushes can
-only lose permissiveness, never grant it.
+only lose permissiveness, never grant it.  Each write is the next
+version, and the version is spent only once a repository acknowledged
+it: a refused blocking write or an unacknowledged flush leaves
+``version`` and every repository as they were, so the next write is
+the one a world without the failed attempt would have made.
 
 Release needs three independent facts: the trigger fired and is final
 (the engine hands in the reliable chain's finalized time), a threshold
@@ -22,7 +26,7 @@ nodes created since the previous write.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
@@ -62,7 +66,6 @@ class FallbackSystem:
         threshold: int = 3,
         repos: int = 3,
         batch_interval: int = 3600,
-        repo_reachable: bool = True,
     ):
         self.manager = manager
         self._seed = seed
@@ -73,9 +76,7 @@ class FallbackSystem:
         self.shares: List[secretshare.Share] = secretshare.split(
             secret, threshold, committee, seed
         )
-        self.repos: List[StorageRepo] = [
-            StorageRepo(f"repo-{i}", reachable=repo_reachable) for i in range(repos)
-        ]
+        self.repos: List[StorageRepo] = [StorageRepo(f"repo-{i}") for i in range(repos)]
         self.batch_interval = batch_interval
         self.version = 0
         self.pending_increases: List[str] = []
@@ -86,8 +87,8 @@ class FallbackSystem:
     # ------------------------------------------------------------------
     # replication
 
-    def _payload(self) -> bytes:
-        """The escrow plaintext: canonical JSON of every wallet.
+    def _payload(self, version: int) -> bytes:
+        """The escrow plaintext of ``version``: canonical JSON of every wallet.
 
         The bytes are ``json.dumps(..., sort_keys=True, separators=(",",
         ":"))`` of {version, wallets}, joined from strings in that key
@@ -105,18 +106,22 @@ class FallbackSystem:
             f'"seed":{dump(wallet.key.seed_bytes().hex())}}}'
             for wallet in self.manager.wallets()
         )
-        return f'{{"version":{dump(self.version)},"wallets":[{wallets}]}}'.encode()
+        return f'{{"version":{dump(version)},"wallets":[{wallets}]}}'.encode()
 
-    def _encrypt_current(self) -> EncryptedBlob:
-        self.version += 1
-        return encrypt_state(
-            self.escrow_public, self._payload(), self.version, self._seed
-        )
+    def _replicate(self, replicate: Callable[[List[StorageRepo], EncryptedBlob], int]) -> int:
+        """Write the world as the next version; spend that version only
+        if a repository acknowledged.  Returns the acknowledgements."""
+        version = self.version + 1
+        blob = encrypt_state(self.escrow_public, self._payload(version), version, self._seed)
+        acks = replicate(self.repos, blob)
+        if acks > 0:
+            self.version = version
+        return acks
 
     def on_policy_change(self, wallet_id: str, change_class: str) -> None:
         if change_class in (NEW_WALLET, PRIVILEGE_DECREASE):
             # Blocking: the calling operation fails if nobody stores it.
-            replicate_blocking(self.repos, self._encrypt_current())
+            self._replicate(replicate_blocking)
         elif change_class == PRIVILEGE_INCREASE:
             self.pending_increases.append(wallet_id)
         else:
@@ -134,19 +139,11 @@ class FallbackSystem:
         if not self.pending_increases:
             self.last_flush = now
             return False
-        acks = replicate_best_effort(self.repos, self._encrypt_current())
-        if acks > 0:
+        if self._replicate(replicate_best_effort) > 0:
             self.pending_increases.clear()
             self.last_flush = now
             return True
         return False
-
-    def crash_pending(self) -> int:
-        """Simulate a crash before the next flush: queued privilege
-        increases are lost.  Returns how many were dropped."""
-        dropped = len(self.pending_increases)
-        self.pending_increases.clear()
-        return dropped
 
     # ------------------------------------------------------------------
     # release

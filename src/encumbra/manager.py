@@ -127,9 +127,6 @@ class WalletManager:
         self._players.add(name)
         return crypto.derive_signing_key(self._seed, "player-auth", name).public_key
 
-    def set_ost_provider(self, provider: Callable[[Wallet], OracleState]) -> None:
-        self._ost_provider = provider
-
     # ------------------------------------------------------------------
     # wallet surface
 
@@ -398,6 +395,18 @@ class WalletManager:
             if length > len(wallet.intst):
                 return False
             return self.log_prefix_digest(wallet.wallet_id, length) == want
+        if name == "never-claimed":
+            # (tx_digest_hex, ledger_digest_hex): the dusting countermeasure.
+            ledger = wallet.policy.ledger
+            if ledger is None:
+                return False
+            tx_digest = bytes.fromhex(predicate[1])
+            return (
+                ledger.chain.includes(tx_digest)
+                and ledger.chain.tx(tx_digest).tx.to == wallet.address
+                and tx_digest not in ledger.claims
+                and ledger.ledger_digest().hex() == predicate[2]
+            )
         raise UnknownPolicy(f"predicate {name}")
 
     def log_prefix_digest(self, wallet_id: str, length: Optional[int] = None) -> bytes:

@@ -4,8 +4,8 @@ Three message shapes can be put in front of a wallet key: a chain
 transaction, a personal-sign blob, and a typed-data pair of hashes.
 Each encodes to a unique byte string (fixed-width integer fields,
 length-prefixed variable fields, leading variant tag) so that encoding
-is injective across all variants and ``decode(encode(m)) == m`` holds
-exactly.
+is injective across all variants.  Nothing here decodes: the reference
+decoder of the layout, which inverts it exactly, is a test oracle.
 
 The signing digest prepends a per-variant domain-separator byte before
 hashing, so a digest produced for one variant can never collide with a
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import crypto
-from .errors import MalformedMessage, UnknownVariant
+from .errors import MalformedMessage
 
 TAG_CHAIN_TX = 0x01
 TAG_PERSONAL = 0x02
@@ -126,41 +126,6 @@ def encode_message(message: SignableMessage) -> bytes:
     if not isinstance(message, (ChainTx, PersonalSign, TypedData)):
         raise MalformedMessage("not a signable message")
     return message.encode()
-
-
-def decode_message(encoded: bytes) -> SignableMessage:
-    """Inverse of encode_message; rejects trailing or missing bytes."""
-    if not encoded:
-        raise MalformedMessage("empty encoding")
-    tag = encoded[0]
-    body = encoded[1:]
-    if tag == TAG_CHAIN_TX:
-        if len(body) < 8 + 8 + 16 + 8 + 20 + 16 + 4:
-            raise MalformedMessage("chain tx encoding truncated")
-        chain_id = int.from_bytes(body[0:8], "big")
-        nonce = int.from_bytes(body[8:16], "big")
-        max_fee = int.from_bytes(body[16:32], "big")
-        gas_limit = int.from_bytes(body[32:40], "big")
-        to = body[40:60]
-        value = int.from_bytes(body[60:76], "big")
-        data_len = int.from_bytes(body[76:80], "big")
-        data = body[80 : 80 + data_len]
-        if len(data) != data_len or len(body) != 80 + data_len:
-            raise MalformedMessage("chain tx length mismatch")
-        return ChainTx(chain_id, nonce, max_fee, gas_limit, to, value, data)
-    if tag == TAG_PERSONAL:
-        if len(body) < 4:
-            raise MalformedMessage("personal-sign encoding truncated")
-        length = int.from_bytes(body[0:4], "big")
-        payload = body[4 : 4 + length]
-        if len(payload) != length or len(body) != 4 + length:
-            raise MalformedMessage("personal-sign length mismatch")
-        return PersonalSign(payload)
-    if tag == TAG_TYPED:
-        if len(body) != 64:
-            raise MalformedMessage("typed-data encoding must be 64 bytes")
-        return TypedData(body[0:32], body[32:64])
-    raise UnknownVariant(f"variant tag 0x{tag:02x}")
 
 
 def signing_digest(message: SignableMessage) -> bytes:

@@ -17,7 +17,9 @@ destination), pays the submitting player a fixed reimbursement out of
 the signer's host-fee balance, and implicitly invalidates every other
 outstanding signature at the old nonce.  Sub-balances survive grant
 expiry; a withheld transaction broadcast after expiry is still charged
-to its signer's leftover balance.
+to its signer's leftover balance.  That a deposit was never claimed
+here, the countermeasure to dusting, is attested by ``lw_verify``'s
+``never-claimed`` predicate over this ledger.
 
 Host-side writes carry a simulated gas meter so the cost report can
 show what a deployment would have paid; the numbers are products of
@@ -26,7 +28,6 @@ this gas model, not measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import crypto
@@ -83,26 +84,6 @@ def simulated_gas(op: str, siblings: int = 0) -> int:
     """Deterministic host gas model: ``op``'s row of ``HOST_OPS``."""
     base, per_sibling, _ = HOST_OPS[op]
     return base + per_sibling * siblings
-
-
-@dataclass(frozen=True)
-class NonOwnershipStatement:
-    """Exportable attestation that a deposit was never claimed."""
-
-    wallet_address: bytes
-    target_digest: bytes
-    ledger_digest: bytes
-    signature: crypto.Signature
-
-    def payload(self) -> bytes:
-        return _non_ownership_payload(self.wallet_address, self.target_digest, self.ledger_digest)
-
-
-def _non_ownership_payload(
-    wallet_address: bytes, target_digest: bytes, ledger_digest: bytes
-) -> bytes:
-    """What a non-ownership statement's signature signs."""
-    return crypto.digest(b"non-ownership-v1" + wallet_address + target_digest + ledger_digest)
 
 
 class TxLedger:
@@ -326,42 +307,3 @@ class TxLedger:
             "total_deducted": self.total_deducted,
         }
 
-
-def prove_non_ownership(
-    ledger: TxLedger, wallet_key_sign, target_digest: bytes
-) -> NonOwnershipStatement:
-    """Attest that a deposit visible on chain was never claimed here.
-
-    ``wallet_key_sign`` is the wallet manager's attestation signer so
-    ledger code never touches the private key.
-    """
-    signed = ledger.chain.tx(target_digest)  # UnknownTx if absent
-    if signed.tx.to != ledger.wallet_address:
-        raise UnknownDeposit("transaction does not pay this wallet")
-    if target_digest in ledger.claims:
-        raise AlreadyClaimed(target_digest.hex())
-    ledger_digest = ledger.ledger_digest()
-    payload = _non_ownership_payload(ledger.wallet_address, target_digest, ledger_digest)
-    return NonOwnershipStatement(
-        wallet_address=ledger.wallet_address,
-        target_digest=target_digest,
-        ledger_digest=ledger_digest,
-        signature=wallet_key_sign(payload),
-    )
-
-
-def verify_non_ownership(
-    statement: NonOwnershipStatement,
-    wallet_public_key: bytes,
-    ledger_snapshot_digest: bytes,
-) -> bool:
-    """Check a non-ownership statement against a ledger snapshot.
-
-    A tampered snapshot changes its digest and fails the binding check
-    even when the signature itself is valid.
-    """
-    if statement.signature.public_key != wallet_public_key:
-        return False
-    if statement.ledger_digest != ledger_snapshot_digest:
-        return False
-    return crypto.verify(statement.signature, statement.payload())

@@ -47,6 +47,10 @@ def test_the_reliable_chain_id_is_not_a_setting():
     # no transaction reaches the reliable chain, so its id is a constant
     with pytest.raises(KeyError):
         Config({"reliable_chain.chain_id": 3})
+    # nor is a switch that makes every repository unreachable: it would
+    # refuse every wallet step; tests set ``StorageRepo.reachable`` instead
+    with pytest.raises(KeyError):
+        Config({"fallback.repo_reachable": False})
 
 
 def test_scalar_coercion():

@@ -24,7 +24,7 @@ from encumbra.policy.tree import ROOT_ID, Grant, PlayerController, PolicyTree
 from encumbra.policy.update import spawn
 from encumbra.scenario import ScenarioRunner, parse_scenario
 from encumbra.simchain import InclusionProof, SignedTx, SimChain, delay_bounds
-from encumbra.state import OracleState, StateTriple
+from encumbra.state import GENESIS_ORACLE, OracleState, StateTriple
 from tests.test_escrow_bytes import builds  # a fixture: pytest finds it by name
 from tests.test_manager import D1, ETH, _manager, _tree_wallet
 from tests.test_policy_update import D1 as TREE_DEST
@@ -342,7 +342,8 @@ def test_a_sign_derives_seals_at_most_once(monkeypatch):
     """Cost guard: a sign scans the log for seals once however many of
     the player's nodes it tries, and not at all when every node is
     refused before the seal check."""
-    manager = _manager()
+    ost = [GENESIS_ORACLE]  # the oracle state the wallet sees; moved on below
+    manager = _manager(lambda wallet: ost[0])
     manager.lw_gen(
         access_manager="am", wallet_id="w", policy_kind="tree",
         update_rule="tree", native_capacity=10 * ETH,
@@ -358,9 +359,7 @@ def test_a_sign_derives_seals_at_most_once(monkeypatch):
     assert calls == [0]
 
     calls.clear()
-    manager.set_ost_provider(
-        lambda wallet_id: OracleState(chain_time=1001, block_hashes=(), recognized_nonce=0)
-    )
+    ost[0] = OracleState(chain_time=1001, block_hashes=(), recognized_nonce=0)
     with pytest.raises(PolicyRefusal):
         manager.lw_sign("alice", "w", ChainTx(1, 1, 0, 0, D1, 0))  # all expired
     assert calls == []

@@ -159,7 +159,7 @@ def test_escrow_payload_equals_the_reference_dict():
         wallet = manager.lw_gen('ä"m', f'w"{i}é', policy_kind="tree", update_rule="tree")
         wallet.policy.tree = decorated_tree(rng)
         wallet.policy_version = rng.randint(0, 5)
-        assert fallback._payload() == payload_ref(fallback), i
+        assert fallback._payload(fallback.version) == payload_ref(fallback), i
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,10 @@ from encumbra.errors import (
     UpdateRefused,
 )
 from encumbra.manager import WalletManager, attestation_digest
-from encumbra.messages import ChainTx, PersonalSign, decode_message, signing_digest
+from encumbra.messages import ChainTx, PersonalSign, signing_digest
 from encumbra.policy.tree import Grant, PlayerController, ROOT_ID
-from encumbra.state import OracleState
+from encumbra.state import GENESIS_ORACLE, OracleState
+from tests.oracles.decoderef import decode_message
 
 SEED = crypto.digest(b"manager-tests")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,8 +28,8 @@ ETH = 10**18
 D1 = b"\x71" * 20
 
 
-def _manager():
-    manager = WalletManager(SEED)
+def _manager(ost_provider=None):
+    manager = WalletManager(SEED, ost_provider)
     for name in ("am", "alice", "bob"):
         manager.register_player(name)
     return manager
@@ -86,9 +87,8 @@ def test_equal_seeds_mint_equal_wallet_keys():
 
 
 def test_allow_wallet_signs_and_logs():
-    manager = _manager()
-    manager.set_ost_provider(
-        lambda wid: OracleState(chain_time=123, block_hashes=(), recognized_nonce=7)
+    manager = _manager(
+        lambda wallet: OracleState(chain_time=123, block_hashes=(), recognized_nonce=7)
     )
     wallet = manager.lw_gen(access_manager="am", wallet_id="w", policy_kind="allow")
     message = PersonalSign(b"approved payload")
@@ -286,7 +286,8 @@ def test_policy_version_counts_updates():
 
 
 def test_lw_verify_predicates():
-    manager = _manager()
+    ost = [GENESIS_ORACLE]  # the oracle state the wallet sees; swapped below
+    manager = _manager(lambda wallet: ost[0])
     wallet = _tree_wallet(manager)
     inside = ChainTx(1, 0, 0, 0, D1, ETH)
     outside = ChainTx(1, 0, 0, 0, b"\x02" * 20, 0)
@@ -315,9 +316,7 @@ def test_lw_verify_predicates():
     ok, _ = manager.lw_verify("w", "anyone", [outside], ("log-contains-none",))
     assert ok
 
-    manager.set_ost_provider(
-        lambda wid: OracleState(chain_time=0, block_hashes=(), recognized_nonce=4)
-    )
+    ost[0] = OracleState(chain_time=0, block_hashes=(), recognized_nonce=4)
     assert manager.lw_verify("w", "s", [], ("nonce-at-least", 4))[0]
     assert not manager.lw_verify("w", "s", [], ("nonce-at-least", 5))[0]
 

@@ -12,18 +12,19 @@ import struct
 
 import pytest
 
-from encumbra.errors import MalformedMessage, UnknownVariant
+from encumbra.errors import MalformedMessage
 from encumbra.messages import (
     ChainTx,
     PersonalSign,
     TypedData,
-    decode_message,
     parse_vote_extst,
     signing_digest,
     vote_extst,
     vote_message,
     vote_struct_hash,
 )
+
+from tests.oracles.decoderef import UnknownVariant, decode_message
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

@@ -10,9 +10,12 @@ tests/fixtures/reports/<name>/ are the JSON those reports write with
 """
 
 import collections
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -43,6 +46,29 @@ def test_bundled_transcript_is_byte_identical(name, capsys):
     assert cli.main(["--scenario", name, *REPORTS]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (TRANSCRIPTS / f"{name}.txt").read_bytes()
+
+
+def test_bundled_bytes_do_not_depend_on_the_hash_seed():
+    """Two processes under different string-hash seeds print the same
+    bytes for the bundled scenarios with all three reports, so no output
+    follows the iteration order of a set or dict of strings."""
+    probe = (
+        "import sys\n"
+        "from encumbra import cli\n"
+        "for name in cli.bundled_scenarios():\n"
+        "    assert cli.main(['--scenario', name, *sys.argv[1:]]) == 0\n"
+    )
+    outs = []
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=hash_seed)
+        env.pop("ENGINE_LOG", None)
+        run = subprocess.run(
+            [sys.executable, "-c", probe, *REPORTS], env=env, capture_output=True, check=True
+        )
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    names = cli.bundled_scenarios()
+    assert outs[0] == b"".join((TRANSCRIPTS / f"{name}.txt").read_bytes() for name in names)
 
 
 @pytest.mark.parametrize("name", cli.bundled_scenarios())

@@ -15,6 +15,7 @@ from encumbra.errors import (
     UnknownNode,
     UnknownTx,
 )
+from encumbra.manager import attestation_digest
 from encumbra.messages import ChainTx, signing_digest
 from encumbra.policy.tree import ROOT_ID, Grant, PlayerController, PolicyTree
 from encumbra.policy.update import spawn
@@ -30,9 +31,7 @@ from encumbra.txpolicy import (
     OP_PROVE_TX,
     OP_TX_COMMITMENT,
     TxLedger,
-    prove_non_ownership,
     simulated_gas,
-    verify_non_ownership,
 )
 
 SEED = crypto.digest(b"txpolicy-tests")
@@ -480,63 +479,108 @@ def test_snapshot_is_sorted_and_hex_keyed():
 
 
 # ----------------------------------------------------------------------
-# non-ownership statements
+# non-ownership: lw_verify's never-claimed predicate
 
 
-def _dusted_ledger():
-    chain, wallet, box, ledger = _build()
-    _carve(box, ledger)
-    whale = crypto.derive_signing_key(SEED, "whale")
-    chain.fund(whale.address, 100 * ETH)
-    dust = _deposit(chain, whale, wallet.address, 0, ETH // 100)
-    chain.submit(dust)
-    chain.advance(3000)
-    return chain, wallet, ledger, dust
+def _dusted_engine():
+    """A ledger wallet ``w`` with one carve, and an unclaimed dust
+    deposit to it included on chain."""
+    engine = Engine()
+    for name in ("am", "renter"):
+        engine.manager.register_player(name)
+    wallet = engine.create_wallet("w", "am", native_capacity=10 * ETH, with_ledger=True)
+    engine.manager.spawn_node(
+        "am", "w", ROOT_ID, "n1", PlayerController("renter"), FAR,
+        [Grant(destination(D1), 1, 0, FAR)],
+    )
+    engine.external_account("whale", fund_wei=100 * ETH)
+    dust = engine.account_tx("whale", wallet.address, ETH // 100)
+    engine.chain.submit(dust)
+    engine.advance(3000)
+    return engine, wallet, dust
+
+
+def _never_claimed(tx_digest, ledger_digest):
+    return ("never-claimed", tx_digest.hex(), ledger_digest.hex())
+
+
+def _verdict(engine, tx_digest, wallet_id="w"):
+    """The verdict on ``tx_digest`` against the live digest of ``w``'s ledger."""
+    predicate = _never_claimed(tx_digest, engine.ledger_of("w").ledger_digest())
+    return engine.manager.lw_verify(wallet_id, "auditor", [], predicate)[0]
+
+
+def _attests_never_claimed(signature, public_key, tx_digest, ledger_digest):
+    """A verifier's check: ``public_key`` signed a true never-claimed
+    verdict on ``tx_digest`` against ``ledger_digest``."""
+    payload = attestation_digest(
+        "w", "auditor", [], _never_claimed(tx_digest, ledger_digest), True
+    )
+    return signature.public_key == public_key and crypto.verify(signature, payload)
 
 
 def test_non_ownership_happy_path():
-    chain, wallet, ledger, dust = _dusted_ledger()
-    stmt = prove_non_ownership(ledger, wallet.sign, dust.digest)
-    assert verify_non_ownership(stmt, wallet.public_key, ledger.ledger_digest())
+    engine, wallet, dust = _dusted_engine()
+    ledger_digest = engine.ledger_of("w").ledger_digest()
+    verdict, signature = engine.manager.lw_verify(
+        "w", "auditor", [], _never_claimed(dust.digest, ledger_digest)
+    )
+    assert verdict
+    assert _attests_never_claimed(signature, wallet.public_key, dust.digest, ledger_digest)
 
 
 def test_non_ownership_refuses_bad_targets():
-    chain, wallet, ledger, dust = _dusted_ledger()
-    with pytest.raises(UnknownTx):
-        prove_non_ownership(ledger, wallet.sign, crypto.digest(b"ghost"))
+    engine, wallet, dust = _dusted_engine()
+    assert _verdict(engine, dust.digest)
+    assert not _verdict(engine, crypto.digest(b"ghost"))
 
-    whale = crypto.derive_signing_key(SEED, "whale")
-    stranger = crypto.derive_signing_key(SEED, "stranger")
-    sideways = _deposit(chain, whale, stranger.address, 1, ETH)
-    chain.submit(sideways)
-    chain.advance(24)
-    with pytest.raises(UnknownDeposit):
-        prove_non_ownership(ledger, wallet.sign, sideways.digest)
+    stranger = engine.external_account("stranger")
+    sideways = engine.account_tx("whale", stranger, ETH)
+    engine.chain.submit(sideways)
+    engine.advance(24)
+    assert engine.chain.includes(sideways.digest)
+    assert not _verdict(engine, sideways.digest)
 
-    claimed = _deposit(chain, whale, ledger.wallet_address, 2, ETH)
-    ledger.claim_deposit("n1", claimed.digest)
-    chain.submit(claimed)
-    chain.advance(24)
-    with pytest.raises(AlreadyClaimed):
-        prove_non_ownership(ledger, wallet.sign, claimed.digest)
+    claimed = engine.account_tx("whale", wallet.address, ETH)
+    engine.ledger_of("w").claim_deposit("n1", claimed.digest)
+    engine.chain.submit(claimed)
+    engine.advance(24)
+    assert engine.chain.includes(claimed.digest)
+    assert not _verdict(engine, claimed.digest)
+
+    # a wallet with no ledger attests to no deposit
+    plain = engine.create_wallet("plain", "am")
+    unledgered = engine.account_tx("whale", plain.address, ETH)
+    engine.chain.submit(unledgered)
+    engine.advance(24)
+    assert engine.chain.includes(unledgered.digest)
+    assert not _verdict(engine, unledgered.digest, wallet_id="plain")
 
 
 def test_non_ownership_verification_binds_everything():
-    chain, wallet, ledger, dust = _dusted_ledger()
-    stmt = prove_non_ownership(ledger, wallet.sign, dust.digest)
+    engine, wallet, dust = _dusted_engine()
+    ledger = engine.ledger_of("w")
+    signed_digest = ledger.ledger_digest()
+    verdict, signature = engine.manager.lw_verify(
+        "w", "auditor", [], _never_claimed(dust.digest, signed_digest)
+    )
+    assert verdict
+    assert _attests_never_claimed(signature, wallet.public_key, dust.digest, signed_digest)
 
-    other = crypto.derive_signing_key(SEED, "other")
-    assert not verify_non_ownership(stmt, other.public_key, ledger.ledger_digest())
+    other = engine.create_wallet("other", "am")
+    assert not _attests_never_claimed(signature, other.public_key, dust.digest, signed_digest)
 
-    # ledger moved on: the statement no longer matches the live snapshot
+    # ledger moved on: the attestation no longer matches the live snapshot,
+    # and asking again about the old snapshot gets a false verdict
     ledger.claim_deposit("n1", crypto.digest(b"later"))
-    assert not verify_non_ownership(stmt, wallet.public_key, ledger.ledger_digest())
+    live_digest = ledger.ledger_digest()
+    assert not _attests_never_claimed(signature, wallet.public_key, dust.digest, live_digest)
+    assert not engine.manager.lw_verify(
+        "w", "auditor", [], _never_claimed(dust.digest, signed_digest)
+    )[0]
 
     # tampered target breaks the signature binding
-    forged = type(stmt)(
-        wallet_address=stmt.wallet_address,
-        target_digest=crypto.digest(b"other-target"),
-        ledger_digest=stmt.ledger_digest,
-        signature=stmt.signature,
+    forged_target = crypto.digest(b"other-target")
+    assert not _attests_never_claimed(
+        signature, wallet.public_key, forged_target, signed_digest
     )
-    assert not verify_non_ownership(forged, wallet.public_key, stmt.ledger_digest)

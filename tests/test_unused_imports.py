@@ -7,7 +7,9 @@ annotations are not seen, so source modules write annotations unquoted.
 
 Every public module-level function, class and constant is referenced
 somewhere in the source, the tests or the benchmark, and every refusal
-code in ``errors.py`` is raised somewhere in the source.
+code in ``errors.py`` is raised somewhere in the source.  Every function
+and method is called from the source or the benchmark, not only from
+the tests, save a short allow-list with a reason for each entry.
 """
 
 import ast
@@ -102,6 +104,96 @@ def test_every_public_source_name_is_referenced():
             if all(where == path and first <= line <= last for where, line in uses[name]):
                 dead.append(f"{path.relative_to(SRC)}:{first} {name}")
     assert dead == []
+
+
+# The functions and methods only the tests call, each with its reason.
+TEST_ONLY = {
+    "Engine.check_invariants":
+        "the machine check of the paper's invariants, run by the tests after each step",
+    "PolicyTree.remove":
+        "the delete half of the node table's one writer, which keeps the indexes with `put`",
+    "PolicyTree.snapshot_digest":
+        "a tree's state digest, one part of the state a test compares across runs",
+    "SimChain.snapshot_digest":
+        "the chain's state digest, one part of the state a test compares across runs",
+}
+
+
+def _functions(tree):
+    """(qualified name, node) of each function and method, nested ones included."""
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + node.name, node
+                yield from visit(node.body, f"{prefix}{node.name}.")
+
+    yield from visit(tree.body, "")
+
+
+def _is_command(node):
+    """Registered by ``@command(...)``: the scenario table calls it."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "command"
+        for d in node.decorator_list
+    )
+
+
+def _uncalled_functions(trees, sources):
+    """Qualified names of the functions and methods defined in
+    ``sources`` that no tree in ``trees`` reads, by identifier, outside
+    the definition itself.  Dunders and ``@command`` handlers are left
+    out: Python and the scenario table call them."""
+    uses = collections.defaultdict(list)  # identifier -> [(path, line)]
+    for path, tree in trees.items():
+        for word, line in _references(tree):
+            uses[word].append((path, line))
+    uncalled = []
+    for path in sources:
+        for qualname, node in _functions(trees[path]):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or _is_command(node):
+                continue
+            first, last = node.lineno, node.end_lineno
+            if all(where == path and first <= line <= last for where, line in uses[name]):
+                uncalled.append(qualname)
+    return uncalled
+
+
+def _program_trees():
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for top in ("src", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+
+
+def test_every_source_function_is_called_outside_the_tests():
+    """A function or method in ``src/encumbra`` is read in ``src/`` or
+    ``bench/`` outside its own definition, or is on ``TEST_ONLY``.
+
+    Surface only the tests reach is deleted, not kept; the allow-list
+    must name exactly what the scan finds, so it cannot go stale.
+    """
+    assert all(TEST_ONLY.values())
+    uncalled = _uncalled_functions(_program_trees(), sorted(SRC.rglob("*.py")))
+    assert sorted(uncalled) == sorted(TEST_ONLY)
+
+
+def test_the_check_finds_a_new_uncalled_method():
+    trees = _program_trees()
+    added = SRC / "added.py"
+    trees[added] = ast.parse(
+        "class Added:\n"
+        "    def helper(self, n):\n"
+        "        return self.helper(n - 1) if n else 0  # recursion is no caller\n"
+        "    def __repr__(self):\n"
+        "        return 'Added()'\n"
+    )
+    sources = sorted(SRC.rglob("*.py")) + [added]
+    assert sorted(_uncalled_functions(trees, sources)) == sorted([*TEST_ONLY, "Added.helper"])
 
 
 def _raised_names(tree):
