@@ -18,14 +18,22 @@ known public key before use), and at least one repository serves an
 intact replica.  The latest decryptable version wins; release happens
 at most once.
 
-An escrow write serialises every wallet, but tree nodes are values that
-keep their canonical JSON once built, so a write re-serialises only the
-nodes created since the previous write.
+An escrow write builds only what changed.  The fallback keeps each
+wallet's text up to its seed, keyed by the wallet's policy object, its
+tree object and its ``policy_version``: an installed tree never
+changes, every change to a wallet's policy or tree installs a new
+object and moves the version, and an undo puts the old objects and
+version back, so a kept text whose key still matches is the wallet's
+text.  The seed is never kept: each write reads it from the manager.
+A changed wallet's text is built again, and within it only the tree
+nodes that never had a fragment (see ``policy.tree``).  The write then
+joins the kept texts and the seeds once.
 """
 
 from __future__ import annotations
 
 import json
+from binascii import hexlify
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -42,6 +50,7 @@ from ..manager import (
     NEW_WALLET,
     PRIVILEGE_DECREASE,
     PRIVILEGE_INCREASE,
+    Wallet,
     WalletManager,
 )
 from . import secretshare
@@ -82,6 +91,8 @@ class FallbackSystem:
         self.pending_increases: List[str] = []
         self.last_flush = 0
         self.executed = False
+        # wallet id -> (policy, tree, policy_version, text up to the seed)
+        self._texts: Dict[str, Tuple[object, object, int, bytes]] = {}
         manager.on_policy_change = self.on_policy_change
 
     # ------------------------------------------------------------------
@@ -91,22 +102,32 @@ class FallbackSystem:
         """The escrow plaintext of ``version``: canonical JSON of every wallet.
 
         The bytes are ``json.dumps(..., sort_keys=True, separators=(",",
-        ":"))`` of {version, wallets}, joined from strings in that key
-        order.  Each tree node keeps its JSON fragment once built, so a
-        write re-serialises only the nodes created since the last write,
-        plus every wallet's scalars and every tree's manual seals.
+        ":"))`` of {version, wallets} (docs/encoding.md, "Escrow
+        plaintext and blob"), joined once from each wallet's kept text,
+        its seed and the closing ``"}``.  Only a wallet whose key moved
+        since the last write has its text built again.
         """
-        dump = json.dumps
-        wallets = ",".join(
-            f'{{"access_manager":{dump(wallet.access_manager)},'
-            f'"id":{dump(wallet.wallet_id)},'
-            f'"policy":{wallet.policy.snapshot_json()},'
-            f'"policy_version":{dump(wallet.policy_version)},'
-            f'"public_key":{dump(wallet.public_key.hex())},'
-            f'"seed":{dump(wallet.key.seed_bytes().hex())}}}'
-            for wallet in self.manager.wallets()
-        )
-        return f'{{"version":{dump(version)},"wallets":[{wallets}]}}'.encode()
+        pieces = [f'{{"version":{json.dumps(version)},"wallets":['.encode()]
+        kept = self._texts
+        texts = {}
+        separator = b""
+        for wallet in self.manager.wallets():
+            policy = wallet.policy
+            tree = getattr(policy, "tree", None)
+            entry = kept.get(wallet.wallet_id)
+            if (
+                entry is None
+                or entry[0] is not policy
+                or entry[1] is not tree
+                or entry[2] != wallet.policy_version
+            ):
+                entry = (policy, tree, wallet.policy_version, _wallet_text(wallet))
+            texts[wallet.wallet_id] = entry
+            pieces += (separator, entry[3], hexlify(wallet.key.seed_bytes()), b'"}')
+            separator = b","
+        pieces.append(b"]}")
+        self._texts = texts
+        return b"".join(pieces)
 
     def _replicate(self, replicate: Callable[[List[StorageRepo], EncryptedBlob], int]) -> int:
         """Write the world as the next version; spend that version only
@@ -202,6 +223,23 @@ class FallbackSystem:
             )
         self.executed = True
         return released
+
+
+def _wallet_text(wallet: Wallet) -> bytes:
+    """The wallet's canonical JSON up to and including ``"seed":"``.
+
+    Keys in sorted order; everything after them, the seed hex and the
+    closing ``"}``, is the write's own.
+    """
+    dump = json.dumps
+    return (
+        f'{{"access_manager":{dump(wallet.access_manager)},'
+        f'"id":{dump(wallet.wallet_id)},'
+        f'"policy":{wallet.policy.snapshot_json()},'
+        f'"policy_version":{dump(wallet.policy_version)},'
+        f'"public_key":"{wallet.public_key.hex()}",'
+        '"seed":"'
+    ).encode()
 
 
 def verify_released_key(seed: bytes, expected_public: bytes) -> bool:

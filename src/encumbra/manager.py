@@ -105,6 +105,33 @@ def attestation_digest(
     )
 
 
+def _count(arg) -> int:
+    """A non-negative integer argument, given as an int or its decimal
+    text: the attestation signs ``str(arg)``, which must read back alike."""
+    if isinstance(arg, (bool, float)):
+        raise ValueError(f"{arg!r} is not an integer")
+    value = int(arg)
+    if value < 0:
+        raise ValueError(f"{arg!r} is negative")
+    return value
+
+
+def _predicate_args(predicate: Tuple, *readers: Callable) -> List:
+    """The predicate's arguments, each read by its reader.
+
+    A wrong number of arguments, or one a reader rejects (bad hex, a
+    non-integer), makes the predicate unknown, as an unknown name does,
+    so nothing is signed for it.
+    """
+    args = predicate[1:]
+    if len(args) != len(readers):
+        raise UnknownPolicy(f"predicate {predicate[0]} takes {len(readers)} arguments")
+    try:
+        return [read(arg) for read, arg in zip(readers, args)]
+    except (TypeError, ValueError) as exc:
+        raise UnknownPolicy(f"predicate {predicate[0]}: {exc}") from None
+
+
 class WalletManager:
     def __init__(
         self,
@@ -376,7 +403,7 @@ class WalletManager:
         predicate: Tuple,
         st: StateTriple,
     ) -> bool:
-        name = predicate[0]
+        name = predicate[0] if predicate else None
         if name == "approves-all":
             return all(wallet.policy.approves(subject, m, st)[0] for m in messages)
         if name == "approves-none":
@@ -388,24 +415,25 @@ class WalletManager:
             logged = {encode_message(e.message) for e in wallet.intst}
             return not any(encode_message(m) in logged for m in messages)
         if name == "nonce-at-least":
-            return st.ost.recognized_nonce >= int(predicate[1])
+            (floor,) = _predicate_args(predicate, _count)
+            return st.ost.recognized_nonce >= floor
         if name == "log-extends":
             # (digest_hex, length): current log extends the snapshot.
-            want, length = bytes.fromhex(predicate[1]), int(predicate[2])
+            want, length = _predicate_args(predicate, bytes.fromhex, _count)
             if length > len(wallet.intst):
                 return False
             return self.log_prefix_digest(wallet.wallet_id, length) == want
         if name == "never-claimed":
             # (tx_digest_hex, ledger_digest_hex): the dusting countermeasure.
+            tx_digest, ledger_digest = _predicate_args(predicate, bytes.fromhex, bytes.fromhex)
             ledger = wallet.policy.ledger
             if ledger is None:
                 return False
-            tx_digest = bytes.fromhex(predicate[1])
             return (
                 ledger.chain.includes(tx_digest)
                 and ledger.chain.tx(tx_digest).tx.to == wallet.address
                 and tx_digest not in ledger.claims
-                and ledger.ledger_digest().hex() == predicate[2]
+                and ledger.ledger_digest() == ledger_digest
             )
         raise UnknownPolicy(f"predicate {name}")
 

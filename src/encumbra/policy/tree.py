@@ -26,10 +26,13 @@ table is written only through ``put`` and ``remove``, which keep the
 indexes and record the ids written since the clone; the update check
 diffs only those ids.
 
-A node's canonical JSON is built the first time an escrow write
-serialises it and kept on the node, so a write re-serialises only the
-nodes created since the last one; the tree's own summary (its capacity
-and manual seals) is serialised on every write (``snapshot_json``).
+A node's canonical JSON is written the first time an escrow write
+serialises it and kept on the node, so a spawn builds none.  The tree's
+text (``snapshot_json``) joins the kept fragments with the tree's own
+capacity and manual seals; the fallback keeps each wallet's text and
+asks for it again only after the wallet's tree was replaced, so an
+escrow write builds the new nodes of the trees that changed and
+nothing of the others.
 
 Spending is likewise derived: a node's spent amount is computed from
 the wallet's signing log (every logged signature is presumed
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Collection, Container, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import crypto
@@ -163,37 +167,39 @@ class Node:
 
 
 def _node_json(node: Node) -> str:
-    """``json.dumps`` (sorted keys, compact) of the node's summary.
+    """The node's summary as ``json.dumps`` (sorted keys, compact) gives it.
 
-    Controllers are recorded by player or program name; grants by asset
-    label, sorted by label and window.
+    Written directly, without a dict: keys in sorted order, strings
+    through ``json``'s own ASCII escaper (an asset label is ASCII by
+    construction), ``None`` as ``null``.  Controllers are recorded by
+    player or program name; grants by asset label, in a stable sort by
+    label and window.  docs/encoding.md ("Escrow plaintext and blob") is
+    the layout.
     """
-    if isinstance(node.controller, PlayerController):
-        controller = {"type": "player", "id": node.controller.player}
+    controller = node.controller
+    if isinstance(controller, PlayerController):
+        kind, name = "player", controller.player
     else:
-        controller = {"type": "program", "id": node.controller.name}
-    grants = sorted(
-        (
-            {
-                "asset": g.asset.label(),
-                "cap": g.cap,
-                "start": g.start,
-                "expiry": g.expiry,
-                "platform": g.platform.hex() if g.platform else None,
-            }
-            for g in node.grants
-        ),
-        key=lambda d: (d["asset"], d["start"], d["expiry"]),
+        kind, name = "program", controller.name
+    grants = node.grants
+    if len(grants) > 1:
+        grants = sorted(grants, key=_grant_order)
+    rows = ",".join(
+        f'{{"asset":"{g.asset.label()}","cap":{g.cap},"expiry":{g.expiry},'
+        f'"platform":{_quote(g.platform.hex()) if g.platform else "null"},"start":{g.start}}}'
+        for g in grants
     )
-    summary = {
-        "id": node.node_id,
-        "parent": node.parent,
-        "controller": controller,
-        "expiry": node.expiry,
-        "created_at": node.created_at,
-        "grants": grants,
-    }
-    return json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    parent = "null" if node.parent is None else _quote(node.parent)
+    return (
+        f'{{"controller":{{"id":{_quote(name)},"type":"{kind}"}},'
+        f'"created_at":{node.created_at},"expiry":{node.expiry},"grants":[{rows}],'
+        f'"id":{_quote(node.node_id)},"parent":{parent}}}'
+    )
+
+
+def _grant_order(grant: Grant) -> Tuple[str, int, int]:
+    """A grant's place in its node's JSON: by label, then window."""
+    return grant.asset.label(), grant.start, grant.expiry
 
 
 def _holder(node: Node) -> Optional[str]:

@@ -16,6 +16,7 @@ from encumbra import crypto, simchain
 from encumbra.assets import NATIVE, destination
 from encumbra.config import ORACLE_MODES
 from encumbra.errors import PolicyRefusal
+from encumbra.fallback import system as fallback_system
 from encumbra.fallback.system import FallbackSystem
 from encumbra.manager import WalletManager
 from encumbra.merkle import EMPTY_ROOT, MerklePath, merkle_levels, merkle_path, verify_path
@@ -408,4 +409,41 @@ def test_a_flush_builds_fragments_only_for_new_nodes(builds):
     builds.clear()
     manager.seal_asset("am", "w", "a", destination(b"\x51" * 20))
     assert builds == []  # a seal write rebuilds no node
+    assert fallback.version == 5
+
+
+@pytest.mark.parametrize("size", [100, 1000])
+def test_an_escrow_write_builds_only_the_changed_wallet(size, monkeypatch):
+    # Once every wallet's text is kept, a write builds the text of the
+    # one wallet that changed, however many wallets it leaves alone.
+    manager = WalletManager(crypto.digest(b"escrow-world"))
+    manager.register_player("am")
+    for i in range(size - 1):
+        manager.lw_gen("am", f"w{i}", policy_kind="allow")
+    manager.lw_gen("am", "t", policy_kind="tree", update_rule="tree")
+    fallback = FallbackSystem(manager, crypto.digest(b"escrow-world-seed"))
+    built = []
+    wallet_text = fallback_system._wallet_text
+
+    def counting(wallet):
+        built.append(wallet.wallet_id)
+        return wallet_text(wallet)
+
+    monkeypatch.setattr(fallback_system, "_wallet_text", counting)
+    manager.lw_update("am", "w0", "deny")  # the first write builds them all
+    assert len(built) == size
+
+    shop = destination(b"\x51" * 20)
+    changes = [
+        ("t", lambda: manager.spawn_node(
+            "am", "t", ROOT_ID, "n", PlayerController("renter"), 10**9, [Grant(shop, 1, 0, 10**9)])),
+        ("t", lambda: manager.seal_asset("am", "t", "n", shop)),
+        ("w1", lambda: manager.lw_update("am", "w1", "deny")),
+        ("new", lambda: manager.lw_gen("am", "new", policy_kind="allow")),
+    ]
+    for changed, change in changes:
+        built.clear()
+        change()
+        fallback.flush(now=3600)
+        assert built == [changed]
     assert fallback.version == 5

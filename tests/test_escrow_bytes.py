@@ -12,7 +12,9 @@ byte what they were.
 
 Over seeded trees the joined text must equal ``json.dumps`` of the
 dict reference in ``tests/oracles/treeref.py``, and a write must build
-a fragment only for a node that never had one.
+a fragment only for a node that never had one.  The fallback's kept
+wallet texts must give the reference bytes through every kind of change
+and undo.
 """
 
 import dataclasses
@@ -20,17 +22,19 @@ import hashlib
 import json
 import pathlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from encumbra import cli, crypto
-from encumbra.assets import capability, destination
+from encumbra.assets import NATIVE, capability, destination
+from encumbra.errors import ReplicationTimeout
 from encumbra.fallback import system
 from encumbra.fallback.system import FallbackSystem
 from encumbra.manager import WalletManager
 from encumbra.policy import tree as tree_module
 from encumbra.policy.registry import TreeWalletPolicy
-from encumbra.policy.tree import ROOT_ID, Node, PlayerController, ProgramController
+from encumbra.policy.tree import ROOT_ID, Grant, Node, PlayerController, ProgramController
 from encumbra.scenario import ScenarioRunner, parse_scenario
 from tests.oracles import gen, treeref
 
@@ -126,8 +130,9 @@ def test_tree_json_equals_the_reference_dict():
         assert tree.snapshot_json() == expected, seed  # from kept fragments
 
 
-def payload_ref(fallback: FallbackSystem) -> bytes:
-    """The escrow plaintext as the dict serialisation built it."""
+def payload_ref(fallback: FallbackSystem, version=None) -> bytes:
+    """The escrow plaintext as the dict serialisation built it, for
+    ``version`` (by default the fallback's current one)."""
     wallets = []
     for wallet in fallback.manager.wallets():
         if isinstance(wallet.policy, TreeWalletPolicy):
@@ -144,7 +149,9 @@ def payload_ref(fallback: FallbackSystem) -> bytes:
                 "policy": policy,
             }
         )
-    return canonical({"version": fallback.version, "wallets": wallets}).encode()
+    if version is None:
+        version = fallback.version
+    return canonical({"version": version, "wallets": wallets}).encode()
 
 
 def test_escrow_payload_equals_the_reference_dict():
@@ -160,6 +167,29 @@ def test_escrow_payload_equals_the_reference_dict():
         wallet.policy.tree = decorated_tree(rng)
         wallet.policy_version = rng.randint(0, 5)
         assert fallback._payload(fallback.version) == payload_ref(fallback), i
+
+
+def test_node_fragments_equal_json_dumps_of_the_reference_dict():
+    """The direct node writer against ``json.dumps`` of the dict, on
+    nodes no tree would accept: lone surrogates and control characters
+    in ids, an empty platform, grants that tie on (label, start,
+    expiry) and so keep their given order."""
+    rng = random.Random(11)
+    names = [*ODD_IDS, "\ud800", "x\udfffy", "\x00\x1f\x7f", "", "plain"]
+    assets = [NATIVE, destination(b"\x01" * 20), destination(b"\x02" * 20),
+              capability(b"\x03" * 32), capability(b"\x04" * 32)]
+    for seed in range(200):
+        grants = [
+            Grant(rng.choice(assets), rng.randint(1, 10**30), rng.randint(0, 2),
+                  rng.choice([2, 10**18]), rng.choice([None, b"", b"\x05" * 32]))
+            for _ in range(rng.randint(0, 5))
+        ]
+        controller = rng.choice([PlayerController(rng.choice(names)),
+                                 ProgramController(rng.choice(names))])
+        node = Node(rng.choice(names), rng.choice([None, *names]), controller,
+                    rng.randint(0, 2**62), rng.randint(0, 10**12), grants)
+        table = SimpleNamespace(nodes={node.node_id: node}, native_capacity=None, manual_seals={})
+        assert node.json_fragment() == canonical(treeref.snapshot_ref(table)["nodes"][0]), seed
 
 
 # ----------------------------------------------------------------------
@@ -197,3 +227,70 @@ def test_node_equality_and_hash_ignore_the_fragment():
     assert node == twin and hash(node) == hash(twin)
     assert repr(node) == repr(twin)
     assert set(vars(node)) == attributes  # filled in place, nothing added
+
+
+# ----------------------------------------------------------------------
+# kept wallet texts
+
+
+def test_kept_wallet_texts_follow_every_change_and_undo(monkeypatch):
+    """A wallet's kept text is keyed by its policy object, its tree
+    object and its ``policy_version``.  Through new wallets, spawns and
+    flushes, a seal and an unseal, a registry swap, refused seals whose
+    undo puts the old tree back, and a version moved alone, every
+    plaintext handed to ``encrypt_state`` (refused writes included)
+    equals the dict reference of the world at that moment."""
+    manager = WalletManager(crypto.digest(b"kept-texts"))
+    manager.register_player("am")
+    fallback = FallbackSystem(manager, crypto.digest(b"kept-texts-seed"))
+    written = []
+    encrypt = system.encrypt_state
+
+    def checking(public, plaintext, version, seed):
+        assert plaintext == payload_ref(fallback, version), len(written)
+        written.append(version)
+        return encrypt(public, plaintext, version, seed)
+
+    monkeypatch.setattr(system, "encrypt_state", checking)
+    shop = destination(b"\x51" * 20)
+
+    def spawn(name, grants=()):
+        manager.spawn_node("am", "t", ROOT_ID, name, PlayerController("renter"), 10**9, grants)
+
+    def reachable(flag):
+        for repo in fallback.repos:
+            repo.reachable = flag
+
+    manager.lw_gen("am", "t", policy_kind="tree", update_rule="tree", native_capacity=10**18)
+    manager.lw_gen("am", "r", policy_kind="allow", update_rule="any")
+    spawn("a", [Grant(shop, 1, 0, 10**9)])
+    spawn("b")
+    assert fallback.flush(now=3600)
+    manager.seal_asset("am", "t", "a", shop)
+    manager.unseal_asset("am", "t", shop)
+    assert fallback.flush(now=7200)
+    manager.lw_update("am", "r", "deny")
+    assert written == [1, 2, 3, 4, 5, 6]
+
+    # A refused seal, then a write that leaves ``t`` alone: ``t``'s text
+    # is its restored tree's, not the refused one's.
+    reachable(False)
+    with pytest.raises(ReplicationTimeout):
+        manager.seal_asset("am", "t", "a", shop)
+    reachable(True)
+    manager.lw_gen("am", "x", policy_kind="deny")
+
+    # A refused seal, then a spawn that brings ``t`` back to the refused
+    # version with another tree.
+    reachable(False)
+    with pytest.raises(ReplicationTimeout):
+        manager.seal_asset("am", "t", "a", shop)
+    reachable(True)
+    spawn("c")
+    assert fallback.flush(now=10800)
+
+    # The version alone moves: the text follows it.
+    manager.wallet("r").policy_version += 5
+    manager.lw_gen("am", "y", policy_kind="allow")
+    assert written == [1, 2, 3, 4, 5, 6, 7, 7, 8, 8, 9]
+    assert fallback.version == 9

@@ -500,6 +500,26 @@ def test_release_leaves_no_key_material_on_the_fallback():
     assert not [seed for seed in seeds if any(seed in text for text in held)]
 
 
+def test_no_seed_rests_on_the_fallback_between_writes():
+    """The fallback keeps each wallet's text for the next write, but
+    never a seed: after a new-wallet write, a seal write and a flush,
+    and before any release, nothing it holds but the manager carries a
+    wallet's seed."""
+    manager, system = _stack()
+    manager.lw_gen("am", "w1", policy_kind="allow")
+    manager.lw_gen("am", "w2", policy_kind="tree", update_rule="tree")
+    grant = Grant(destination(D1), 1, 0, 10**9)
+    manager.spawn_node("am", "w2", ROOT_ID, "n1", PlayerController("renter"), 10**9, [grant])
+    manager.seal_asset("am", "w2", "n1", destination(D1))
+    manager.unseal_asset("am", "w2", destination(D1))
+    assert system.flush(now=3600)
+    assert system.version == 4
+    seeds = [wallet.key.seed_bytes().hex() for wallet in manager.wallets()]
+    kept = {name: value for name, value in vars(system).items() if name != "manager"}
+    held = list(_held_text(kept))
+    assert not [seed for seed in seeds if any(seed in text for text in held)]
+
+
 def test_verify_released_key_checks_the_public_half():
     key = crypto.derive_signing_key(SEED, "wallet")
     assert verify_released_key(key.seed_bytes(), key.public_key)

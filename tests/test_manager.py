@@ -327,8 +327,9 @@ def test_lw_verify_predicates():
         "w", "s", [], ("log-extends", crypto.digest(b"x").hex(), 1)
     )[0]
 
-    with pytest.raises(UnknownPolicy):
-        manager.lw_verify("w", "s", [], ("is-nice",))
+    for unknown in (("is-nice",), ()):
+        with pytest.raises(UnknownPolicy):
+            manager.lw_verify("w", "s", [], unknown)
 
     # the logged `inside` spent alice's whole 1 ETH cap, so the verdict
     # flips; a different verdict or subject binds to different bytes
@@ -353,6 +354,50 @@ def test_log_prefix_digest_chains():
 def _framed(text):
     raw = text.encode()
     return len(raw).to_bytes(4, "big") + raw
+
+
+# A malformed argument makes the predicate unknown, as an unknown name
+# does: UnknownPolicy, raised before anything is signed.
+HEX32 = crypto.digest(b"arg").hex()
+
+
+def _refuses_before_signing(monkeypatch, predicates):
+    manager = _manager()
+    _tree_wallet(manager)
+    signed = []
+    sign = crypto.SigningKey.sign
+    monkeypatch.setattr(
+        crypto.SigningKey, "sign", lambda key, payload: signed.append(payload) or sign(key, payload)
+    )
+    for predicate in predicates:
+        with pytest.raises(UnknownPolicy):
+            manager.lw_verify("w", "s", [], predicate)
+    assert signed == []
+
+
+def test_nonce_at_least_refuses_a_malformed_argument(monkeypatch):
+    _refuses_before_signing(monkeypatch, [
+        ("nonce-at-least",), ("nonce-at-least", 4, 5),  # arity
+        ("nonce-at-least", "four"), ("nonce-at-least", "4.5"), ("nonce-at-least", 4.5),
+        ("nonce-at-least", None), ("nonce-at-least", True), ("nonce-at-least", -1),
+    ])
+
+
+def test_log_extends_refuses_a_malformed_argument(monkeypatch):
+    _refuses_before_signing(monkeypatch, [
+        ("log-extends", HEX32), ("log-extends", HEX32, 1, 2),  # arity
+        ("log-extends", "zz", 1), ("log-extends", b"\x00" * 32, 1), ("log-extends", None, 1),
+        ("log-extends", HEX32, "one"), ("log-extends", HEX32, -1),
+    ])
+
+
+def test_never_claimed_refuses_a_malformed_argument(monkeypatch):
+    # ``w`` holds no ledger, so the arguments are read before the ledger is
+    _refuses_before_signing(monkeypatch, [
+        ("never-claimed", HEX32), ("never-claimed", HEX32, HEX32, HEX32),  # arity
+        ("never-claimed", "not hex", HEX32), ("never-claimed", HEX32, "not hex"),
+        ("never-claimed", None, HEX32), ("never-claimed", HEX32, 7),
+    ])
 
 
 def test_frozen_attestation_vectors():

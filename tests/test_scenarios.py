@@ -48,27 +48,43 @@ def test_bundled_transcript_is_byte_identical(name, capsys):
     assert out.encode("utf-8") == (TRANSCRIPTS / f"{name}.txt").read_bytes()
 
 
-def test_bundled_bytes_do_not_depend_on_the_hash_seed():
+def test_bundled_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     """Two processes under different string-hash seeds print the same
-    bytes for the bundled scenarios with all three reports, so no output
-    follows the iteration order of a set or dict of strings."""
+    bytes for the bundled scenarios with all three reports, and hand the
+    same escrow plaintexts to ``encrypt_state``, so neither output nor
+    escrow follows the iteration order of a set or dict of strings."""
     probe = (
-        "import sys\n"
+        "import hashlib, sys\n"
         "from encumbra import cli\n"
+        "from encumbra.fallback import system\n"
+        "encrypt, digests = system.encrypt_state, open(sys.argv[1], 'w')\n"
+        "def recording(public, plaintext, version, seed):\n"
+        "    print(hashlib.sha256(plaintext).hexdigest(), file=digests)\n"
+        "    return encrypt(public, plaintext, version, seed)\n"
+        "system.encrypt_state = recording\n"
         "for name in cli.bundled_scenarios():\n"
-        "    assert cli.main(['--scenario', name, *sys.argv[1:]]) == 0\n"
+        "    assert cli.main(['--scenario', name, *sys.argv[2:]]) == 0\n"
+        "digests.close()\n"
     )
-    outs = []
+    outs, escrows = [], []
     for hash_seed in ("0", "12345"):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=hash_seed)
         env.pop("ENGINE_LOG", None)
+        digests = tmp_path / f"escrow-{hash_seed}.txt"
         run = subprocess.run(
-            [sys.executable, "-c", probe, *REPORTS], env=env, capture_output=True, check=True
+            [sys.executable, "-c", probe, str(digests), *REPORTS],
+            env=env, capture_output=True, check=True,
         )
         outs.append(run.stdout)
+        escrows.append(digests.read_text(encoding="ascii").split())
     assert outs[0] == outs[1]
+    assert escrows[0] == escrows[1]
     names = cli.bundled_scenarios()
     assert outs[0] == b"".join((TRANSCRIPTS / f"{name}.txt").read_bytes() for name in names)
+    escrow = HERE / "fixtures" / "escrow"
+    assert escrows[0] == [
+        line for name in names for line in (escrow / f"{name}.txt").read_text(encoding="ascii").split()
+    ]
 
 
 @pytest.mark.parametrize("name", cli.bundled_scenarios())
