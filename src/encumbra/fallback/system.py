@@ -18,13 +18,18 @@ known public key before use), and at least one repository serves an
 intact replica.  The latest decryptable version wins; release happens
 at most once.
 
+A change reaches the fallback as its successor ``Wallet`` before the
+manager installs it, so a blocking write holds the change in place of
+the live wallet (or last, for a new one), and a refused one raises
+before anything is installed.
+
 An escrow write builds only what changed.  The fallback keeps each
-wallet's text up to its seed, keyed by the wallet's policy object, its
-tree object and its ``policy_version``: an installed tree never
-changes, every change to a wallet's policy or tree installs a new
-object and moves the version, and an undo puts the old objects and
-version back, so a kept text whose key still matches is the wallet's
-text.  The seed is never kept: each write reads it from the manager.
+wallet's text up to its seed, keyed by the wallet's tree (its policy
+object, for a registry policy) and ``policy_version``: a tree wallet
+keeps its policy object, an installed tree never changes, every change
+installs a new object and raises the version, and nothing lowers it,
+so a kept text whose key still matches is the wallet's text.  The seed
+is never kept: each write reads it from the manager.
 A changed wallet's text is built again, and within it only the tree
 nodes that never had a fragment (see ``policy.tree``).  The write then
 joins the kept texts and the seeds once.
@@ -91,15 +96,17 @@ class FallbackSystem:
         self.pending_increases: List[str] = []
         self.last_flush = 0
         self.executed = False
-        # wallet id -> (policy, tree, policy_version, text up to the seed)
-        self._texts: Dict[str, Tuple[object, object, int, bytes]] = {}
+        # wallet id -> (tree or registry policy, policy_version, text up to the seed)
+        self._texts: Dict[str, Tuple[object, int, bytes]] = {}
         manager.on_policy_change = self.on_policy_change
 
     # ------------------------------------------------------------------
     # replication
 
-    def _payload(self, version: int) -> bytes:
-        """The escrow plaintext of ``version``: canonical JSON of every wallet.
+    def _payload(self, version: int, successor: Optional[Wallet] = None) -> bytes:
+        """The escrow plaintext of ``version``: canonical JSON of every
+        wallet, with ``successor`` in place of its live wallet (or last,
+        for a new id).
 
         The bytes are ``json.dumps(..., sort_keys=True, separators=(",",
         ":"))`` of {version, wallets} (docs/encoding.md, "Escrow
@@ -107,44 +114,49 @@ class FallbackSystem:
         its seed and the closing ``"}``.  Only a wallet whose key moved
         since the last write has its text built again.
         """
+        world = {wallet.wallet_id: wallet for wallet in self.manager.wallets()}
+        if successor is not None:
+            world[successor.wallet_id] = successor
         pieces = [f'{{"version":{json.dumps(version)},"wallets":['.encode()]
         kept = self._texts
         texts = {}
         separator = b""
-        for wallet in self.manager.wallets():
+        for wallet_id, wallet in world.items():
             policy = wallet.policy
-            tree = getattr(policy, "tree", None)
-            entry = kept.get(wallet.wallet_id)
-            if (
-                entry is None
-                or entry[0] is not policy
-                or entry[1] is not tree
-                or entry[2] != wallet.policy_version
-            ):
-                entry = (policy, tree, wallet.policy_version, _wallet_text(wallet))
-            texts[wallet.wallet_id] = entry
-            pieces += (separator, entry[3], hexlify(wallet.key.seed_bytes()), b'"}')
+            source = getattr(policy, "tree", policy)
+            entry = kept.get(wallet_id)
+            if entry is None or entry[0] is not source or entry[1] != wallet.policy_version:
+                entry = (source, wallet.policy_version, _wallet_text(wallet))
+            texts[wallet_id] = entry
+            pieces += (separator, entry[2], hexlify(wallet.key.seed_bytes()), b'"}')
             separator = b","
         pieces.append(b"]}")
         self._texts = texts
         return b"".join(pieces)
 
-    def _replicate(self, replicate: Callable[[List[StorageRepo], EncryptedBlob], int]) -> int:
-        """Write the world as the next version; spend that version only
-        if a repository acknowledged.  Returns the acknowledgements."""
+    def _replicate(
+        self,
+        replicate: Callable[[List[StorageRepo], EncryptedBlob], int],
+        successor: Optional[Wallet] = None,
+    ) -> int:
+        """Write the world, ``successor`` in it, as the next version; spend
+        that version only if a repository acknowledged.  Returns the
+        acknowledgements."""
         version = self.version + 1
-        blob = encrypt_state(self.escrow_public, self._payload(version), version, self._seed)
+        plaintext = self._payload(version, successor)
+        blob = encrypt_state(self.escrow_public, plaintext, version, self._seed)
         acks = replicate(self.repos, blob)
         if acks > 0:
             self.version = version
         return acks
 
-    def on_policy_change(self, wallet_id: str, change_class: str) -> None:
+    def on_policy_change(self, successor: Wallet, change_class: str) -> None:
+        """Take a change, as the wallet it leaves, before it is installed."""
         if change_class in (NEW_WALLET, PRIVILEGE_DECREASE):
             # Blocking: the calling operation fails if nobody stores it.
-            self._replicate(replicate_blocking)
+            self._replicate(replicate_blocking, successor)
         elif change_class == PRIVILEGE_INCREASE:
-            self.pending_increases.append(wallet_id)
+            self.pending_increases.append(successor.wallet_id)
         else:
             raise ValueError(change_class)
 

@@ -16,8 +16,9 @@ unseal) takes one path: a ``frozen`` wallet is refused first,
 ``policy.update`` checks who may make the change and returns a
 successor tree, and ``_install_tree`` swaps it onto the wallet's tree
 policy (which keeps its programs and ledger), then tells the ledger of
-each destination carved.  An installed tree never changes, so undo puts
-the old one back.
+each destination carved.  A change replicates before it is installed:
+the recovery hook sees the wallet as the change leaves it, and a write
+it refuses raises before anything is installed, so nothing is put back.
 
 Refusals are uniform: a caller learns that the policy said no, and
 nothing else.
@@ -76,6 +77,13 @@ class Wallet:
     @property
     def public_key(self) -> bytes:
         return self.key.public_key
+
+    def successor(self, policy: WalletPolicy) -> "Wallet":
+        """The wallet once ``policy`` is installed (not ``dataclasses.replace``: slower)."""
+        return Wallet(
+            self.wallet_id, self.key, self.access_manager, policy,
+            self.update_rule, self.intst, self.policy_version + 1,
+        )
 
 
 def _framed(text: str) -> bytes:
@@ -142,9 +150,10 @@ class WalletManager:
         self._wallets: Dict[str, Wallet] = {}
         self._players: Set[str] = set()
         self._ost_provider = ost_provider or (lambda wallet: GENESIS_ORACLE)
-        # Observer for the recovery subsystem; receives
-        # (wallet_id, change_class) after each committed change.
-        self.on_policy_change: Optional[Callable[[str, str], None]] = None
+        # The recovery subsystem's hook: receives (successor wallet,
+        # change_class) before each change is installed, and refuses the
+        # change by raising.
+        self.on_policy_change: Optional[Callable[[Wallet, str], None]] = None
 
     # ------------------------------------------------------------------
     # registration
@@ -187,12 +196,8 @@ class WalletManager:
             policy=policy,
             update_rule=update_rule,
         )
+        self._notify(wallet, NEW_WALLET)
         self._wallets[wallet_id] = wallet
-
-        def undo():
-            del self._wallets[wallet_id]
-
-        self._notify(wallet_id, NEW_WALLET, undo)
         return wallet
 
     def _build_policy(
@@ -264,24 +269,16 @@ class WalletManager:
             raise UpdateRefused(f"update rule {wallet.update_rule} swaps no policy")
         if player != wallet.access_manager:
             raise UpdateRefused("only the access manager may swap the policy")
-        old_policy = wallet.policy
-        wallet.policy = self._build_policy(
-            new_policy_kind, wallet.access_manager, None
-        )
-        wallet.policy_version += 1
+        policy = self._build_policy(new_policy_kind, wallet.access_manager, None)
         increased = (
-            isinstance(old_policy, DenyAllPolicy) and new_policy_kind == "allow"
+            isinstance(wallet.policy, DenyAllPolicy) and new_policy_kind == "allow"
         )
-
-        def undo():
-            wallet.policy = old_policy
-            wallet.policy_version -= 1
-
         self._notify(
-            wallet_id,
+            wallet.successor(policy),
             PRIVILEGE_INCREASE if increased else PRIVILEGE_DECREASE,
-            undo,
         )
+        wallet.policy = policy
+        wallet.policy_version += 1
 
     def spawn_node(
         self,
@@ -333,45 +330,24 @@ class WalletManager:
     ) -> None:
         """Commit a tree change: the one place a wallet's tree is swapped.
 
-        Once it has replicated, the wallet's ledger, if any, learns each
-        destination in ``grants`` carved to ``node_id``.
+        The hook sees a render-only ``TreeWalletPolicy(tree)``; then the
+        tree is installed on the wallet's own policy, and its ledger, if
+        any, learns each destination in ``grants`` carved to ``node_id``.
         """
+        self._notify(wallet.successor(TreeWalletPolicy(tree)), change_class)
         policy = wallet.policy
-        old_tree = policy.tree
         policy.tree = tree
         wallet.policy_version += 1
-
-        def undo():
-            policy.tree = old_tree
-            wallet.policy_version -= 1
-
-        self._notify(wallet.wallet_id, change_class, undo)
         ledger = policy.ledger
         if ledger is not None:
             for grant in grants:
                 if grant.asset.kind is AssetKind.DESTINATION_ADDRESS:
                     ledger.register_grant(node_id, grant.asset.address)
 
-    def _notify(
-        self,
-        wallet_id: str,
-        change_class: str,
-        undo: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Tell the recovery subsystem about a committed change.
-
-        Changes that must replicate synchronously can fail here; the
-        caller's ``undo`` closure then reverts the local mutation so the
-        operation fails as a whole rather than diverging from escrow.
-        """
-        if self.on_policy_change is None:
-            return
-        try:
-            self.on_policy_change(wallet_id, change_class)
-        except Exception:
-            if undo is not None:
-                undo()
-            raise
+    def _notify(self, successor: Wallet, change_class: str) -> None:
+        """Hand the recovery hook a change; if it raises, nothing is installed."""
+        if self.on_policy_change is not None:
+            self.on_policy_change(successor, change_class)
 
     # ------------------------------------------------------------------
     # attestations
@@ -404,6 +380,8 @@ class WalletManager:
         st: StateTriple,
     ) -> bool:
         name = predicate[0] if predicate else None
+        if name in ("approves-all", "approves-none", "log-contains-all", "log-contains-none"):
+            _predicate_args(predicate)  # they take no argument
         if name == "approves-all":
             return all(wallet.policy.approves(subject, m, st)[0] for m in messages)
         if name == "approves-none":

@@ -14,7 +14,7 @@ Over seeded trees the joined text must equal ``json.dumps`` of the
 dict reference in ``tests/oracles/treeref.py``, and a write must build
 a fragment only for a node that never had one.  The fallback's kept
 wallet texts must give the reference bytes through every kind of change
-and undo.
+and refusal.
 """
 
 import dataclasses
@@ -233,64 +233,106 @@ def test_node_equality_and_hash_ignore_the_fragment():
 # kept wallet texts
 
 
-def test_kept_wallet_texts_follow_every_change_and_undo(monkeypatch):
-    """A wallet's kept text is keyed by its policy object, its tree
-    object and its ``policy_version``.  Through new wallets, spawns and
-    flushes, a seal and an unseal, a registry swap, refused seals whose
-    undo puts the old tree back, and a version moved alone, every
-    plaintext handed to ``encrypt_state`` (refused writes included)
-    equals the dict reference of the world at that moment."""
-    manager = WalletManager(crypto.digest(b"kept-texts"))
-    manager.register_player("am")
-    fallback = FallbackSystem(manager, crypto.digest(b"kept-texts-seed"))
-    written = []
+def test_kept_wallet_texts_follow_every_change_and_refusal(monkeypatch):
+    """A wallet's kept text is keyed by its tree (its policy object, for
+    a registry policy) and its ``policy_version``.  Through new wallets,
+    spawns and flushes, a seal and an unseal, a registry swap, refused
+    seals and a version moved alone, every plaintext an accepted step
+    hands to ``encrypt_state`` equals the dict reference of the world the
+    step leaves.  A refused step's plaintext holds the change it refused:
+    it is byte for byte what a twin, which replays the accepted steps
+    with every repository reachable, writes for that step."""
+    seed, twin_seed = crypto.digest(b"kept-texts-seed"), crypto.digest(b"kept-texts-twin")
+    written = {}
     encrypt = system.encrypt_state
 
-    def checking(public, plaintext, version, seed):
-        assert plaintext == payload_ref(fallback, version), len(written)
-        written.append(version)
-        return encrypt(public, plaintext, version, seed)
+    def recording(public, plaintext, version, escrow_seed):
+        written.setdefault(escrow_seed, []).append((version, plaintext))
+        return encrypt(public, plaintext, version, escrow_seed)
 
-    monkeypatch.setattr(system, "encrypt_state", checking)
+    monkeypatch.setattr(system, "encrypt_state", recording)
+
+    def stack(escrow_seed):
+        manager = WalletManager(crypto.digest(b"kept-texts"))
+        manager.register_player("am")
+        return manager, FallbackSystem(manager, escrow_seed)
+
+    manager, fallback = stack(seed)
+    mine = written.setdefault(seed, [])
+    accepted = []
     shop = destination(b"\x51" * 20)
 
-    def spawn(name, grants=()):
-        manager.spawn_node("am", "t", ROOT_ID, name, PlayerController("renter"), 10**9, grants)
+    def step(change):
+        start = len(mine)
+        change(manager, fallback)
+        for version, plaintext in mine[start:]:
+            assert plaintext == payload_ref(fallback, version), version
+        accepted.append(change)
 
-    def reachable(flag):
+    def refused(change):
+        start = len(mine)
         for repo in fallback.repos:
-            repo.reachable = flag
+            repo.reachable = False
+        with pytest.raises(ReplicationTimeout):
+            change(manager, fallback)
+        for repo in fallback.repos:
+            repo.reachable = True
+        twin_manager, twin = stack(twin_seed)
+        for done in accepted:
+            done(twin_manager, twin)
+        change(twin_manager, twin)
+        stored = written.pop(twin_seed)[-1:]
+        assert mine[start:] == stored == [(twin.version, payload_ref(twin))]
 
-    manager.lw_gen("am", "t", policy_kind="tree", update_rule="tree", native_capacity=10**18)
-    manager.lw_gen("am", "r", policy_kind="allow", update_rule="any")
-    spawn("a", [Grant(shop, 1, 0, 10**9)])
-    spawn("b")
-    assert fallback.flush(now=3600)
-    manager.seal_asset("am", "t", "a", shop)
-    manager.unseal_asset("am", "t", shop)
-    assert fallback.flush(now=7200)
-    manager.lw_update("am", "r", "deny")
-    assert written == [1, 2, 3, 4, 5, 6]
+    def new(wallet_id, kind, **rule):
+        return lambda m, f: m.lw_gen("am", wallet_id, policy_kind=kind, **rule)
+
+    def spawn(name, grants=()):
+        return lambda m, f: m.spawn_node(
+            "am", "t", ROOT_ID, name, PlayerController("renter"), 10**9, grants
+        )
+
+    def flush(now):
+        def flushing(m, f):
+            assert f.flush(now=now)
+        return flushing
+
+    def seal(m, f):
+        m.seal_asset("am", "t", "a", shop)
+
+    def unseal(m, f):
+        m.unseal_asset("am", "t", shop)
+
+    def swap(m, f):
+        m.lw_update("am", "r", "deny")
+
+    def bump(m, f):
+        m.wallet("r").policy_version += 5
+
+    step(new("t", "tree", update_rule="tree", native_capacity=10**18))
+    step(new("r", "allow", update_rule="any"))
+    step(spawn("a", [Grant(shop, 1, 0, 10**9)]))
+    step(spawn("b"))
+    step(flush(3600))
+    step(seal)
+    step(unseal)
+    step(flush(7200))
+    step(swap)
+    assert [version for version, _ in mine] == [1, 2, 3, 4, 5, 6]
 
     # A refused seal, then a write that leaves ``t`` alone: ``t``'s text
-    # is its restored tree's, not the refused one's.
-    reachable(False)
-    with pytest.raises(ReplicationTimeout):
-        manager.seal_asset("am", "t", "a", shop)
-    reachable(True)
-    manager.lw_gen("am", "x", policy_kind="deny")
+    # is its live tree's, not the refused one's.
+    refused(seal)
+    step(new("x", "deny"))
 
-    # A refused seal, then a spawn that brings ``t`` back to the refused
+    # A refused seal, then a spawn that brings ``t`` to the refused
     # version with another tree.
-    reachable(False)
-    with pytest.raises(ReplicationTimeout):
-        manager.seal_asset("am", "t", "a", shop)
-    reachable(True)
-    spawn("c")
-    assert fallback.flush(now=10800)
+    refused(seal)
+    step(spawn("c"))
+    step(flush(10800))
 
     # The version alone moves: the text follows it.
-    manager.wallet("r").policy_version += 5
-    manager.lw_gen("am", "y", policy_kind="allow")
-    assert written == [1, 2, 3, 4, 5, 6, 7, 7, 8, 8, 9]
+    step(bump)
+    step(new("y", "allow"))
+    assert [version for version, _ in mine] == [1, 2, 3, 4, 5, 6, 7, 7, 8, 8, 9]
     assert fallback.version == 9

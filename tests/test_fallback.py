@@ -21,6 +21,7 @@ from encumbra.errors import (
     UnknownWallet,
 )
 from encumbra.fallback import secretshare
+from encumbra.fallback import system as fallback_system
 from encumbra.fallback.escrow import (
     EncryptedBlob,
     StorageRepo,
@@ -383,6 +384,52 @@ def test_a_refused_escrow_write_spends_no_version():
         world_manager.lw_update("am", "w1", "deny")  # a blocking write
     assert system.version == 4
     assert _escrow_state(manager, system) == _escrow_state(twin_manager, twin)
+
+
+def _live(manager):
+    """Each wallet's id, policy object, tree object and version."""
+    return [
+        (w.wallet_id, w.policy, getattr(w.policy, "tree", None), w.policy_version)
+        for w in manager.wallets()
+    ]
+
+
+def test_a_blocking_write_runs_before_the_change_is_installed(monkeypatch):
+    """While a new wallet, a swap or a seal is written, the live world is
+    still the one before it.  A refused write holds the change all the
+    same: its plaintext is byte for byte what a twin with reachable
+    repositories writes for the step."""
+    steps = [
+        lambda m: m.lw_gen("am", "w2", policy_kind="allow"),
+        lambda m: m.lw_update("am", "w1", "deny"),
+        lambda m: m.seal_asset("am", "t1", "n1", destination(D1)),
+    ]
+    writes = []
+    encrypt = fallback_system.encrypt_state
+
+    def recording(public, plaintext, version, seed):
+        writes.append((version, plaintext, _live(manager), _live(twin_manager)))
+        return encrypt(public, plaintext, version, seed)
+
+    monkeypatch.setattr(fallback_system, "encrypt_state", recording)
+    for step in steps:
+        (manager, system), (twin_manager, twin) = _stack(), _stack()
+        for world in (manager, twin_manager):
+            world.lw_gen("am", "w1", policy_kind="allow", update_rule="any")
+            world.lw_gen("am", "t1", policy_kind="tree", update_rule="tree")
+            grant = Grant(destination(D1), 1, 0, 10**9)
+            world.spawn_node("am", "t1", ROOT_ID, "n1", PlayerController("renter"), 10**9, [grant])
+        writes.clear()
+        before = (_live(manager), _live(twin_manager))
+        _unreachable(system)
+        with pytest.raises(ReplicationTimeout):
+            step(manager)
+        step(twin_manager)
+        refusal, stored = writes
+        assert refusal[2:] == stored[2:] == before
+        assert refusal[:2] == stored[:2] and stored[0] == 3
+        assert _live(manager) == before[0]
+        assert _live(twin_manager) != before[1]
 
 
 def _fired_trigger(at=WINDOW + 101):

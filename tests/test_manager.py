@@ -400,6 +400,14 @@ def test_never_claimed_refuses_a_malformed_argument(monkeypatch):
     ])
 
 
+def test_argument_less_predicates_refuse_an_argument(monkeypatch):
+    _refuses_before_signing(monkeypatch, [
+        (name, *args)
+        for name in ("approves-all", "approves-none", "log-contains-all", "log-contains-none")
+        for args in (("junk", 7), ("",), (None,))
+    ])
+
+
 def test_frozen_attestation_vectors():
     """The attestation preimage, assembled by hand from the layout in
     docs/encoding.md, matches the frozen bytes and what lw_verify signs."""
@@ -441,8 +449,8 @@ def test_an_attestation_frames_every_field():
     assert crypto.verify(signature, digest)
     assert signature.public_key == wallet.public_key
     # an empty argument is an argument: the two predicates attest apart
-    _, padded = manager.lw_verify("w", "alice", [inside], ("approves-all", ""))
-    assert padded != signature
+    # (``lw_verify`` refuses the padded one, as the test above shows)
+    assert attestation_digest("w", "alice", [inside], ("approves-all", ""), ok) != digest
     # no joiner inside a field can stand for a field boundary
     assert attestation_digest("w", "s", [], ("p", "a,b"), True) != attestation_digest(
         "w", "s", [], ("p", "a", "b"), True

@@ -14,6 +14,12 @@ A wallet's tree changes on one path, so the rules on who may change it
 live in one module: in ``src/encumbra`` only ``policy/update.py`` calls
 ``.clone()`` (to build a successor tree), and only
 ``WalletManager._install_tree`` assigns a policy's ``tree``.
+
+A change replicates before it is installed, so a refused change has
+nothing to put back: in ``WalletManager`` no function stores to
+``self._wallets[...]``, a ``.policy``, a ``.policy_version`` or a
+policy's ``.tree`` before it has called the recovery hook
+(``_notify``, or ``on_policy_change`` itself).
 """
 
 import ast
@@ -71,6 +77,81 @@ def _tree_changes(tree, may_clone):
                 found.append(node.lineno)
         stack.extend((child, installing) for child in ast.iter_child_nodes(node))
     return sorted(found)
+
+
+HOOKS = {"_notify", "on_policy_change"}
+
+
+def _own_nodes(function):
+    """The nodes of ``function``'s body, not those of a nested function."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_install(node):
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        target = node.value
+        return isinstance(target, ast.Attribute) and target.attr == "_wallets"
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return node.attr in ("policy", "policy_version") or (
+            node.attr == "tree" and _is_policy(node.value)
+        )
+    return False
+
+
+def _early_installs(tree):
+    """The lines in ``class WalletManager`` that install a change before
+    their function has called the hook (or in a function that never does)."""
+    found = []
+    for manager in ast.walk(tree):
+        if not (isinstance(manager, ast.ClassDef) and manager.name == "WalletManager"):
+            continue
+        for function in ast.walk(manager):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            nodes = list(_own_nodes(function))
+            hook = min(
+                (node.lineno for node in nodes if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and node.func.attr in HOOKS),
+                default=float("inf"),
+            )
+            found += [node.lineno for node in nodes if _is_install(node) and node.lineno < hook]
+    return sorted(found)
+
+
+def test_the_manager_installs_a_change_only_after_the_hook():
+    path = ROOT / "src" / "encumbra" / "manager.py"
+    assert _early_installs(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_check_finds_each_store_before_the_hook():
+    source = (
+        "class WalletManager:\n"
+        "    def lw_gen(self, wallet):\n"
+        "        self._wallets[wallet.wallet_id] = wallet\n"
+        "        self._notify(wallet, NEW_WALLET)\n"
+        "        self._wallets[wallet.wallet_id] = wallet\n"
+        "    def lw_update(self, wallet, policy):\n"
+        "        wallet.policy = policy\n"
+        "        wallet.policy_version += 1\n"
+        "        def undo():\n"
+        "            del wallet.policy\n"
+        "        self.on_policy_change(wallet, CLASS)\n"
+        "        wallet.policy = policy\n"
+        "    def _install_tree(self, wallet, tree):\n"
+        "        wallet.policy.tree = tree\n"
+        "        policy.tree = tree\n"
+        "        self.tree = tree\n"
+        "        x = policy.tree\n"
+        "class Other:\n"
+        "    def f(self, wallet):\n"
+        "        wallet.policy = None\n"
+    )
+    assert _early_installs(ast.parse(source)) == [3, 7, 8, 10, 14, 15]
 
 
 def test_trees_change_only_through_the_update_module():
