@@ -476,8 +476,9 @@ def _cmd_claim(r: ScenarioRunner, pos, kw) -> str:
 @command("prove-deposit", "wallet", "node tx")
 def _cmd_prove_deposit(r: ScenarioRunner, pos, kw) -> str:
     signed = r._symbol(kw["tx"])
+    ledger = r.engine.ledger_of(pos[0])
     proof = r.engine.chain.prove_inclusion(signed.digest)
-    credited = r.engine.ledger_of(pos[0]).prove_deposit(kw["node"], proof)
+    credited = ledger.prove_deposit(kw["node"], proof)
     return f"{pos[0]}/{kw['node']} +{credited}"
 
 
@@ -498,8 +499,9 @@ def _cmd_host_fees(r: ScenarioRunner, pos, kw) -> str:
 @command("prove-tx", "wallet", "tx submitter")
 def _cmd_prove_tx(r: ScenarioRunner, pos, kw) -> str:
     signed = r._symbol(kw["tx"])
+    ledger = r.engine.ledger_of(pos[0])
     proof = r.engine.chain.prove_inclusion(signed.digest)
-    node = r.engine.ledger_of(pos[0]).prove_tx_inclusion(kw["submitter"], proof)
+    node = ledger.prove_tx_inclusion(kw["submitter"], proof)
     return f"{pos[0]} -> {node or 'unattributed'}"
 
 

@@ -25,12 +25,18 @@ below the confirmed height of the proof mode.
 A mode is drawn only where its bound cannot decide.  ``random.gauss``
 lies within ``GAUSS_Z_MAX`` (about 8.57) deviations of its mean, which
 bounds each mode's draw (``raw_bound``) and delay (``delay_bounds``).
-A read starts at the newest height its delay bound settles and walks up
-while the slack (asked time minus the next height's timestamp) is at
-least 1 and no draw of the mode, drawn first, or of a lower mode
-exceeds it; a mode whose raw bound is within the slack is not drawn.
-Draws are kept by (height, mode), and a mode resumes from its last
-answer, so reads at a forward-moving clock cost amortised O(1).
+Both readers share one walk, bounded by the height the reader needs:
+``confirmed_height`` walks up to the tip, ``prove_inclusion`` only up to
+the proven tx's height, so a proof draws no height above its tx and
+none at all when the delay bound settles it.  The walk starts at the
+newest height the delay bound settles, or a memo of a height known
+confirmed at an earlier time if that is higher, and walks up while the
+slack (asked time minus the next height's timestamp) is at least 1 and
+no draw of the mode, drawn first, or of a lower mode exceeds it; a mode
+whose raw bound is within the slack is not drawn.  Draws are kept by
+(height, mode).  The memo is a lower bound, not always the answer: a
+bounded walk may stop below the confirmed height, and a later read
+resumes from it, so reads at a forward-moving clock cost amortised O(1).
 """
 
 from __future__ import annotations
@@ -155,7 +161,8 @@ class SimChain:
         self._raw_bounds = {m: raw_bound(*delay_models[m]) for m in ORACLE_MODES}
         self._bounds = delay_bounds(delay_models)
         self._drawn: Dict[Tuple[int, str], int] = {}
-        # Per mode, the last answer: (time asked, confirmed height).
+        # Per mode, (time, height) with the height known confirmed at that
+        # time, hence at any later one: a lower bound reads resume from.
         self._known: Dict[str, Tuple[int, int]] = {m: (0, 0) for m in ORACLE_MODES}
 
     # ------------------------------------------------------------------
@@ -325,18 +332,22 @@ class SimChain:
 
     def confirmed_height(self, mode: str, at_time: Optional[int] = None) -> int:
         """Highest height whose whole prefix is confirmed for the mode."""
-        now = self.time if at_time is None else at_time
+        return self._walk(mode, self.time if at_time is None else at_time, self.height)
+
+    def _walk(self, mode: str, now: int, limit: int) -> int:
+        """The confirmed height for the mode at ``now`` if it is below
+        ``limit``, else a confirmed height at least ``limit``; no height
+        above ``limit`` is drawn."""
         known_time, known_height = self._known[mode]
         if now < 0:
             return -1
-        tip = self.height
         # Every height at least the bound older than ``now`` is confirmed.
-        height = min(tip, max(0, (now - self._bounds[mode]) // self.block_interval))
+        height = min(self.height, max(0, (now - self._bounds[mode]) // self.block_interval))
         if known_time <= now:
             height = max(height, known_height)
         # Prefix times never decrease, so the first height that confirms
         # after ``now`` ends the prefix.
-        while height < tip and self._confirms(height + 1, mode, now):
+        while height < limit and self._confirms(height + 1, mode, now):
             height += 1
         if known_time <= now:
             self._known[mode] = (now, height)
@@ -346,11 +357,19 @@ class SimChain:
     # proofs
 
     def prove_inclusion(self, tx_digest: bytes, mode: Optional[str] = None) -> InclusionProof:
+        """The Merkle proof of an included tx, issued only once its height
+        is confirmed for ``mode`` (the proof mode by default) at the
+        chain's time; ``UnknownTx`` or ``NotYetConfirmed`` otherwise.
+
+        The oracle is read only through the tx's height: heights above it
+        cannot change the verdict.  A refused walk stops at the first
+        unconfirmed height, so its detail names the confirmed height.
+        """
         location = self._tx_index.get(tx_digest)
         if location is None:
             raise UnknownTx(tx_digest.hex())
         height, index = location
-        confirmed = self.confirmed_height(mode or self.proof_mode)
+        confirmed = self._walk(mode or self.proof_mode, self.time, height)
         if height > confirmed:
             raise NotYetConfirmed(f"height {height} above confirmed {confirmed}")
         path = merkle_path(self._blocks[height].levels, index)

@@ -15,7 +15,7 @@ import pytest
 from encumbra import crypto, simchain
 from encumbra.assets import NATIVE, destination
 from encumbra.config import ORACLE_MODES
-from encumbra.errors import PolicyRefusal
+from encumbra.errors import NotYetConfirmed, PolicyRefusal
 from encumbra.fallback import system as fallback_system
 from encumbra.fallback.system import FallbackSystem
 from encumbra.manager import WalletManager
@@ -118,6 +118,46 @@ def test_a_finalized_read_draws_at_most_two_modes_a_height(draws):
         previous, answer = answer, chain.confirmed_height("finalized")
         assert len(draws) <= 2 * (answer - previous) + 1
         assert all(mode != "latest" for _, mode in draws)
+
+
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+def test_a_proof_reads_the_oracle_only_through_its_height(mode, draws):
+    """After 100 or 1,000 blocks, with txs at the last settled height and
+    across the delay window above it up to the tip, a proof of a tx
+    the delay bound settles draws nothing, and a proof of a tx inside
+    the window draws no height above the tx, whether it is issued or
+    refused.  Proven oldest first, so each walk resumes from the last."""
+    key = crypto.derive_signing_key(SEED, "acct", "payer")
+    bound = delay_bounds(SimChain(SEED).delay_models)[mode]
+    for blocks in (100, 1000):
+        chain = SimChain(SEED, block_interval=INTERVAL)
+        chain.fund(key.address, 10**6)
+        # the proofs are asked at ``now``, where the bound settles ``blocks``
+        now = INTERVAL * blocks + bound
+        tip = now // INTERVAL
+        heights = []
+        for nonce, height in enumerate([*range(blocks, tip, max(1, (tip - blocks) // 8)), tip]):
+            chain.advance(INTERVAL * (height - 1 - chain.height))
+            tx = ChainTx(1, nonce, 0, 0, b"\x01" * 20, 1)
+            signed = SignedTx(tx=tx, signature=key.sign(signing_digest(tx)))
+            heights.append((height, chain.submit(signed)))
+            chain.advance(INTERVAL)
+        chain.advance(now - chain.time)
+        settled = (now - bound) // INTERVAL
+        assert heights[0][0] == settled == blocks
+        issued = []
+        for height, digest in heights:
+            del draws[:]
+            try:
+                assert chain.prove_inclusion(digest, mode).block_height == height
+                issued.append(height)
+            except NotYetConfirmed:
+                pass
+            assert max(_heights(draws), default=0) <= height
+            if height <= settled:
+                assert draws == [] and issued == [height]
+        # some tx inside the window confirms, and one at the tip does not
+        assert settled < issued[-1] < tip
 
 
 def _count_calls(monkeypatch, owner, name, counts):

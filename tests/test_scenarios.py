@@ -20,7 +20,7 @@ from importlib import resources
 
 import pytest
 
-from encumbra import cli
+from encumbra import cli, simchain
 from encumbra.engine import dao_domain
 from encumbra.assets import destination
 from encumbra.errors import EngineError, ParseError, StepFailure, UnknownPolicy, UpdateRefused
@@ -274,6 +274,23 @@ def test_a_step_on_an_unknown_wallet_is_refused(step):
     runner = _run("player am\naccount shop\n? " + step + "\n")
     assert runner.transcript[-1] == f"refused L3 {step.split()[0]} UnknownWallet"
     assert runner.symbols == {}
+
+
+@pytest.mark.parametrize("step", ["prove-tx w tx=t submitter=am", "prove-deposit w node=n tx=t"])
+@pytest.mark.parametrize("wait", [24, 3000])
+def test_a_proof_step_on_a_wallet_without_a_ledger_reads_no_oracle(step, wait, monkeypatch):
+    """A proof on an `allow` wallet, which has no ledger, is refused with
+    `UnknownWallet` before its tx is confirmed as after, and draws no
+    delay: the ledger is looked up before the oracle is read."""
+    drawn = []
+    real = simchain.sample_delay
+    monkeypatch.setattr(simchain, "sample_delay", lambda *a: drawn.append(a) or real(*a))
+    runner = _run(
+        "player am\naccount shop\nwallet w am=am policy=allow fund=1eth\n"
+        f"sign w player=am to=shop value=1wei as=t\nsubmit t\nadvance {wait}\n? {step}\n"
+    )
+    assert runner.transcript[-1] == f"refused L7 {step.split()[0]} UnknownWallet"
+    assert drawn == []
 
 
 def test_a_seller_cannot_swap_its_tree_away_to_take_back_a_sold_vote():

@@ -393,19 +393,44 @@ def test_oracle_matches_the_dense_reference(seed, config):
     """Answering from the delay bound gives the answers of drawing every
     height in order from genesis: same values, same exceptions, at past,
     present and future times, and no height drawn that the dense oracle
-    does not draw."""
+    does not draw.  Proofs of txs submitted along the way, which walk
+    only up to their tx, give the dense verdict and name its confirmed
+    height when refused, and the full reads after them still agree."""
     interval, models = ORACLE_CONFIGS[config]
     rng = random.Random(seed)
     chain = SimChain(SEED, block_interval=interval, delay_models=models, label="diff")
     reference = DenseOracle(chain)
+    payer = _key("payer")
+    chain.fund(payer.address, 10**18)
+    submitted = []
 
     for _ in range(300):
         roll = rng.random()
         if roll < 0.25:
+            if rng.random() < 0.5:
+                signed = _signed(payer, len(submitted), b"\x0c" * 20, 1)
+                submitted.append(chain.submit(signed))
             seconds = rng.choice([0, rng.randrange(1, 40), rng.randrange(40, 2000)])
             chain.advance(seconds * interval // 12)
             continue
         mode = rng.choice(ORACLE_MODES + ("bogus",))
+        if roll < 0.4:
+            included = [digest for digest in submitted if chain.includes(digest)]
+            if not included or mode == "bogus":
+                continue
+            digest = rng.choice(included[-3:])  # the newest, where walks draw
+            height = chain._tx_index[digest][0]
+            confirmed = reference.confirmed_height(mode)
+            try:
+                proof = chain.prove_inclusion(digest, mode)
+            except NotYetConfirmed as refused:
+                assert height > confirmed, (digest, mode)
+                assert refused.detail == f"height {height} above confirmed {confirmed}"
+            else:
+                assert proof.block_height == height <= confirmed, (digest, mode)
+            if rng.random() < 0.5:  # a full read resumes from the proof's walk
+                assert chain.confirmed_height(mode) == confirmed, (digest, mode)
+            continue
         tip = chain.height
         if roll < 0.65:
             at_time = rng.choice([
@@ -429,6 +454,7 @@ def test_oracle_matches_the_dense_reference(seed, config):
 
     assert chain.height > 100
     assert {height for height, _ in chain._drawn} <= set(reference.drawn())
+    assert len([d for d in submitted if chain.includes(d)]) > 10
 
 
 # Delay models for the per-mode check: the defaults, zero and negative
