@@ -108,13 +108,17 @@ class Engine:
     # ------------------------------------------------------------------
     # oracle and clock
 
-    def _oracle_state(self, wallet: Wallet) -> OracleState:
+    def _recognized_nonce(self, wallet: Wallet) -> int:
+        """The nonce a wallet's ledger has seen proven, or the chain's
+        nonce for a wallet without one."""
         ledger = wallet.policy.ledger
-        nonce = self.chain.nonce(wallet.address) if ledger is None else ledger.recognized_nonce
+        return self.chain.nonce(wallet.address) if ledger is None else ledger.recognized_nonce
+
+    def _oracle_state(self, wallet: Wallet) -> OracleState:
         return OracleState(
             chain_time=self.chain.time,
             block_hashes=self.chain.recent_block_hashes(),
-            recognized_nonce=nonce,
+            recognized_nonce=self._recognized_nonce(wallet),
         )
 
     @property
@@ -247,7 +251,7 @@ class Engine:
     ) -> ChainTx:
         wallet = self.manager.wallet(wallet_id)
         if nonce is None:
-            nonce = self._oracle_state(wallet).recognized_nonce
+            nonce = self._recognized_nonce(wallet)
         return self.build_tx(to, value, nonce, gas_limit, fee_gwei)
 
     def signed_wallet_tx(

@@ -11,9 +11,13 @@ exactly once.
 One ``advance`` sweeps the pool once, for its first due height: the
 pool that sweep leaves can include nothing until the next ``submit`` or
 ``fund``, so every later height of the call is empty, and only blocks
-that hold txs are kept.  A header is hashed on first read, so an advance
-hashes no empty height.  A block of n txs costs one Merkle build (about
-2n hashes) and keeps its levels, so an inclusion proof hashes nothing.
+that hold txs keep a body (timestamp, tx root, txs and Merkle levels);
+no height keeps a header.  ``_hash`` is the one place the chain hashes a
+header: it extends the hashed prefix in height order, on first read.
+The oracle snapshot's window of recent hashes is read only when the
+snapshot is encoded, so a command hashes no header.  A block of n txs
+costs one Merkle build (about 2n hashes) and keeps its levels, so an
+inclusion proof hashes nothing.
 
 The oracle gives each height three delays (latest / justified /
 finalized), ``mode_delays``: rounded Gaussian draws per mode, a pure
@@ -44,10 +48,11 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import crypto
 from .crypto import Drbg
@@ -70,6 +75,7 @@ from .merkle import (
 from .messages import ChainTx, signing_digest
 
 FEE_SINK = b"\xfe" * 20
+ZERO_HASH = b"\x00" * 32  # genesis's parent
 Models = Dict[str, Tuple[float, float]]  # per mode, its delay's (mean, stddev) in s
 
 # The largest |z| that ``random.gauss`` returns: its radius at the
@@ -109,7 +115,7 @@ class Block:
     tx_root: bytes
     txs: Tuple[SignedTx, ...]
     # Ignored by equality, hashing and repr: the Merkle levels built with
-    # ``tx_root``, whose siblings proofs read, and the header hash.
+    # ``tx_root``, and the header hash, derived from the fields above.
     levels: Levels = field(repr=False, compare=False)
     block_hash: bytes = field(init=False, repr=False, compare=False)
 
@@ -117,6 +123,63 @@ class Block:
         object.__setattr__(self, "block_hash", block_hash(
             self.height, self.parent_hash, self.tx_root, self.timestamp
         ))
+
+
+# Every chain's genesis header: height 0, no txs, at time 0.
+GENESIS_HASH = Block(0, 0, ZERO_HASH, EMPTY_ROOT, (), ()).block_hash
+
+
+class Body(NamedTuple):
+    """What a height with txs keeps: its header but for the parent's
+    hash, and the Merkle levels built with ``tx_root``."""
+
+    timestamp: int
+    tx_root: bytes
+    txs: Tuple[SignedTx, ...]
+    levels: Levels
+
+
+class HashWindow(Sequence):
+    """The header hashes of the newest eight heights up to ``tip``, oldest
+    first: the tuple ``chain.header(h).block_hash for h`` in
+    ``max(0, tip - 7) .. tip``, hashed on its first read (iteration,
+    indexing, equality or hash) and kept.  It compares and hashes equal
+    to that tuple.  Reading late is exact: there are no reorgs, so a
+    height at or below the tip never changes its header."""
+
+    __slots__ = ("_chain", "_tip", "_hashes")
+
+    def __init__(self, chain: "SimChain", tip: int):
+        self._chain = chain
+        self._tip = tip
+        self._hashes: Optional[Tuple[bytes, ...]] = None
+
+    def _read(self) -> Tuple[bytes, ...]:
+        if self._hashes is None:
+            heights = range(max(0, self._tip - 7), self._tip + 1)
+            self._hashes = tuple(map(self._chain._hash, heights))
+            self._chain = None
+        return self._hashes
+
+    def __len__(self) -> int:
+        return min(8, self._tip + 1)
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, HashWindow):
+            other = other._read()
+        return self._read() == other
+
+    def __hash__(self) -> int:
+        return hash(self._read())
+
+    def __repr__(self) -> str:
+        return repr(self._read())
 
 
 @dataclass(frozen=True)
@@ -146,11 +209,10 @@ class SimChain:
         self.delay_models = delay_models
         self.time = 0
         self.height = 0
-        genesis = Block(0, 0, b"\x00" * 32, EMPTY_ROOT, (), ())
         # The header hashes of heights 0..len - 1, the prefix read so
-        # far; the blocks that hold txs, and genesis, by height.
-        self._hashes: List[bytes] = [genesis.block_hash]
-        self._blocks: Dict[int, Block] = {0: genesis}
+        # far; the bodies of the heights that hold txs.
+        self._hashes: List[bytes] = [GENESIS_HASH]
+        self._bodies: Dict[int, Body] = {}
         self.pending: List[SignedTx] = []
         self.balances: Dict[bytes, int] = {}
         self.nonces: Dict[bytes, int] = {}
@@ -198,35 +260,39 @@ class SimChain:
             history.append((height, value))
 
     def _hash(self, height: int) -> bytes:
-        """The header hash of ``height``; unread empty heights up to it are hashed now."""
-        hashes = self._hashes
-        for empty in range(len(hashes), height + 1):
-            hashes.append(block_hash(empty, hashes[-1], EMPTY_ROOT, empty * self.block_interval))
+        """The header hash of ``height``: the one place the chain hashes a
+        header.  Unread heights up to it are hashed now, in height order,
+        each with its stored tx root or, if empty, ``EMPTY_ROOT``."""
+        hashes, bodies, interval = self._hashes, self._bodies, self.block_interval
+        for unread in range(len(hashes), height + 1):
+            body = bodies.get(unread)
+            root = EMPTY_ROOT if body is None else body.tx_root
+            hashes.append(block_hash(unread, hashes[-1], root, unread * interval))
         return hashes[height]
 
     def header(self, height: int) -> Block:
-        """The block at ``height``.  An empty height's block is built on
-        each call, from its height and its parent's hash."""
+        """The block at ``height``, built on each call from its body (an
+        empty one if the height holds no txs) and its parent's hash."""
         if not 0 <= height <= self.height:
             raise UnknownTx(f"no block at height {height}")
-        return self._blocks.get(height) or Block(
-            height, height * self.block_interval, self._hash(height - 1), EMPTY_ROOT, (), ()
-        )
+        body = self._bodies.get(height) or Body(height * self.block_interval, EMPTY_ROOT, (), ())
+        parent = self._hash(height - 1) if height else ZERO_HASH
+        return Block(height, body.timestamp, parent, body.tx_root, body.txs, body.levels)
 
     def tip(self) -> Block:
         return self.header(self.height)
 
-    def recent_block_hashes(self) -> Tuple[bytes, ...]:
-        """The hashes of the newest eight heights, oldest first."""
-        self._hash(self.height)
-        return tuple(self._hashes[max(0, self.height - 7) : self.height + 1])
+    def recent_block_hashes(self) -> HashWindow:
+        """The hashes of the newest eight heights, oldest first, read when
+        the window is first read, at the tip of this call."""
+        return HashWindow(self, self.height)
 
     def tx(self, tx_digest: bytes) -> SignedTx:
         location = self._tx_index.get(tx_digest)
         if location is None:
             raise UnknownTx(tx_digest.hex())
         height, index = location
-        return self._blocks[height].txs[index]
+        return self._bodies[height].txs[index]
 
     def includes(self, tx_digest: bytes) -> bool:
         return tx_digest in self._tx_index
@@ -249,7 +315,7 @@ class SimChain:
         Only the first due height sweeps the pool.  Its last sweep
         includes nothing, and nothing changes a nonce or a balance
         before the next height of the same call, so every later height
-        is empty, and no header is hashed until it is read.
+        is empty.  No header is hashed: a height with txs stores its body.
         """
         if seconds < 0:
             raise ValueError("time moves forward")
@@ -294,16 +360,9 @@ class SimChain:
         if not included:
             return
         levels = merkle_levels([s.digest for s in included])
-        block = Block(
-            height=height,
-            timestamp=height * self.block_interval,
-            parent_hash=self._hash(height - 1),
-            tx_root=merkle_root(levels),
-            txs=tuple(included),
-            levels=levels,
+        self._bodies[height] = Body(
+            height * self.block_interval, merkle_root(levels), tuple(included), levels
         )
-        self._blocks[height] = block
-        self._hashes.append(block.block_hash)
         for index, signed in enumerate(included):
             self._tx_index[signed.digest] = (height, index)
             self._record_balance(signed.sender, height)
@@ -372,14 +431,14 @@ class SimChain:
         confirmed = self._walk(mode or self.proof_mode, self.time, height)
         if height > confirmed:
             raise NotYetConfirmed(f"height {height} above confirmed {confirmed}")
-        path = merkle_path(self._blocks[height].levels, index)
+        path = merkle_path(self._bodies[height].levels, index)
         return InclusionProof(tx_digest=tx_digest, block_height=height, path=path)
 
     def verify_proof(self, proof: InclusionProof) -> bool:
         if not 0 <= proof.block_height <= self.height:
             return False
-        block = self._blocks.get(proof.block_height)
-        root = EMPTY_ROOT if block is None else block.tx_root
+        body = self._bodies.get(proof.block_height)
+        root = EMPTY_ROOT if body is None else body.tx_root
         return verify_path(proof.tx_digest, proof.path, root)
 
     def check_proof(self, proof: InclusionProof) -> SignedTx:
@@ -389,7 +448,7 @@ class SimChain:
         height, index = self._tx_index[proof.tx_digest]
         if height != proof.block_height:
             raise BadProof("proof cites the wrong block")
-        return self._blocks[height].txs[index]
+        return self._bodies[height].txs[index]
 
     # ------------------------------------------------------------------
     # invariant helpers

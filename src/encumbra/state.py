@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .assets import destination
 from .messages import ChainTx, SignableMessage, encode_message
@@ -29,13 +29,20 @@ from .messages import ChainTx, SignableMessage, encode_message
 class OracleState:
     """Trusted view of the chain at command time.
 
+    ``block_hashes`` are the header hashes of the newest eight heights,
+    oldest first.  The engine supplies them as a window
+    (``SimChain.recent_block_hashes``) that keeps the tip of the command
+    and hashes on first read, which is ``encode``; no policy reads them.
+    The window equals the tuple of the same hashes, so the encoding is
+    the same bytes whenever it is read.
+
     ``recognized_nonce`` is the account nonce the wallet has been shown
     inclusion proofs for; it advances only through proofs, never on the
     caller's word.
     """
 
     chain_time: int
-    block_hashes: Tuple[bytes, ...]
+    block_hashes: Sequence[bytes]
     recognized_nonce: int
 
     def encode(self) -> bytes:

@@ -172,11 +172,12 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 @pytest.mark.parametrize("pool", ["empty", "waiting"])
 def test_an_advance_sweeps_once_and_hashes_each_later_height(pool, monkeypatch):
-    """An advance over 100 or 1,000 intervals builds at most one
-    ``Block`` and at most one set of Merkle levels, and hashes no empty
-    height; a pool whose txs wait on a nonce gap changes none of that.
-    The first read of the recent hashes hashes each unread height once,
-    and a second read hashes none."""
+    """An advance over 100 or 1,000 intervals builds no ``Block``, at
+    most one set of Merkle levels, and hashes no header, the height that
+    holds txs included; a pool whose txs wait on a nonce gap changes
+    none of that.  Asking for the recent hashes hashes nothing; the
+    first read of the window hashes each of the new heights once, and a
+    second read hashes none."""
     key = crypto.derive_signing_key(SEED, "acct", "payer")
 
     def signed(nonce):
@@ -198,18 +199,19 @@ def test_an_advance_sweeps_once_and_hashes_each_later_height(pool, monkeypatch):
             counts[name] = 0
         assert len(chain.advance(INTERVAL * intervals)) == intervals
         if pool == "waiting":
-            # the first height holds nonce 0: one block, one Merkle build
-            # over one leaf (one hash), and its header hash
-            assert counts == {"Block": 1, "merkle_levels": 1, "digest": 2}
+            # the first height holds nonce 0: one Merkle build over one
+            # leaf (one hash), and no header hash
+            assert counts == {"Block": 0, "merkle_levels": 1, "digest": 1}
             assert len(chain.pending) == 48
         else:
             assert counts == {"Block": 0, "merkle_levels": 0, "digest": 0}
-        unread = intervals - (pool == "waiting")
         counts["digest"] = 0
         recent = chain.recent_block_hashes()
-        assert counts["digest"] == unread
+        assert len(recent) == 8 and counts["digest"] == 0
+        hashes = tuple(recent)
+        assert counts["digest"] == intervals
         counts["digest"] = 0
-        assert chain.recent_block_hashes() == recent
+        assert tuple(recent) == hashes and chain.recent_block_hashes() == recent
         assert counts["digest"] == 0
         assert recent[-1] == chain.tip().block_hash
 
@@ -248,6 +250,41 @@ def test_verifying_a_proof_at_an_empty_height_hashes_no_header(monkeypatch):
     assert not chain.verify_proof(proof)
     assert counts == {"block_hash": 0, "digest": 1}
     assert len(chain._hashes) == 1
+
+
+def test_a_command_hashes_no_header(monkeypatch):
+    """Every step of the four bundled scenarios, engine construction
+    included, hashes no block header: a signature's oracle snapshot
+    keeps a window of hashes that is read only when the snapshot is
+    encoded.  Encoding every wallet's log and both chains' snapshots
+    afterwards hashes each height of each chain at most once."""
+    hashed = []
+    real = simchain.block_hash
+
+    def recording(height, parent_hash, tx_root, timestamp):
+        hashed.append((height, timestamp))
+        return real(height, parent_hash, tx_root, timestamp)
+
+    monkeypatch.setattr(simchain, "block_hash", recording)
+    for name in ("lifecycle", "txcycle", "darkdao", "fallback"):
+        text = resources.files("encumbra.scenarios").joinpath(f"{name}.scn").read_text()
+        runner = ScenarioRunner(parse_scenario(text, name=name))
+        runner.run()
+        assert hashed == [], name
+        engine = runner.engine
+        wallets = engine.manager.wallets()
+        assert any(wallet.intst for wallet in wallets)
+        for wallet in wallets:
+            engine.manager.log_prefix_digest(wallet.wallet_id)
+        for chain in (engine.chain, engine.reliable):
+            chain.snapshot_digest()
+        # heights 1..tip of each chain, each once (genesis is a constant)
+        assert sorted(hashed) == sorted(
+            (height, height * chain.block_interval)
+            for chain in (engine.chain, engine.reliable)
+            for height in range(1, chain.height + 1)
+        ), name
+        del hashed[:]
 
 
 @pytest.mark.parametrize("leaves", [2, 300, 2000])

@@ -12,12 +12,13 @@ import pytest
 
 from encumbra import crypto, simchain
 from encumbra.config import ORACLE_MODES, Config
-from encumbra.engine import engine_seed
+from encumbra.engine import Engine, engine_seed
 from encumbra.errors import BadProof, InvalidSignature, NotYetConfirmed, UnknownTx
 from encumbra.merkle import merkle_levels, merkle_path, merkle_root
-from encumbra.messages import ChainTx, signing_digest
+from encumbra.messages import ChainTx, PersonalSign, signing_digest
 from encumbra.reports import latency_report
 from encumbra.simchain import FEE_SINK, InclusionProof, SignedTx, SimChain, mode_delays
+from encumbra.state import LogEntry, OracleState
 from tests.oracles.chainref import ChainRef
 from tests.oracles.oracleref import DenseOracle
 
@@ -764,4 +765,73 @@ def test_chain_matches_the_per_height_reference(seed):
             _assert_same_ledger(chain, ref)
         assert chain.total_circulating() == chain.minted
     assert len(ref._tx_index) > 10 and chain.pending
+    _assert_same_chain(chain, ref)
+
+
+def _eager_ost(ost, ref, interval):
+    """``ost`` with the hashes of the reference's eager headers at the
+    tip of its instant."""
+    tip = ost.chain_time // interval
+    hashes = tuple(b.block_hash for b in ref.blocks[max(0, tip - 7) : tip + 1])
+    return OracleState(ost.chain_time, hashes, ost.recognized_nonce)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_oracle_snapshots_match_the_eager_reference(seed):
+    """A signature's oracle snapshot, whose hashes are read late, encodes
+    to the bytes of the reference chain's eager headers at the tip of
+    the sign, whether it is read at once or after later blocks.  Signs
+    fall between advances of 1 to 300 intervals, and at a height both
+    before and after a block of txs is produced; the log digest at every
+    length and every header match the reference too."""
+    rng = random.Random(seed)
+    engine = Engine()
+    chain, manager, interval = engine.chain, engine.manager, engine.chain.block_interval
+    ref = ChainRef(block_interval=interval)
+    manager.register_player("am")
+    manager.lw_gen(access_manager="am", wallet_id="w", policy_kind="allow")
+    payers = [f"payer{i}" for i in range(3)]
+    for name in payers:
+        ref.fund(engine.external_account(name, 10**21), 10**21)
+
+    def sign():
+        manager.lw_sign("am", "w", PersonalSign(rng.randbytes(8)))
+        entry = manager.wallet("w").intst[-1]
+        if rng.random() < 0.3:  # read at once; the rest are read at the end
+            assert entry.ost.encode() == _eager_ost(entry.ost, ref, interval).encode()
+
+    def advance(seconds):
+        engine.advance(seconds)
+        ref.advance(seconds)
+
+    for _ in range(40):
+        roll = rng.random()
+        if roll < 0.4:
+            advance(interval * rng.randint(1, 300) + rng.randrange(interval))
+            sign()
+        elif roll < 0.7:
+            # a sign at this height before and after its block of txs
+            advance(interval - chain.time % interval - 1)
+            sign()
+            for name in rng.sample(payers, rng.randint(1, 3)):
+                signed = engine.account_tx(name, rng.randbytes(20), rng.randrange(10**6))
+                chain.submit(signed)
+                ref.submit(signed)
+            sign()
+            advance(1)
+            assert chain.header(chain.height).txs
+            sign()
+        else:
+            advance(rng.randrange(interval))  # perhaps no new height
+            sign()
+    log = manager.wallet("w").intst
+    eager = [LogEntry(e.player, e.message, _eager_ost(e.ost, ref, interval), e.node_id) for e in log]
+    for entry, twin in zip(log, eager):
+        assert entry.ost == twin.ost and entry.ost.encode() == twin.ost.encode()
+    running = b"\x00" * 32
+    for length in range(len(log) + 1):
+        assert manager.log_prefix_digest("w", length) == running
+        if length < len(log):
+            running = crypto.digest(running + eager[length].encode())
+    assert len(ref._tx_index) > 10
     _assert_same_chain(chain, ref)
