@@ -15,8 +15,10 @@ Release needs three independent facts: the trigger fired and is final
 (the engine hands in the reliable chain's finalized time), a threshold
 of committee shares reconstructs the escrow key (checked against the
 known public key before use), and at least one repository serves an
-intact replica.  The latest decryptable version wins; release happens
-at most once.
+intact replica.  The newest replica that decrypts to an escrow
+plaintext, and in which each seed's public key is that of the manager's
+wallet of its id, is released; a replica that fails either is skipped.
+Release happens at most once, and only a release that passes uses it up.
 
 A change reaches the fallback as its successor ``Wallet`` before the
 manager installs it, so a blocking write holds the change in place of
@@ -43,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from .. import crypto
 from ..crypto import SigningKey
 from ..errors import (
     AlreadyTriggered,
@@ -217,24 +218,21 @@ class FallbackSystem:
             if latest is not None:
                 candidates.append(latest)
         candidates.sort(key=lambda blob: blob.version, reverse=True)
-        payload = None
+        publics = {wallet.wallet_id: wallet.public_key for wallet in self.manager.wallets()}
         for blob in candidates:
+            released: Dict[str, List[Tuple[str, bytes]]] = {}
             try:
-                payload = decrypt_state(secret, blob)
-                break
-            except InsufficientShares:
-                continue
-        if payload is None:
-            raise InsufficientShares("no replica could be opened")
-
-        parsed = json.loads(payload.decode())
-        released: Dict[str, List[Tuple[str, bytes]]] = {}
-        for wallet in parsed["wallets"]:
-            released.setdefault(wallet["access_manager"], []).append(
-                (wallet["id"], bytes.fromhex(wallet["seed"]))
-            )
-        self.executed = True
-        return released
+                for wallet in json.loads(decrypt_state(secret, blob))["wallets"]:
+                    seed = bytes.fromhex(wallet["seed"])
+                    if not verify_released_key(seed, publics.get(wallet["id"])):
+                        break
+                    released.setdefault(wallet["access_manager"], []).append((wallet["id"], seed))
+                else:
+                    self.executed = True
+                    return released
+            except (InsufficientShares, ValueError, KeyError, TypeError):
+                continue  # not sealed to the escrow key, or not an escrow plaintext
+        raise InsufficientShares("no replica could be opened and checked")
 
 
 def _wallet_text(wallet: Wallet) -> bytes:
@@ -254,10 +252,7 @@ def _wallet_text(wallet: Wallet) -> bytes:
     ).encode()
 
 
-def verify_released_key(seed: bytes, expected_public: bytes) -> bool:
-    """A released wallet key is good iff it signs under the original pk."""
-    key = SigningKey(seed)
-    if key.public_key != expected_public:
-        return False
-    sample = crypto.digest(b"release-check")
-    return crypto.verify(key.sign(sample), sample)
+def verify_released_key(seed: bytes, expected_public: Optional[bytes]) -> bool:
+    """A released wallet key is good iff its public half is the wallet's
+    (``None`` for a wallet the manager does not hold)."""
+    return SigningKey(seed).public_key == expected_public

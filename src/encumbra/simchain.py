@@ -14,6 +14,8 @@ pool that sweep leaves can include nothing until the next ``submit`` or
 that hold txs keep a body (timestamp, tx root, txs and Merkle levels);
 no height keeps a header.  ``_hash`` is the one place the chain hashes a
 header: it extends the hashed prefix in height order, on first read.
+``header`` builds a ``Block`` with its own and its parent's hash from
+that prefix, so reading a block again hashes nothing.
 The oracle snapshot's window of recent hashes is read only when the
 snapshot is encoded, so a command hashes no header.  A block of n txs
 costs one Merkle build (about 2n hashes) and keeps its levels, so an
@@ -115,18 +117,14 @@ class Block:
     tx_root: bytes
     txs: Tuple[SignedTx, ...]
     # Ignored by equality, hashing and repr: the Merkle levels built with
-    # ``tx_root``, and the header hash, derived from the fields above.
+    # ``tx_root``, and the header hash of the fields above, which the
+    # builder passes in (``SimChain.header`` passes the one ``_hash`` kept).
     levels: Levels = field(repr=False, compare=False)
-    block_hash: bytes = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "block_hash", block_hash(
-            self.height, self.parent_hash, self.tx_root, self.timestamp
-        ))
+    block_hash: bytes = field(repr=False, compare=False)
 
 
 # Every chain's genesis header: height 0, no txs, at time 0.
-GENESIS_HASH = Block(0, 0, ZERO_HASH, EMPTY_ROOT, (), ()).block_hash
+GENESIS_HASH = block_hash(0, ZERO_HASH, EMPTY_ROOT, 0)
 
 
 class Body(NamedTuple):
@@ -272,12 +270,14 @@ class SimChain:
 
     def header(self, height: int) -> Block:
         """The block at ``height``, built on each call from its body (an
-        empty one if the height holds no txs) and its parent's hash."""
+        empty one if the height holds no txs) and the kept hashes of it
+        and its parent."""
         if not 0 <= height <= self.height:
             raise UnknownTx(f"no block at height {height}")
         body = self._bodies.get(height) or Body(height * self.block_interval, EMPTY_ROOT, (), ())
-        parent = self._hash(height - 1) if height else ZERO_HASH
-        return Block(height, body.timestamp, parent, body.tx_root, body.txs, body.levels)
+        own = self._hash(height)
+        parent = self._hashes[height - 1] if height else ZERO_HASH
+        return Block(height, body.timestamp, parent, body.tx_root, body.txs, body.levels, own)
 
     def tip(self) -> Block:
         return self.header(self.height)

@@ -7,7 +7,8 @@ that only the first due height of an advance can include anything, so
 agreement between the two is evidence rather than tautology.  It keeps
 no confirmation oracle and no proofs: only the ledger that block
 production writes (balances, nonces, pending, tx locations and balance
-history).
+history).  Each block's hash is computed eagerly, with ``block_hash``
+of its own fields, when the block is built.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from encumbra.merkle import merkle_levels, merkle_root
-from encumbra.simchain import FEE_SINK, Block, SignedTx
+from encumbra.simchain import FEE_SINK, Block, SignedTx, block_hash
 
 
 class ChainRef:
     def __init__(self, block_interval: int = 12):
         self.block_interval = block_interval
         self.time = 0
-        genesis = Block(0, 0, b"\x00" * 32, merkle_root(()), (), ())
+        zero, empty = b"\x00" * 32, merkle_root(())
+        genesis = Block(0, 0, zero, empty, (), (), block_hash(0, zero, empty, 0))
         self.blocks: List[Block] = [genesis]
         self.pending: List[SignedTx] = []
         self.balances: Dict[bytes, int] = {}
@@ -98,13 +100,16 @@ class ChainRef:
             pool = survivors
         self.pending = survivors
         levels = merkle_levels([s.digest for s in included])
+        timestamp = height * self.block_interval
+        parent, root = self.blocks[-1].block_hash, merkle_root(levels)
         block = Block(
             height=height,
-            timestamp=height * self.block_interval,
-            parent_hash=self.blocks[-1].block_hash,
-            tx_root=merkle_root(levels),
+            timestamp=timestamp,
+            parent_hash=parent,
+            tx_root=root,
             txs=tuple(included),
             levels=levels,
+            block_hash=block_hash(height, parent, root, timestamp),
         )
         self.blocks.append(block)
         for index, signed in enumerate(included):

@@ -27,6 +27,7 @@ from encumbra.scenario import ScenarioRunner, parse_scenario
 from encumbra.simchain import InclusionProof, SignedTx, SimChain, delay_bounds
 from encumbra.state import GENESIS_ORACLE, OracleState, StateTriple
 from tests.test_escrow_bytes import builds  # a fixture: pytest finds it by name
+from tests.test_fallback import fallback_drill_before_release
 from tests.test_manager import D1, ETH, _manager, _tree_wallet
 from tests.test_policy_update import D1 as TREE_DEST
 from tests.test_policy_update import _deep_tree, _pc, _st, _wide_tree
@@ -236,6 +237,43 @@ def test_a_recovery_hashes_no_reliable_header(monkeypatch):
     assert reliable.block_interval == 600 and reliable.height > 1000
     assert recovered
     assert reliable._hashes == [reliable.header(0).block_hash]
+
+
+@pytest.mark.parametrize("intervals", [100, 1000])
+def test_a_header_reads_the_hash_the_chain_kept(intervals, monkeypatch):
+    """After a long advance the first ``tip()`` hashes each unread height
+    once; a second ``tip()``, and ``header(h)`` of every height up to
+    the tip, hash nothing."""
+    chain = SimChain(SEED, block_interval=INTERVAL)
+    chain.advance(INTERVAL * intervals)
+    hashed = []
+    real = simchain.block_hash
+
+    def recording(height, parent_hash, tx_root, timestamp):
+        hashed.append(height)
+        return real(height, parent_hash, tx_root, timestamp)
+
+    monkeypatch.setattr(simchain, "block_hash", recording)
+    tip = chain.tip()
+    assert hashed == list(range(1, intervals + 1))
+    del hashed[:]
+    assert chain.tip().block_hash == tip.block_hash
+    assert hashed == []
+    headers = [chain.header(height) for height in range(intervals + 1)]
+    assert hashed == []
+    assert [block.block_hash for block in headers] == chain._hashes
+
+
+def test_a_recovery_signs_and_verifies_nothing(monkeypatch):
+    """A released key is checked by its public half alone: the release
+    in the fallback drill makes no signature and verifies none."""
+    engine = fallback_drill_before_release().engine
+    counts = dict.fromkeys(("verify", "sign"), 0)
+    _count_calls(monkeypatch, crypto, "verify", counts)
+    _count_calls(monkeypatch, crypto.SigningKey, "sign", counts)
+    released = engine.recover()
+    assert sum(map(len, released.values())) == len(engine.manager.wallets()) == 2
+    assert counts == {"verify": 0, "sign": 0}
 
 
 def test_verifying_a_proof_at_an_empty_height_hashes_no_header(monkeypatch):

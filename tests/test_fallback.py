@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from importlib import resources
 
 import pytest
 
@@ -36,6 +37,7 @@ from encumbra.fallback.trigger import TriggerContract, TriggerState, ping_messag
 from encumbra.manager import WalletManager
 from encumbra.messages import signing_digest
 from encumbra.policy.tree import ROOT_ID, Grant, PlayerController
+from encumbra.scenario import ScenarioRunner, parse_scenario
 
 SEED = crypto.digest(b"fallback-tests")
 SECRET = crypto.digest(b"the-escrowed-secret")
@@ -510,6 +512,111 @@ def test_release_prefers_the_newest_decryptable_replica():
     assert [wid for wid, _ in released["am"]] == ["w1"]
 
 
+def _forged(system, forge):
+    """A blob one version past the newest replica, encrypted to the
+    escrow key as a real write is: its plaintext is ``forge`` of that
+    replica's parsed plaintext."""
+    newest = max((repo.latest() for repo in system.repos), key=lambda blob: blob.version)
+    secret = secretshare.reconstruct(system.shares[: system.threshold])
+    plain = json.loads(decrypt_state(secret, newest))
+    plain["version"] = newest.version + 1
+    return encrypt_state(system.escrow_public, forge(plain), plain["version"], SEED)
+
+
+FORGER = crypto.derive_signing_key(SEED, "forger")
+
+
+def _canonical(plain):
+    return json.dumps(plain, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _wrong_seed(plain):
+    """The first wallet keeps its id and public key but names another seed."""
+    plain["wallets"][0]["seed"] = FORGER.seed_bytes().hex()
+    return _canonical(plain)
+
+
+def _unknown_id(plain):
+    """A wallet the manager never made, its seed and key consistent."""
+    ghost = dict(plain["wallets"][0], id="ghost", public_key=FORGER.public_key.hex())
+    plain["wallets"].append(dict(ghost, seed=FORGER.seed_bytes().hex()))
+    return _canonical(plain)
+
+
+def _no_seed(plain):
+    del plain["wallets"][0]["seed"]
+    return _canonical(plain)
+
+
+def _not_json(plain):
+    return b"\xff not the escrow plaintext"
+
+
+FORGERIES = [_wrong_seed, _unknown_id, _no_seed, _not_json]
+
+
+@pytest.mark.parametrize("forge", FORGERIES)
+def test_a_forged_newest_replica_is_skipped(forge):
+    """A repository serves a newer blob, encrypted to the public escrow
+    key, whose seed is not its wallet's, whose wallet the manager does
+    not hold, or which is no escrow plaintext: the release skips it and
+    releases the honest replica."""
+    manager, system = _stack()
+    w1 = manager.lw_gen("am", "w1", policy_kind="allow")
+    w2 = manager.lw_gen("am", "w2", policy_kind="tree", update_rule="tree")
+    system.repos[0].store(_forged(system, forge))
+    assert system.repos[0].latest().version == 3
+
+    released = system.execute(system.shares[:3], _fired_trigger(), SETTLED)
+    assert released == {"am": [("w1", w1.key.seed_bytes()), ("w2", w2.key.seed_bytes())]}
+    assert system.executed is True
+
+
+@pytest.mark.parametrize("forge", FORGERIES)
+def test_a_release_with_every_replica_forged_stays_open(forge):
+    """With every repository forged the release is refused and not used
+    up: an honest replica handed in later is released."""
+    manager, system = _stack()
+    w1 = manager.lw_gen("am", "w1", policy_kind="allow")
+    honest = StorageRepo("honest")
+    honest.store(system.repos[0].latest())
+    forged = _forged(system, forge)
+    for repo in system.repos:
+        repo.store(forged)
+    trigger = _fired_trigger()
+
+    with pytest.raises(InsufficientShares):
+        system.execute(system.shares[:3], trigger, SETTLED)
+    assert system.executed is False
+    released = system.execute(system.shares[:3], trigger, SETTLED, repos=[honest])
+    assert released == {"am": [("w1", w1.key.seed_bytes())]}
+
+
+def fallback_drill_before_release():
+    """A runner of ``fallback.scn`` that has run every step before its
+    first ``recover`` that must succeed."""
+    text = resources.files("encumbra.scenarios").joinpath("fallback.scn").read_text()
+    runner = ScenarioRunner(parse_scenario(text, name="fallback"))
+    steps = runner.scenario.steps
+    first = next(i for i, s in enumerate(steps) if s.command == "recover" and not s.tolerant)
+    runner.scenario.steps = steps[:first]
+    runner.run()
+    return runner
+
+
+def test_a_drill_releases_past_a_forged_replica():
+    """``recover`` in the drill, with a forged newest blob planted in the
+    first repository, releases the honest keys, and only once."""
+    engine = fallback_drill_before_release().engine
+    system = engine.fallback
+    system.repos[0].store(_forged(system, _wrong_seed))
+    released = engine.recover()
+    seeds = {wallet.wallet_id: wallet.key.seed_bytes() for wallet in engine.manager.wallets()}
+    assert sorted(pair for pairs in released.values() for pair in pairs) == sorted(seeds.items())
+    with pytest.raises(AlreadyTriggered):
+        engine.recover()
+
+
 def _held_text(value):
     """Every str reachable from ``value`` through containers and instance
     attributes; bytes are given as their hex and as latin-1 text."""
@@ -572,3 +679,4 @@ def test_verify_released_key_checks_the_public_half():
     assert verify_released_key(key.seed_bytes(), key.public_key)
     other = crypto.derive_signing_key(SEED, "other")
     assert not verify_released_key(key.seed_bytes(), other.public_key)
+    assert not verify_released_key(key.seed_bytes(), None)  # no such wallet
