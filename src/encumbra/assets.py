@@ -14,9 +14,10 @@ hash, or the personal-sign class key) covers every message of that
 platform; a specific key (a proposal id, or a payload key) covers one
 message family.  A platform-level grant can be subdivided by carving
 specific keys out to child policies, which shadow the parent for those
-keys.  ``demands_of`` maps a message to the demands a policy must be
-able to satisfy before signing it; each unit demand lists acceptable
-keys from most to least specific.
+keys.  ``demands_of`` maps a message to the one demand a policy must be
+able to satisfy before signing it: native value, and one unit of
+signing authority whose acceptable assets run from most to least
+specific.
 """
 
 from __future__ import annotations
@@ -96,40 +97,31 @@ def personal_payload_key(payload: bytes) -> bytes:
 
 
 @dataclass(frozen=True)
-class UnitDemand:
-    """One unit of signing authority, satisfiable by any listed asset.
+class Demand:
+    """Everything a message asks of the signing policy: ``native`` value,
+    and one unit of signing authority satisfiable by any of ``options``.
 
     Options are ordered most-specific first; a grant matches if it is on
     any option and is not shadowed by a carve covering the demand.
     """
 
+    native: int
     options: Tuple[AssetId, ...]
 
 
-@dataclass(frozen=True)
-class Demands:
-    """Everything a message asks of the signing policy."""
-
-    native: int
-    units: Tuple[UnitDemand, ...]
-
-
-def demands_of(message: SignableMessage, extst: bytes = b"") -> Optional[Demands]:
-    """Demands of a message, or None when it cannot be classified.
+def demands_of(message: SignableMessage, extst: bytes = b"") -> Optional[Demand]:
+    """The demand of a message, or None when it cannot be classified.
 
     An unclassifiable message (typed data with no verifiable vote hint)
     matches no grant, so asset-scoped policies refuse it; only an
     approve-all policy will sign such a message.
     """
     if isinstance(message, ChainTx):
-        return Demands(
-            native=message.value + message.fee_cap,
-            units=(UnitDemand(options=(destination(message.to),)),),
-        )
+        return Demand(message.value + message.fee_cap, (destination(message.to),))
     if isinstance(message, PersonalSign):
         specific = capability(personal_payload_key(message.payload))
         broad = capability(PERSONAL_CLASS_KEY)
-        return Demands(native=0, units=(UnitDemand(options=(specific, broad)),))
+        return Demand(0, (specific, broad))
     if isinstance(message, TypedData):
         hint = parse_vote_extst(extst)
         if hint is None:
@@ -140,5 +132,5 @@ def demands_of(message: SignableMessage, extst: bytes = b"") -> Optional[Demands
             return None
         specific = capability(proposal_id)
         broad = capability(message.domain_hash)
-        return Demands(native=0, units=(UnitDemand(options=(specific, broad)),))
+        return Demand(0, (specific, broad))
     return None

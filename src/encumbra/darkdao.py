@@ -11,10 +11,12 @@ buyer's choice.
 The market is a fair exchange without trust: the buyer's escrow is
 reserved atomically with the delegation, the seller's payment becomes
 claimable when the proposal closes, and the buyer's exclusive signing
-right is enforced by the wallet policy, not by promises.  Voting
-weight is read from the chain balance at the proposal's snapshot
-height, so moving funds after accepting changes nothing.  The program
-reads whether a proposal is open from the triple's ``st.ost.chain_time``;
+right is enforced by the wallet policy, not by promises.  A cast
+records only its choice; ``tally`` reads its weight from the chain
+balance at the proposal's snapshot height, which is at most the tip
+and so final: moving or funding after accepting changes nothing.  An
+offer's ``reserved`` is the sum of its reservations.  The program reads
+whether a proposal is open from the triple's ``st.ost.chain_time``;
 the market's accept and claim read it from the chain the DAO was built
 on, the same clock that fills the triple.
 """
@@ -67,9 +69,12 @@ class BribeOffer:
     choice: int
     price_per_token: int  # wei per WEIGHT_UNIT of snapshot balance
     escrow: int
-    reserved: int = 0
     # wallet id -> reserved payment, created at accept, consumed at claim
     reservations: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def reserved(self) -> int:
+        return sum(self.reservations.values())
 
     def headroom(self) -> int:
         return self.escrow - self.reserved
@@ -79,7 +84,6 @@ class BribeOffer:
 class Enrollment:
     wallet_id: str
     owner: str
-    node_id: str
     domain_hash: bytes
 
 
@@ -125,8 +129,8 @@ class DarkDao:
         self.offers: Dict[str, BribeOffer] = {}
         # (wallet id, proposal id) -> offer id
         self.delegations: Dict[Tuple[str, bytes], str] = {}
-        # (proposal id, wallet id) -> (choice, weight)
-        self.cast: Dict[Tuple[bytes, str], Tuple[int, int]] = {}
+        # (proposal id, wallet id) -> choice
+        self.cast: Dict[Tuple[bytes, str], int] = {}
 
     # ------------------------------------------------------------------
     # registry
@@ -162,7 +166,6 @@ class DarkDao:
         enrollment = Enrollment(
             wallet_id=wallet_id,
             owner=wallet.access_manager,
-            node_id=VOTE_NODE_ID,
             domain_hash=domain_hash,
         )
         program_name = f"darkdao:{wallet_id}"
@@ -218,16 +221,13 @@ class DarkDao:
     def cast_vote(
         self, player: str, wallet_id: str, proposal_id: bytes, choice: int
     ) -> Signature:
-        """Sign a vote through the wallet's policy and tally it."""
+        """Sign a vote through the wallet's policy and record its choice."""
         enrollment = self._enrollment(wallet_id)
         proposal = self._proposal(proposal_id)
         message = vote_message(enrollment.domain_hash, proposal_id, choice)
         extst = vote_extst(proposal_id, choice)
         signature = self.manager.lw_sign(player, wallet_id, message, extst)
-        self.cast[(proposal_id, wallet_id)] = (
-            choice,
-            self.weight_of(wallet_id, proposal_id),
-        )
+        self.cast[(proposal_id, wallet_id)] = choice
         return signature
 
     # ------------------------------------------------------------------
@@ -279,7 +279,6 @@ class DarkDao:
         if payment > offer.headroom():
             raise EscrowExhausted(offer_id)
         # Atomic from here: both ledger entries or neither.
-        offer.reserved += payment
         offer.reservations[wallet_id] = payment
         self.delegations[key] = offer_id
         return payment
@@ -301,7 +300,6 @@ class DarkDao:
         payment = offer.reservations.pop(wallet_id, None)
         if payment is None:
             raise NoReservation(wallet_id)
-        offer.reserved -= payment
         offer.escrow -= payment
         return payment
 
@@ -312,7 +310,7 @@ class DarkDao:
         """Choice -> total snapshot weight among recorded casts."""
         self._proposal(proposal_id)
         out: Dict[int, int] = {}
-        for (pid, _), (choice, weight) in self.cast.items():
+        for (pid, wallet_id), choice in self.cast.items():
             if pid == proposal_id:
-                out[choice] = out.get(choice, 0) + weight
+                out[choice] = out.get(choice, 0) + self.weight_of(wallet_id, pid)
         return out

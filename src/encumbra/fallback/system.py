@@ -16,9 +16,11 @@ Release needs three independent facts: the trigger fired and is final
 of committee shares reconstructs the escrow key (checked against the
 known public key before use), and at least one repository serves an
 intact replica.  The newest replica that decrypts to an escrow
-plaintext, and in which each seed's public key is that of the manager's
-wallet of its id, is released; a replica that fails either is skipped.
-Release happens at most once, and only a release that passes uses it up.
+plaintext naming at least one wallet, and in which each seed's public
+key is that of the manager's wallet of its id, is released; any other
+replica is skipped.  Every real write names the wallet it was made for,
+so only a forgery names none.  Release happens at most once, and only
+a release that passes uses it up.
 
 A change reaches the fallback as its successor ``Wallet`` before the
 manager installs it, so a blocking write holds the change in place of
@@ -85,7 +87,6 @@ class FallbackSystem:
         self.manager = manager
         self._seed = seed
         self.threshold = threshold
-        self.committee = committee
         secret, public = escrow_keypair(seed)
         self.escrow_public = public
         self.shares: List[secretshare.Share] = secretshare.split(
@@ -222,7 +223,10 @@ class FallbackSystem:
         for blob in candidates:
             released: Dict[str, List[Tuple[str, bytes]]] = {}
             try:
-                for wallet in json.loads(decrypt_state(secret, blob))["wallets"]:
+                wallets = json.loads(decrypt_state(secret, blob))["wallets"]
+                if not wallets:
+                    continue
+                for wallet in wallets:
                     seed = bytes.fromhex(wallet["seed"])
                     if not verify_released_key(seed, publics.get(wallet["id"])):
                         break

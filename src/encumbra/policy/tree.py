@@ -55,7 +55,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Collection, Container, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import crypto
-from ..assets import AssetId, AssetKind, UnitDemand, capability, demands_of
+from ..assets import AssetId, AssetKind, capability, demands_of
 from ..errors import UnknownNode, UpdateRefused
 from ..messages import ChainTx
 from ..state import StateTriple
@@ -419,17 +419,17 @@ class PolicyTree:
                     return True
         return False
 
-    def _unit_satisfied(self, node_id: str, demand: UnitDemand, st: StateTriple) -> bool:
+    def _unit_satisfied(self, node_id: str, options: Tuple[AssetId, ...], st: StateTriple) -> bool:
         t = st.ost.chain_time
         node = self.nodes[node_id]
         for grant in node.grants:
-            if grant.asset not in demand.options:
+            if grant.asset not in options:
                 continue
             if not grant.active_at(t):
                 continue
-            if self._shadowed(node_id, grant, demand.options, t):
+            if self._shadowed(node_id, grant, options, t):
                 continue
-            for option in demand.options:
+            for option in options:
                 enc = option.encode()
                 sealer = self.manual_seals.get(enc, st.outstanding.get(enc))
                 if sealer is not None and sealer != node_id:
@@ -472,17 +472,14 @@ class PolicyTree:
             program = None if programs is None else programs.get(controller.name)
             if program is None or not program.allows(player, message, st):
                 return False
-        demands = demands_of(message, st.extst)
-        if demands is None:
+        demand = demands_of(message, st.extst)
+        if demand is None or not self._unit_satisfied(node_id, demand.options, st):
             return False
-        for unit in demands.units:
-            if not self._unit_satisfied(node_id, unit, st):
-                return False
         if isinstance(message, ChainTx) and ledger is not None:
             if not ledger.approves_chain_tx(node_id, message, st):
                 return False
-        elif demands.native > 0:
-            if demands.native > self.available_native(node_id, st):
+        elif demand.native > 0:
+            if demand.native > self.available_native(node_id, st):
                 return False
         return True
 

@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .assets import NATIVE, capability, destination, personal_payload_key
 from .config import Config
+from .darkdao import VOTE_NODE_ID
 from .engine import Engine, dao_domain, proposal_id_of
 from .errors import EngineError, ParseError, StepFailure
 from .fallback.trigger import TriggerState
@@ -261,9 +262,12 @@ class ScenarioRunner:
         if text.startswith("personal:"):
             return personal_payload_key(text[len("personal:") :].encode())
         try:
-            return bytes.fromhex(text)
+            key = bytes.fromhex(text)
         except ValueError:
-            raise StepFailure(f"bad capability key {text!r}") from None
+            key = b""
+        if len(key) != 32:
+            raise StepFailure(f"bad capability key {text!r}")
+        return key
 
     # -- execution ------------------------------------------------------
 
@@ -521,8 +525,8 @@ def _cmd_proposal(r: ScenarioRunner, pos, kw) -> str:
 
 @command("enroll", "wallet", "dao")
 def _cmd_enroll(r: ScenarioRunner, pos, kw) -> str:
-    enrollment = r.engine.dao.enroll(pos[0], dao_domain(kw["dao"]))
-    return f"{pos[0]}/{enrollment.node_id}"
+    r.engine.dao.enroll(pos[0], dao_domain(kw["dao"]))
+    return f"{pos[0]}/{VOTE_NODE_ID}"
 
 
 @command("vote", "wallet", "player proposal choice")

@@ -6,7 +6,9 @@ in submission order.  Fees are charged at the full cap (max fee per
 gas times gas limit) and accumulate in a fee sink, so value is
 conserved to the wei: minted == circulating + fees.  There are no
 reorgs; a transaction is included at most once, and a nonce is consumed
-exactly once.
+exactly once.  A height's balances are final once it exists: ``fund``
+enters the history at the next height, as an included tx would, so
+``balance_at`` of a height up to the tip never changes.
 
 One ``advance`` sweeps the pool once, for its first due height: the
 pool that sweep leaves can include nothing until the next ``submit`` or
@@ -229,10 +231,11 @@ class SimChain:
     # funding and queries
 
     def fund(self, address: bytes, amount: int) -> None:
-        """Mint simulation funds to an address (setup convenience)."""
+        """Mint simulation funds to an address (setup convenience), in
+        the history from the next height, as a tx in the next block."""
         self.balances[address] = self.balances.get(address, 0) + amount
         self.minted += amount
-        self._record_balance(address, self.height)
+        self._record_balance(address, self.height + 1)
 
     def balance(self, address: bytes) -> int:
         return self.balances.get(address, 0)
@@ -241,7 +244,7 @@ class SimChain:
         return self.nonces.get(address, 0)
 
     def balance_at(self, address: bytes, height: int) -> int:
-        """Balance as of the end of ``height`` (0 before first touch).
+        """The final balance at the end of ``height`` (0 before first touch).
 
         One bisection of the address's history, by height.
         """

@@ -122,7 +122,6 @@ class TxLedger:
         self.committed_requests: Dict[bytes, str] = {}
         self.last_unlimited: Dict[bytes, str] = {}
         self.unlimited: Dict[Tuple[str, bytes], bool] = {}
-        self.total_proven = 0
         self.total_deducted = 0
         self.unattributed: List[bytes] = []
         self.gas_log: List[Tuple[str, int]] = []
@@ -131,6 +130,10 @@ class TxLedger:
     @property
     def tree(self) -> PolicyTree:
         return self._tree_provider()
+
+    @property
+    def total_proven(self) -> int:
+        return sum(self.proven_deposits.values())
 
     # ------------------------------------------------------------------
     # gas metering
@@ -220,7 +223,6 @@ class TxLedger:
             return 0
         self.proven_deposits[proof.tx_digest] = signed.tx.value
         self.ether_sub[node_id] = self.ether_sub.get(node_id, 0) + signed.tx.value
-        self.total_proven += signed.tx.value
         return signed.tx.value
 
     # ------------------------------------------------------------------

@@ -36,17 +36,18 @@ class ChainRef:
         self._balance_history: Dict[bytes, List[Tuple[int, int]]] = {}
 
     def fund(self, address: bytes, amount: int) -> None:
+        """Mint now; the history has it from the next height, as if a tx
+        in the next block paid it, so no produced height changes."""
         self.balances[address] = self.balances.get(address, 0) + amount
         self.minted += amount
-        self._record_balance(address)
+        self._record_balance(address, self.blocks[-1].height + 1)
 
     def balance_at(self, address: bytes, height: int) -> int:
         history = self._balance_history.get(address, ())
         idx = bisect.bisect_right(history, height, key=itemgetter(0)) - 1
         return history[idx][1] if idx >= 0 else 0
 
-    def _record_balance(self, address: bytes) -> None:
-        height = self.blocks[-1].height
+    def _record_balance(self, address: bytes, height: int) -> None:
         history = self._balance_history.setdefault(address, [])
         value = self.balances.get(address, 0)
         if history and history[-1][0] == height:
@@ -114,8 +115,8 @@ class ChainRef:
         self.blocks.append(block)
         for index, signed in enumerate(included):
             self._tx_index[signed.digest] = (height, index)
-            self._record_balance(signed.sender)
-            self._record_balance(signed.tx.to)
+            self._record_balance(signed.sender, height)
+            self._record_balance(signed.tx.to, height)
         if included:
-            self._record_balance(FEE_SINK)
+            self._record_balance(FEE_SINK, height)
         return block

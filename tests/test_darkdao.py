@@ -88,6 +88,36 @@ def test_a_balance_votes_once_at_its_snapshot():
     assert runner.transcript[-1] == "ok L14 tally p {1:5000000000000000000}"
 
 
+# Funds a wallet after a proposal's snapshot, then votes on it and on a
+# proposal made once the next block is produced.
+FUND_THEN_VOTE = """\
+player voter
+wallet gov am=voter policy=tree update=tree fund=5eth
+advance 60
+proposal p dao=main snapshot=tip close=+3600
+enroll gov dao=main
+fund gov 7eth
+vote gov player=voter proposal=p choice=1
+tally p
+advance 12
+proposal q dao=main snapshot=tip close=+3600
+vote gov player=voter proposal=q choice=2
+tally q
+tally p
+"""
+
+
+def test_a_fund_after_the_snapshot_adds_no_weight():
+    """A fund lands at the next height, so a snapshot at the tip keeps
+    the balance it had; the next snapshot sees it."""
+    runner = _run(FUND_THEN_VOTE)
+    assert runner.transcript[7] == "ok L8 tally p {1:5000000000000000000}"
+    assert runner.transcript[-2:] == [
+        "ok L12 tally q {2:12000000000000000000}",
+        "ok L13 tally p {1:5000000000000000000}",
+    ]
+
+
 @pytest.mark.parametrize("snapshot", ["6", "1000"])
 def test_a_snapshot_above_the_chain_height_is_refused(snapshot):
     """A snapshot not yet produced would read live balances, so moved

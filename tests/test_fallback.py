@@ -552,15 +552,21 @@ def _not_json(plain):
     return b"\xff not the escrow plaintext"
 
 
-FORGERIES = [_wrong_seed, _unknown_id, _no_seed, _not_json]
+def _no_wallet(plain):
+    """Names no wallet, so no seed of it can be wrong."""
+    plain["wallets"] = []
+    return _canonical(plain)
+
+
+FORGERIES = [_wrong_seed, _unknown_id, _no_seed, _not_json, _no_wallet]
 
 
 @pytest.mark.parametrize("forge", FORGERIES)
 def test_a_forged_newest_replica_is_skipped(forge):
     """A repository serves a newer blob, encrypted to the public escrow
     key, whose seed is not its wallet's, whose wallet the manager does
-    not hold, or which is no escrow plaintext: the release skips it and
-    releases the honest replica."""
+    not hold, which names no wallet, or which is no escrow plaintext: the
+    release skips it and releases the honest replica."""
     manager, system = _stack()
     w1 = manager.lw_gen("am", "w1", policy_kind="allow")
     w2 = manager.lw_gen("am", "w2", policy_kind="tree", update_rule="tree")

@@ -660,6 +660,9 @@ MALFORMED_STEPS = [
     "assert-trigger bogus",
     "recover shares=x",
     "spawn w actor=am node=n controller=am cap=zz",
+    # a capability key given in hex is 32 bytes
+    "spawn w actor=am node=n controller=am cap=abcd",
+    "spawn w actor=am node=n controller=am cap=dao:x platform=abcd",
     "vote gov player=voter proposal=p choice=x",
     "offer o briber=am proposal=p choice=x price=1 escrow=1",
     "build w to=shop value=1wei nonce=x as=t",

@@ -234,13 +234,18 @@ def test_insufficient_balance_drops_at_inclusion():
 
 
 def test_balance_history():
+    """A fund at height 0 is in the history from height 1, as a tx in
+    the next block would be; height 0 keeps its balances."""
     chain = SimChain(SEED)
     alice, bob = _key("alice"), _key("bob")
     chain.fund(alice.address, 1000)
+    assert chain.balance(alice.address) == 1000
+    assert chain.balance_at(alice.address, 0) == 0
     chain.advance(36)  # heights 1..3
     chain.submit(_signed(alice, 0, bob.address, 400))
     chain.advance(12)  # height 4
-    assert chain.balance_at(alice.address, 0) == 1000
+    assert chain.balance_at(alice.address, 0) == 0
+    assert chain.balance_at(alice.address, 1) == 1000
     assert chain.balance_at(alice.address, 3) == 1000
     assert chain.balance_at(alice.address, 4) == 600
     assert chain.balance_at(bob.address, 3) == 0

@@ -9,7 +9,8 @@ Every public module-level function, class and constant is referenced
 somewhere in the source, the tests or the benchmark, and every refusal
 code in ``errors.py`` is raised somewhere in the source.  Every function
 and method is called from the source or the benchmark, not only from
-the tests, save a short allow-list with a reason for each entry.
+the tests, save a short allow-list with a reason for each entry.  Every
+attribute a source class assigns on ``self`` is read somewhere.
 """
 
 import ast
@@ -82,6 +83,14 @@ def _references(tree):
                     yield word, node.lineno
 
 
+def _searched_trees():
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for top in SEARCHED
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+
+
 def test_every_public_source_name_is_referenced():
     """A public name defined in ``src/encumbra`` is read somewhere in
     ``src/``, ``tests/`` or ``bench/`` outside its own definition.
@@ -89,11 +98,7 @@ def test_every_public_source_name_is_referenced():
     Matching is by identifier, so an attribute of the same name counts:
     the check misses some dead names but never flags a live one.
     """
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"))
-        for top in SEARCHED
-        for path in sorted((ROOT / top).rglob("*.py"))
-    }
+    trees = _searched_trees()
     uses = collections.defaultdict(list)  # identifier -> [(path, line)]
     for path, tree in trees.items():
         for word, line in _references(tree):
@@ -194,6 +199,70 @@ def test_the_check_finds_a_new_uncalled_method():
     )
     sources = sorted(SRC.rglob("*.py")) + [added]
     assert sorted(_uncalled_functions(trees, sources)) == sorted([*TEST_ONLY, "Added.helper"])
+
+
+def _self_writes(tree):
+    """(class, attribute) for each ``self.<attribute>`` that a method of
+    a module-level class assigns, augmented assignments included."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(method):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    yield cls.name, node.attr
+
+
+def _write_only_attributes(trees, sources):
+    """``Class.attribute`` for each attribute a class in ``sources``
+    assigns on ``self`` that no tree in ``trees`` reads as an attribute."""
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        {
+            f"{cls}.{attr}"
+            for path in sources
+            for cls, attr in _self_writes(trees[path])
+            if attr not in read
+        }
+    )
+
+
+def test_every_attribute_written_is_read():
+    """Each ``self.<attribute> = ...`` in ``src/encumbra`` is read as an
+    attribute somewhere in ``src/``, ``tests/`` or ``bench/``: a store
+    nobody reads is a copy of a fact, or no fact at all.
+
+    Matching is by identifier, so a read of any attribute of the same
+    name counts, and a read through ``getattr`` by string is not seen.
+    """
+    trees = _searched_trees()
+    assert _write_only_attributes(trees, sorted(SRC.rglob("*.py"))) == []
+
+
+def test_the_check_finds_a_new_write_only_attribute():
+    trees = _searched_trees()
+    added = SRC / "added.py"
+    trees[added] = ast.parse(
+        "class Added:\n"
+        "    def __init__(self):\n"
+        "        self.added_total = 0\n"
+        "        self.added_total += 1  # a write, not a read\n"
+        "        self.added_copy = self.added_total\n"
+    )
+    sources = sorted(SRC.rglob("*.py")) + [added]
+    assert _write_only_attributes(trees, sources) == ["Added.added_copy"]
 
 
 def _raised_names(tree):
